@@ -4,9 +4,16 @@ Desk-scale engine: tensors carry no batch axis, every op is explicit, and
 broadcasting is restricted to bias-style addition (trailing-shape or
 size-1 axes). Convolution uses the cross-correlation convention of
 mainstream deep-learning frameworks (no kernel flip).
+
+Inside `with no_grad():` ops record no parents or vjp closures, so
+inference holds no intermediates alive and `backward` has nothing to
+follow; values are the same as with the graph recorded.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -119,8 +126,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("spectragen_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the graph; the previous mode returns on exit."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
+    if not _GRAD_ENABLED.get():
+        return out
     needing = tuple(p for p in parents if p._needs)
     if needing:
         out._parents = needing

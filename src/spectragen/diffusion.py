@@ -24,6 +24,10 @@ from .rgan import RganModel, rgan_forward
 
 CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres", "custom")
 
+# Default of `ConditionalDenoiser.forward`'s `cond_features`: "not supplied,
+# compute from the stack". None cannot serve, it means "no conditioning".
+_COMPUTE = object()
+
 
 # ---------------------------------------------------------------------------
 # noise schedule and the two diffusion primitives
@@ -50,12 +54,6 @@ class NoiseSchedule:
         if not 0 <= t <= self.timesteps:
             raise ValueError(f"timestep {t} outside [0, {self.timesteps}]")
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
-
-
-@dataclass
-class LatentState:
-    z: np.ndarray
-    t: int
 
 
 def make_schedule(timesteps: int = 1000, beta_start: float = 1e-4,
@@ -174,10 +172,12 @@ class TinyAutoencoder:
         return self.enc.parameters() + self.dec.parameters()
 
     def encode(self, image: np.ndarray) -> np.ndarray:
-        return self.enc(Tensor(self._s2d.encode(image))).data
+        with ad.no_grad():
+            return self.enc(Tensor(self._s2d.encode(image))).data
 
     def decode(self, latent: np.ndarray) -> np.ndarray:
-        return self._s2d.decode(self.dec(Tensor(latent)).data)
+        with ad.no_grad():
+            return self._s2d.decode(self.dec(Tensor(latent)).data)
 
     def latent_shape(self, image_shape):
         c, h, w = image_shape
@@ -454,32 +454,39 @@ class ConditionalDenoiser:
 
     def _stack_condition_input(self, stack: ConditionStack | None,
                                h: int, w: int) -> np.ndarray | None:
-        """Fixed slot layout; absent tags become zero maps."""
-        if not self.cond_channels:
-            return None
+        """Fixed slot layout; absent tags become zero maps.
+
+        None for an absent stack or one without spatial maps. A non-empty
+        stack that fills none of the slots raises ValueError.
+        """
         if stack is None or not stack.spatial:
             return None
+        slots = [tag for tag, _ in self.config.cond_slots]
+        if not any(tag in stack.spatial for tag in slots):
+            raise ValueError(
+                f"condition stack tags {sorted(stack.spatial)} match none of the "
+                f"denoiser's slots {slots}"
+            )
         stack = _resize_stack(stack, h, w)
         parts = []
-        seen = False
         for tag, ch in self.config.cond_slots:
             cmap = stack.spatial.get(tag)
             if cmap is None:
                 parts.append(np.zeros((ch, h, w)))
+            elif cmap.shape[0] != ch:
+                raise ValueError(
+                    f"condition {tag} has {cmap.shape[0]} channels, slot expects {ch}"
+                )
             else:
-                if cmap.shape[0] != ch:
-                    raise ValueError(
-                        f"condition {tag} has {cmap.shape[0]} channels, slot expects {ch}"
-                    )
                 parts.append(cmap)
-                seen = True
-        return np.concatenate(parts, axis=0) if seen else None
+        return np.concatenate(parts, axis=0)
 
     def condition_features(self, stack: ConditionStack | None, h: int, w: int):
         """Zero-convolved condition features: (per-encoder-scale, pre-head).
 
-        Returns None when the stack carries nothing for the slots; every
-        returned map is exactly zero at initialization.
+        Returns None when the stack carries no spatial maps; every returned
+        map is exactly zero at initialization. The result depends on the
+        stack and the extents only, not on the timestep or the latent.
         """
         cond_input = self._stack_condition_input(stack, h, w)
         if cond_input is None:
@@ -497,7 +504,14 @@ class ConditionalDenoiser:
                                           max(feat.shape[2] // 2, 1))
         return outs, self.zero_out(top_feat)
 
-    def forward(self, z_t, t: int, conditions: ConditionStack | None = None) -> Tensor:
+    def forward(self, z_t, t: int, conditions: ConditionStack | None = None,
+                cond_features=_COMPUTE) -> Tensor:
+        """Predicted noise for latent z_t at timestep t.
+
+        `cond_features` takes a `condition_features` result for these
+        conditions and extents, computed once for many calls; by default it
+        is computed here.
+        """
         z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
         _, h, w = z_t.shape
         div = 2 ** (self.config.levels - 1)
@@ -510,8 +524,9 @@ class ConditionalDenoiser:
             emb = ad.add(emb, self.global_proj(Tensor(conditions.global_embedding)))
         emb = self.time_fc2(ad.relu(self.time_fc1(emb)))
 
-        cond_feats = self.condition_features(conditions, h, w)
-        level_feats, top_feat = cond_feats if cond_feats is not None else (None, None)
+        if cond_features is _COMPUTE:
+            cond_features = self.condition_features(conditions, h, w)
+        level_feats, top_feat = cond_features if cond_features is not None else (None, None)
 
         feat = ad.relu(self.conv_in(z_t))
         skips = []
@@ -528,9 +543,9 @@ class ConditionalDenoiser:
             feat = ad.add(feat, top_feat)
         return self.head(feat)
 
-    def predict(self, z_t: np.ndarray, t: int,
-                conditions: ConditionStack | None = None) -> np.ndarray:
-        return self.forward(z_t, t, conditions).data
+    def predict(self, z_t: np.ndarray, t: int, conditions: ConditionStack | None = None,
+                cond_features=_COMPUTE) -> np.ndarray:
+        return self.forward(z_t, t, conditions, cond_features).data
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +604,25 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
 def sample(model: ConditionalDenoiser, schedule: NoiseSchedule, steps: int,
            conditions: ConditionStack | None, codec, seed: int,
            image_shape) -> np.ndarray:
-    """DDIM sampling from seeded Gaussian noise, decoded to an image."""
-    latent_shape = codec.latent_shape(image_shape)
-    z = RandomSource(seed).normal(latent_shape)
-    if conditions is not None:
-        conditions = _resize_stack(conditions, latent_shape[1], latent_shape[2])
-    ts = timestep_subsequence(schedule.timesteps, steps)
-    for t, t_prev in zip(ts[:-1], ts[1:]):
-        eps_hat = model.predict(z, int(t), conditions)
-        z = ddim_step(z, eps_hat, int(t), int(t_prev), schedule)
-    return codec.decode(z)
+    """DDIM sampling from seeded Gaussian noise, decoded to an image.
+
+    Records no graph. The condition features are computed once for all
+    steps. Raises NumericalFailure when a step leaves a non-finite latent.
+    """
+    with ad.no_grad():
+        latent_shape = codec.latent_shape(image_shape)
+        z = RandomSource(seed).normal(latent_shape)
+        _, h, w = latent_shape
+        if conditions is not None:
+            conditions = _resize_stack(conditions, h, w)
+        features = model.condition_features(conditions, h, w)
+        ts = timestep_subsequence(schedule.timesteps, steps)
+        for t, t_prev in zip(ts[:-1], ts[1:]):
+            eps_hat = model.predict(z, int(t), conditions, cond_features=features)
+            z = ddim_step(z, eps_hat, int(t), int(t_prev), schedule)
+            if not np.all(np.isfinite(z)):
+                raise nn.NumericalFailure(f"non-finite latent after DDIM step {t} -> {t_prev}")
+        return codec.decode(z)
 
 
 def dsrnet_super_resolve(lr_rgb: np.ndarray, model: ConditionalDenoiser,

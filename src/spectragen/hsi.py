@@ -35,7 +35,7 @@ RGB_TARGETS_NM = (650.0, 550.0, 450.0)
 
 
 class DataError(ValueError):
-    """Malformed file or inconsistent data (CLI exit code 2)."""
+    """Malformed file or inconsistent data."""
 
 
 @dataclass

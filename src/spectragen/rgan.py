@@ -176,7 +176,10 @@ class Rca:
     stream-1 keys/values (so it carries stream-1 content), and vice versa.
     The projection is shared by both streams, which makes the module
     exactly equivariant to swapping its inputs; with both inputs equal it
-    degenerates to windowed self-attention.
+    degenerates to windowed self-attention. When both inputs are the same
+    tensor (`Rca(z, z)`), the projection and the attention run once and
+    the one map is returned for both streams: equal inputs give equal
+    streams, so the values are those of the two-stream path.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
@@ -192,30 +195,27 @@ class Rca:
     def __call__(self, z1: Tensor, z2: Tensor) -> tuple[Tensor, Tensor]:
         if z1.shape != z2.shape:
             raise ValueError(f"stream shapes differ: {z1.shape} vs {z2.shape}")
-        cfg = self.cfg
         q1, k1, v1 = project_qkv(z1, self.qkv)
+        if z1 is z2:
+            z_hat = self._attend(q1, k1, v1)
+            return z_hat, z_hat
         q2, k2, v2 = project_qkv(z2, self.qkv)
-        q1h, q1v = spectral_split(q1)
-        k1h, k1v = spectral_split(k1)
-        v1h, v1v = spectral_split(v1)
-        q2h, q2v = spectral_split(q2)
-        k2h, k2v = spectral_split(k2)
-        v2h, v2v = spectral_split(v2)
-        z1_hat = ad.concat(
+        return self._attend(q2, k1, v1), self._attend(q1, k2, v2)
+
+    def _attend(self, query: Tensor, key: Tensor, value: Tensor) -> Tensor:
+        """Wide-window attention on the first channel half, tall-window on
+        the second, concatenated back along the channel axis."""
+        cfg = self.cfg
+        qh, qv = spectral_split(query)
+        kh, kv = spectral_split(key)
+        vh, vv = spectral_split(value)
+        return ad.concat(
             [
-                window_attention(q2h, k1h, v1h, cfg.window_h, self.pos_h, cfg.heads),
-                window_attention(q2v, k1v, v1v, cfg.window_v, self.pos_v, cfg.heads),
+                window_attention(qh, kh, vh, cfg.window_h, self.pos_h, cfg.heads),
+                window_attention(qv, kv, vv, cfg.window_v, self.pos_v, cfg.heads),
             ],
             axis=0,
         )
-        z2_hat = ad.concat(
-            [
-                window_attention(q1h, k2h, v2h, cfg.window_h, self.pos_h, cfg.heads),
-                window_attention(q1v, k2v, v2v, cfg.window_v, self.pos_v, cfg.heads),
-            ],
-            axis=0,
-        )
-        return z1_hat, z2_hat
 
     def parameters(self):
         return self.qkv.parameters() + [self.pos_h, self.pos_v]
@@ -348,8 +348,9 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel,
                  clamp: bool = True) -> HsiCube:
     """Guided super-resolution of a cube with an RGB image as guidance.
 
-    Pads reflectively to window-divisible extents, runs the model, crops
-    back, and clamps to [0,1] (inference behaviour).
+    Pads reflectively to window-divisible extents, runs the model without
+    recording the graph, crops back, and clamps to [0,1] (inference
+    behaviour).
     """
     scale = model.config.scale
     hr_rgb = np.asarray(hr_rgb, dtype=np.float64)
@@ -368,7 +369,8 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel,
     if ph or pw:
         lr_t = ad.pad_reflect2d(lr_t, (0, ph), (0, pw))
         rgb_t = ad.pad_reflect2d(rgb_t, (0, ph * scale), (0, pw * scale))
-    out = model.forward(lr_t, rgb_t)
+    with ad.no_grad():
+        out = model.forward(lr_t, rgb_t)
     if ph or pw:
         out = ad.crop2d(out, 0, lr_cube.height * scale, 0, lr_cube.width * scale)
     values = out.data

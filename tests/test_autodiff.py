@@ -177,6 +177,28 @@ def test_backward_rejects_non_scalar():
         ad.backward(ad.mul(p, 2.0))
 
 
+def test_no_grad_records_no_graph():
+    p = Parameter(np.array([1.0, -2.0]), name="p")
+    with ad.no_grad():
+        y = ad.tsum(ad.mul(ad.relu(p), p))
+    assert y._parents == () and y._vjp is None and not y._needs
+    assert float(y.data) == 1.0
+
+
+def test_no_grad_restores_mode_after_exception():
+    p = Parameter(np.array([3.0]), name="p")
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.mul(p, p)._parents == ()
+            raise RuntimeError("boom")
+    loss = ad.tsum(ad.mul(p, p))
+    assert loss._parents
+    ad.backward(loss)
+    np.testing.assert_array_equal(p.grad, [6.0])
+
+
 def test_gradcheck_composed_ops():
     rng = RandomSource(6)
     w1 = Parameter(rand(rng, 4, 2, 3, 3) * 0.3, name="w1")

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from spectragen import autodiff as ad
 from spectragen import diffusion as df
+from spectragen import nn
 from spectragen.autodiff import RandomSource, Tensor
 from spectragen.diffusion import (ConditionalDenoiser, ConditionStack, DenoiserConfig,
                                   IdentityCodec, SpaceToDepthCodec, TinyAutoencoder,
                                   ddim_step, forward_noise, make_schedule,
                                   timestep_subsequence)
-from spectragen.synth import synthetic_rgb
+from spectragen.hsi import patch_grid
+from spectragen.rgan import AttentionConfig, RganConfig, RganModel, rgan_forward
+from spectragen.synth import synthetic_cube, synthetic_rgb
 
 import oracles
 
@@ -19,6 +22,13 @@ def tiny_config(**kw):
     base = dict(latent_channels=2, base_channels=4, levels=2, time_dim=8)
     base.update(kw)
     return DenoiserConfig(**base)
+
+
+def randomize(params, seed, scale=0.3):
+    """Noise on every weight, so zero-init heads and zero-convs are live."""
+    rng = RandomSource(seed)
+    for i, p in enumerate(params):
+        p.data = rng.child(i).normal(p.shape) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +282,16 @@ def test_condition_channel_mismatch_rejected():
         model.predict(np.zeros((2, 8, 8)), 1, stack)
 
 
+def test_condition_stack_matching_no_slot_rejected():
+    z = np.zeros((2, 8, 8))
+    stack = ConditionStack({"seg": np.zeros((1, 8, 8)), "lowres": np.zeros((3, 8, 8))})
+    hed_only = ConditionalDenoiser(tiny_config(cond_slots=(("hed", 1),)), seed=16)
+    with pytest.raises(ValueError, match=r"\['lowres', 'seg'\].*\['hed'\]"):
+        hed_only.predict(z, 1, stack)
+    with pytest.raises(ValueError, match="match none"):
+        ConditionalDenoiser(tiny_config(), seed=16).predict(z, 1, stack)
+
+
 def test_denoiser_rejects_bad_extents():
     model = ConditionalDenoiser(tiny_config(), seed=17)
     with pytest.raises(ValueError):
@@ -355,6 +375,43 @@ def test_sample_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_sample_matches_reference_loop_and_computes_features_once():
+    cfg = tiny_config(latent_channels=3, cond_slots=(("lowres", 3),), global_dim=4)
+    model = ConditionalDenoiser(cfg, seed=60)
+    randomize(model.parameters(), 61)
+    s = make_schedule(12)
+    stack = ConditionStack({"lowres": synthetic_rgb(62, 8, 8)},
+                           global_embedding=RandomSource(63).normal((4,)))
+    calls = []
+    original = model.condition_features
+
+    def counting(stack, h, w):
+        calls.append((h, w))
+        return original(stack, h, w)
+
+    model.condition_features = counting
+    out = df.sample(model, s, 4, stack, IdentityCodec(), seed=64, image_shape=(3, 8, 8))
+    assert calls == [(8, 8)]
+    del model.condition_features
+
+    z = RandomSource(64).normal((3, 8, 8))
+    ts = timestep_subsequence(12, 4)
+    for t, t_prev in zip(ts[:-1], ts[1:]):
+        z = ddim_step(z, model.predict(z, int(t), stack), int(t), int(t_prev), s)
+    np.testing.assert_array_equal(out, z)
+    # the conditioning is live, so dropping it would change the samples
+    uncond = df.sample(model, s, 4, None, IdentityCodec(), seed=64, image_shape=(3, 8, 8))
+    assert not np.array_equal(out, uncond)
+
+
+def test_sample_raises_on_non_finite_latent():
+    model = ConditionalDenoiser(tiny_config(), seed=65)
+    model.head.bias.data[0] = np.nan
+    with pytest.raises(nn.NumericalFailure, match="non-finite"):
+        df.sample(model, make_schedule(10), 3, None, IdentityCodec(), seed=1,
+                  image_shape=(2, 8, 8))
+
+
 def test_sample_dense_schedule_runs_every_step():
     cfg = tiny_config()
     model = ConditionalDenoiser(cfg, seed=27)
@@ -362,13 +419,117 @@ def test_sample_dense_schedule_runs_every_step():
     calls = []
     original = model.predict
 
-    def spy(z, t, conditions=None):
+    def spy(z, t, conditions=None, **kwargs):
         calls.append(t)
-        return original(z, t, conditions)
+        return original(z, t, conditions, **kwargs)
 
     model.predict = spy
     df.sample(model, s, 6, None, IdentityCodec(), seed=1, image_shape=(2, 8, 8))
     assert calls == [6, 5, 4, 3, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# pipeline: DSRNet RGB super-resolution and two-stage augmentation
+
+
+def pipeline_denoiser():
+    model = ConditionalDenoiser(tiny_config(latent_channels=3, cond_slots=(("lowres", 3),)),
+                                seed=70)
+    randomize(model.parameters(), 71, scale=0.1)
+    return model
+
+
+def pipeline_rgan(scale, live=True):
+    att = AttentionConfig(channels=8, heads=1, window_h=(2, 4), window_v=(4, 2), layers=1)
+    model = RganModel(RganConfig(bands=6, scale=scale, attention=att), seed=72)
+    if live:
+        randomize(model.parameters(), 73, scale=0.1)
+    return model
+
+
+def pipeline_cubes():
+    return [synthetic_cube(74, bands=6, height=8, width=8),
+            synthetic_cube(75, bands=6, height=8, width=12)]
+
+
+@pytest.mark.parametrize("scale", [2, 4])
+def test_dsrnet_super_resolve_extents_and_determinism(scale):
+    model = pipeline_denoiser()
+    s = make_schedule(10)
+    lr = synthetic_rgb(76, 8, 6)
+    a = df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=scale)
+    b = df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=scale)
+    assert a.shape == (3, 8 * scale, 6 * scale)
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, df.dsrnet_super_resolve(lr, model, s, 3, seed=5, scale=scale))
+    with pytest.raises(ValueError):
+        df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=3)
+
+
+@pytest.mark.parametrize("scale", [2, 4])
+def test_augment_two_stage_extents_manifest_and_determinism(scale):
+    model, rgan_model, cubes = pipeline_denoiser(), pipeline_rgan(scale), pipeline_cubes()
+    s = make_schedule(10)
+
+    def run():
+        return df.augment_two_stage(cubes, model, s, rgan_model, scale=scale,
+                                    patch_size=8, steps=2, seed=3)
+
+    patches, manifest = run()
+    again, manifest_again = run()
+    assert manifest == manifest_again
+    for a, b in zip(patches, again):
+        np.testing.assert_array_equal(a.values, b.values)
+
+    want = []
+    for ci, cube in enumerate(cubes):
+        grid = patch_grid(cube.height * scale, cube.width * scale, 8, 4)
+        want += [(ci, pi, [r, c]) for pi, (r, c) in enumerate(grid.origins)]
+    assert [(row["source"], row["patch"], row["origin"]) for row in manifest] == want
+    assert all(row["scale"] == scale and row["patch_size"] == 8 and row["stride"] == 4
+               for row in manifest)
+    assert len(patches) == len(want)
+    for p in patches:
+        assert p.values.shape == (6, 8, 8)
+        assert p.values.min() >= 0.0 and p.values.max() <= 1.0
+
+
+def test_augment_two_stage_zero_rgan_patches_are_bilinear_crops():
+    # The zero-init RGAN head makes stage two the bilinear upsample,
+    # whatever guide stage one produced.
+    cube = pipeline_cubes()[1]
+    patches, manifest = df.augment_two_stage(
+        [cube], pipeline_denoiser(), make_schedule(10), pipeline_rgan(2, live=False),
+        scale=2, patch_size=8, stride=4, steps=2, seed=3)
+    upsampled = np.clip(ad.bilinear_resize_array(cube.values, 16, 24), 0.0, 1.0)
+    assert len(patches) == 15
+    for p, row in zip(patches, manifest):
+        r, c = row["origin"]
+        np.testing.assert_array_equal(p.values, upsampled[:, r : r + 8, c : c + 8])
+
+
+def test_inference_entry_points_record_no_graph(monkeypatch):
+    outputs = []
+    original = nn.Conv2d.__call__
+
+    def recording(self, x):
+        out = original(self, x)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(nn.Conv2d, "__call__", recording)
+    codec = TinyAutoencoder(3, 4, factor=2, seed=0)
+    codec.encode(synthetic_rgb(77, 8, 8))
+    model = ConditionalDenoiser(tiny_config(latent_channels=4), seed=78)
+    df.sample(model, make_schedule(10), 2, None, codec, seed=1, image_shape=(3, 8, 8))
+    cube = pipeline_cubes()[0]
+    rgan_forward(cube, np.zeros((3, 16, 16)), pipeline_rgan(2))
+    assert len(outputs) > 10
+    assert all(not out._parents for out in outputs)
+    # outside those entry points the same layers do record their graph
+    model.conv_in(Tensor(np.zeros((4, 4, 4))))
+    assert outputs[-1]._parents
 
 
 # ---------------------------------------------------------------------------

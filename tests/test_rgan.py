@@ -224,6 +224,30 @@ def test_rca_swap_equivariance():
     np.testing.assert_array_equal(o2.data, s1.data)
 
 
+def test_rca_same_tensor_matches_two_stream_path():
+    # Rca(z, z) runs one stream; an equal copy forces the two-stream path.
+    cfg = small_cfg(channels=8, heads=2)
+    rca = Rca(cfg, RandomSource(50), "rca")
+    rca.pos_h.data = RandomSource(51).normal(rca.pos_h.shape) * 0.3
+    rca.pos_v.data = RandomSource(52).normal(rca.pos_v.shape) * 0.3
+    z = Tensor(RandomSource(53).normal((8, 8, 8)))
+    weight = RandomSource(54).normal((8, 8, 8))
+
+    def run(z2):
+        for p in rca.parameters():
+            p.reset_grad()
+        o1, o2 = rca(z, z2)
+        ad.backward(ad.tsum(ad.mul(o1, weight)))
+        return o1.data, o2.data, [p.grad.copy() for p in rca.parameters()]
+
+    one1, one2, one_grads = run(z)
+    two1, two2, two_grads = run(Tensor(z.data.copy()))
+    np.testing.assert_array_equal(one1, two1)
+    np.testing.assert_array_equal(one2, two2)
+    for p, a, b in zip(rca.parameters(), one_grads, two_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
+
+
 def test_rca_attention_rows_sum_to_one():
     cfg = small_cfg(heads=2, channels=8)
     rca = Rca(cfg, RandomSource(19), "rca")
