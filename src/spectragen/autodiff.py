@@ -49,12 +49,6 @@ class RandomSource:
     def integers(self, low: int, high: int, shape=()) -> Array:
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n: int) -> Array:
-        return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> Array:
-        return self._gen.choice(n, size=size, replace=replace)
-
 
 class Tensor:
     """Node of the computation graph holding a float64 array."""
@@ -81,9 +75,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         tag = self.name or ("param" if self.requires_grad else "tensor")
@@ -497,40 +488,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # conv2d
 
 
+def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
+    """Yield (r0, r1, cols) over blocks of output rows of a [C_in,H,W] input.
+
+    cols is the [(r1-r0)*W_out, C_in*kh*kw] im2col matrix of output rows
+    [r0, r1), its columns ordered like a flattened [C_in,kh,kw] kernel.
+    Blocks hold at most _CONV_BLOCK_ELEMS elements, or one output row.
+    """
+    c_in = x.shape[0]
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    ho = x.shape[1] - kh + 1
+    wo = x.shape[2] - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
+    for r0 in range(0, ho, block):
+        r1 = min(r0 + block, ho)
+        yield r0, r1, windows[:, r0:r1].transpose(1, 2, 0, 3, 4).reshape((r1 - r0) * wo, -1)
+
+
 def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
     """Blocked im2col cross-correlation of [C_in,H,W] with [C_out,C_in,k,k]."""
     c_in, h, w = x.shape
     c_out, ck, kh, kw = kernel.shape
     if ck != c_in:
         raise ValueError(f"conv2d: kernel expects {ck} input channels, got {c_in}")
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    ho = x.shape[1] - kh + 1
-    wo = x.shape[2] - kw + 1
+    ho = h + 2 * padding - kh + 1
+    wo = w + 2 * padding - kw + 1
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     km = kernel.reshape(c_out, -1)
     out = np.empty((c_out, ho, wo))
-    block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
-    for r0 in range(0, ho, block):
-        r1 = min(r0 + block, ho)
-        cols = windows[:, r0:r1].transpose(1, 2, 0, 3, 4).reshape((r1 - r0) * wo, -1)
+    for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
         out[:, r0:r1] = (km @ cols.T).reshape(c_out, r1 - r0, wo)
     return out
 
 
 def _corr2d_kernel_grad(x: Array, g: Array, kh: int, kw: int, padding: int) -> Array:
-    c_in = x.shape[0]
-    c_out, ho, wo = g.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    c_in, c_out = x.shape[0], g.shape[0]
     dk = np.zeros((c_out, c_in * kh * kw))
-    block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
-    for r0 in range(0, ho, block):
-        r1 = min(r0 + block, ho)
-        cols = windows[:, r0:r1].transpose(1, 2, 0, 3, 4).reshape((r1 - r0) * wo, -1)
+    for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
         dk += g[:, r0:r1].reshape(c_out, -1) @ cols
     return dk.reshape(c_out, c_in, kh, kw)
 

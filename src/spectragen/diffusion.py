@@ -165,8 +165,8 @@ class TinyAutoencoder:
         self._s2d = SpaceToDepthCodec(factor)
         rng = RandomSource(seed)
         packed = image_channels * factor * factor
-        self.enc = nn.Conv2d(packed, latent_channels, 1, rng.child(0), "codec.enc", padding="valid")
-        self.dec = nn.Conv2d(latent_channels, packed, 1, rng.child(1), "codec.dec", padding="valid")
+        self.enc = nn.Conv2d(packed, latent_channels, 1, rng.child(0), "codec.enc")
+        self.dec = nn.Conv2d(latent_channels, packed, 1, rng.child(1), "codec.dec")
 
     def parameters(self):
         return self.enc.parameters() + self.dec.parameters()
@@ -201,13 +201,13 @@ class TinyAutoencoder:
 
 
 def make_codec(kind: str, factor: int = 2, image_channels: int = 3,
-               latent_channels: int = 4, seed: int = 0):
+               latent_channels: int = 4):
     if kind == "identity":
         return IdentityCodec()
     if kind == "space_to_depth":
         return SpaceToDepthCodec(factor)
     if kind == "trained_tiny_ae":
-        return TinyAutoencoder(image_channels, latent_channels, factor, seed)
+        return TinyAutoencoder(image_channels, latent_channels, factor)
     raise ValueError(f"unknown codec kind {kind!r}")
 
 
@@ -272,13 +272,13 @@ def edge_proxy(image: np.ndarray) -> np.ndarray:
     return (mag / top if top > 0 else mag)[None]
 
 
-def sketch_proxy(image: np.ndarray, threshold: float = 0.25) -> np.ndarray:
-    """Binary line map: gradient magnitude thresholded at a fraction of max."""
+def sketch_proxy(image: np.ndarray) -> np.ndarray:
+    """Binary line map: gradient magnitude thresholded at 0.25 of its max."""
     mag = _gradient_magnitude(image)
     top = mag.max()
     if top == 0:
         return np.zeros((1,) + mag.shape)
-    return (mag / top >= threshold).astype(np.float64)[None]
+    return (mag / top >= 0.25).astype(np.float64)[None]
 
 
 def segmentation_proxy(image: np.ndarray, levels: int = 4) -> np.ndarray:
@@ -421,12 +421,11 @@ class ConditionalDenoiser:
             # one zero-conv per encoder scale plus one at the pre-head scale,
             # so conditioning has a direct route to the output
             self.zero_convs = [
-                nn.Conv2d(chans[i], chans[i], 1, rng.child(90 + i), f"zero{i}",
-                          padding="valid", zero_init=True)
+                nn.Conv2d(chans[i], chans[i], 1, rng.child(90 + i), f"zero{i}", zero_init=True)
                 for i in range(config.levels)
             ]
             self.zero_out = nn.Conv2d(chans[0], chans[0], 1, rng.child(99), "zero_out",
-                                      padding="valid", zero_init=True)
+                                      zero_init=True)
         else:
             self.cond_in = None
             self.cond_blocks = []
@@ -563,20 +562,19 @@ def diffusion_loss(model: ConditionalDenoiser, schedule: NoiseSchedule,
 
 def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule,
                     steps: int, batch_size: int = 4, lr: float = 2e-3,
-                    seed: int = 0, conditions=None, weight_decay: float = 0.0,
-                    tail_frac: float = 0.3) -> list[float]:
+                    seed: int = 0, conditions=None) -> list[float]:
     """Train the noise predictor on a fixed set of latents.
 
+    Schedule: 2% warmup, flat plateau, cosine tail to zero over the last 30%.
     conditions, when given, is one ConditionStack per latent. Deterministic
     under a fixed seed; returns the per-step batch loss trace.
     """
     if len(latents) == 0:
         raise ValueError("empty training set")
     rng = RandomSource(seed)
-    opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99),
-                  weight_decay=weight_decay)
+    opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99))
     warmup = max(int(steps * 0.02), 1)
-    tail_start = int(steps * (1.0 - tail_frac))
+    tail_start = int(steps * (1.0 - 0.3))
     trace = []
     t_max = schedule.timesteps
     for step in range(steps):
@@ -613,8 +611,6 @@ def sample(model: ConditionalDenoiser, schedule: NoiseSchedule, steps: int,
         latent_shape = codec.latent_shape(image_shape)
         z = RandomSource(seed).normal(latent_shape)
         _, h, w = latent_shape
-        if conditions is not None:
-            conditions = _resize_stack(conditions, h, w)
         features = model.condition_features(conditions, h, w)
         ts = timestep_subsequence(schedule.timesteps, steps)
         for t, t_prev in zip(ts[:-1], ts[1:]):

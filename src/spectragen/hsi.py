@@ -54,6 +54,8 @@ class HsiCube:
         self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
         if self.values.ndim != 3:
             raise DataError(f"cube values must be (bands, height, width), got {self.values.shape}")
+        if 0 in self.values.shape:
+            raise DataError(f"cube extents must be positive, got {self.values.shape}")
         if self.wavelengths.ndim != 1 or len(self.wavelengths) != self.values.shape[0]:
             raise DataError(
                 f"wavelength count {self.wavelengths.shape} does not match "
@@ -75,10 +77,6 @@ class HsiCube:
     @property
     def width(self) -> int:
         return self.values.shape[2]
-
-    def profiles(self) -> np.ndarray:
-        """Per-pixel spectral profiles as an (H*W, bands) matrix."""
-        return self.values.reshape(self.bands, -1).T.copy()
 
 
 @dataclass
@@ -159,6 +157,10 @@ def _read_hsc(path) -> HsiCube:
             raise DataError(f"{path}: unsupported dtype {header['dtype']!r}")
         if header["layout"] != "bsq":
             raise DataError(f"{path}: unsupported layout {header['layout']!r}")
+        for key in ("height", "width", "bands"):
+            value = header[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise DataError(f"{path}: header {key!r} must be a positive integer, got {value!r}")
         bands, height, width = header["bands"], header["height"], header["width"]
         if len(header["wavelengths_nm"]) != bands:
             raise DataError(

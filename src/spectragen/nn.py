@@ -11,6 +11,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, RandomSource, Tensor
 
 CHECKPOINT_MAGIC = b"SGCKPT\x00\x01"
+CHECKPOINT_FORMAT = "spectragen-checkpoint-v1"
 
 
 class NumericalFailure(RuntimeError):
@@ -23,8 +24,8 @@ def he_normal(rng: RandomSource, shape, fan_in: int) -> np.ndarray:
 
 class Conv2d:
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: RandomSource,
-                 name: str, padding: str = "same", zero_init: bool = False):
-        self.padding = (kernel - 1) // 2 if padding == "same" else 0
+                 name: str, zero_init: bool = False):
+        self.padding = (kernel - 1) // 2
         if zero_init:
             w = np.zeros((c_out, c_in, kernel, kernel))
         else:
@@ -58,33 +59,30 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim: int, name: str, axis: int = -1):
-        self.axis = axis
+    def __init__(self, dim: int, name: str):
         self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, axis=self.axis)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
     def parameters(self):
         return [self.gamma, self.beta]
 
 
 class Adam:
-    """Adam with optional decoupled weight decay (AdamW when decay > 0).
+    """Adam with bias correction and eps = 1e-8.
 
     lr_mults gives a per-parameter learning-rate multiplier (e.g. to train
     zero-initialized position embeddings faster).
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, lr_mults: list[float] | None = None):
+                 betas: tuple[float, float] = (0.9, 0.999),
+                 lr_mults: list[float] | None = None):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.lr_mults = list(lr_mults) if lr_mults is not None else [1.0] * len(self.params)
         if len(self.lr_mults) != len(self.params):
             raise ValueError("lr_mults length must match params")
@@ -108,10 +106,7 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            step_lr = self.lr * mult
-            if self.weight_decay:
-                p.data -= step_lr * self.weight_decay * p.data
-            p.data -= step_lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.data -= self.lr * mult * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
 
 
 def warmup_flat_cosine(step: int, steps: int, warmup: int, tail_start: int) -> float:
@@ -139,7 +134,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> None:
     manifest = {
-        "format": "spectragen-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "kind": kind,
         "config": config,
         "parameters": [{"name": p.name, "shape": list(p.shape)} for p in params],
@@ -154,13 +149,23 @@ def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> N
 
 
 def load_checkpoint(path):
-    """Return (kind, config, {name: float64 array})."""
+    """Return (kind, config, {name: float64 array}).
+
+    Raises ValueError on a bad magic, header length or format field, on a
+    truncated payload and on bytes after the last payload.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a spectragen checkpoint")
-        (n,) = struct.unpack("<I", fh.read(4))
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise ValueError(f"{path}: truncated header length")
+        (n,) = struct.unpack("<I", raw_len)
         manifest = json.loads(fh.read(n).decode("utf-8"))
+        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
         values = {}
         for entry in manifest["parameters"]:
             shape = tuple(entry["shape"])
@@ -171,10 +176,16 @@ def load_checkpoint(path):
             values[entry["name"]] = (
                 np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
             )
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last payload")
     return manifest["kind"], manifest["config"], values
 
 
 def assign_parameters(params: list[Parameter], values: dict) -> None:
+    """Copy checkpoint values into params; every name must match one-to-one."""
+    extra = sorted(set(values) - {p.name for p in params})
+    if extra:
+        raise ValueError(f"checkpoint has parameters the model lacks: {extra}")
     for p in params:
         if p.name not in values:
             raise ValueError(f"checkpoint missing parameter {p.name}")

@@ -14,14 +14,14 @@ from .autodiff import RandomSource
 from .hsi import HsiCube, default_wavelength_grid
 
 
-def _smooth_field(rng: RandomSource, height: int, width: int, modes: int = 4) -> np.ndarray:
-    # Mode frequencies scale with extent so feature size (~6 px) is
-    # resolution independent.
+def _smooth_field(rng: RandomSource, height: int, width: int) -> np.ndarray:
+    # Sum of four cosine modes. Mode frequencies scale with extent so
+    # feature size (~6 px) is resolution independent.
     ys, xs = np.mgrid[0:height, 0:width]
     ys = ys / max(height, 1)
     xs = xs / max(width, 1)
     out = np.zeros((height, width))
-    for _ in range(modes):
+    for _ in range(4):
         u = rng.uniform((), -1.0, 1.0) * max(height / 6.0, 1.0)
         v = rng.uniform((), -1.0, 1.0) * max(width / 6.0, 1.0)
         phase = rng.uniform((), 0.0, 2 * np.pi)
@@ -42,8 +42,8 @@ def _smooth_signature(rng: RandomSource, wavelengths: np.ndarray) -> np.ndarray:
 
 
 def synthetic_cube(seed: int, bands: int = 48, height: int = 64, width: int = 64,
-                   wavelengths: np.ndarray | None = None, components: int = 4) -> HsiCube:
-    """Random smooth cube: abundance-weighted mixture of smooth spectra."""
+                   wavelengths: np.ndarray | None = None) -> HsiCube:
+    """Random smooth cube: abundance-weighted mixture of four smooth spectra."""
     rng = RandomSource(seed)
     if wavelengths is None:
         if bands == 48:
@@ -51,11 +51,11 @@ def synthetic_cube(seed: int, bands: int = 48, height: int = 64, width: int = 64
         else:
             wavelengths = np.linspace(400.0, 1000.0, bands)
     wavelengths = np.asarray(wavelengths, dtype=np.float64)
-    fields = np.stack([_smooth_field(rng.child(i), height, width) for i in range(components)])
+    fields = np.stack([_smooth_field(rng.child(i), height, width) for i in range(4)])
     fields = np.exp(fields - fields.max(axis=0))
     abundances = fields / fields.sum(axis=0)
     signatures = np.stack([_smooth_signature(rng.child(100 + i), wavelengths)
-                           for i in range(components)])
+                           for i in range(4)])
     values = np.einsum("mhw,mb->bhw", abundances, signatures)
     return HsiCube(np.clip(values, 0.0, 1.0), wavelengths)
 

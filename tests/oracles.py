@@ -29,6 +29,26 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
+def conv2d_grads_loops(x: np.ndarray, kernel: np.ndarray, g: np.ndarray,
+                       padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input and kernel gradients of sum(g * conv2d(x, kernel)), scattered
+    from each output position in turn."""
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for co in range(c_out):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                for ci in range(c_in):
+                    for u in range(kh):
+                        for v in range(kw):
+                            gxp[ci, i + u, j + v] += kernel[co, ci, u, v] * g[co, i, j]
+                            gk[co, ci, u, v] += xp[ci, i + u, j + v] * g[co, i, j]
+    return gxp[:, padding : padding + h, padding : padding + w], gk
+
+
 def linear_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Explicit dot-product affine map over the last axis."""
     d_out, d_in = weight.shape

@@ -64,6 +64,35 @@ def test_conv2d_oracle_property(c_in, c_out, h, w, k, same, seed):
         assert got.shape == (c_out, h, w)
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("rows_per_block", [1, 2])
+def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_block):
+    rng = RandomSource(3)
+    x = rand(rng, 3, 7, 6)
+    kernel = rand(rng, 3, 3, 3, 3)
+    ho, wo = 7 + 2 * padding - 2, 6 + 2 * padding - 2
+    g = rand(rng, 3, ho, wo)
+
+    def run():
+        xt, kt = Parameter(x, "x"), Parameter(kernel, "kernel")
+        y = ad.conv2d(xt, kt, padding=padding)
+        ad.backward(ad.tsum(ad.mul(y, g)))
+        return y.data, xt.grad, kt.grad
+
+    y1, gx1, gk1 = run()
+    # C_in = C_out, so the forward pass, the input gradient and the kernel
+    # gradient all see C*k*k*W_out elements per output row.
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * 3 * 3 * 3 * wo)
+    y, gx, gk = run()
+    np.testing.assert_array_equal(y, y1)
+    np.testing.assert_array_equal(gx, gx1)
+    assert np.max(np.abs(gk - gk1)) <= 1e-12 * np.max(np.abs(gk1))
+    want_gx, want_gk = oracles.conv2d_grads_loops(x, kernel, g, padding)
+    np.testing.assert_allclose(y, oracles.conv2d_loops(x, kernel, padding), atol=1e-12)
+    np.testing.assert_allclose(gx, want_gx, atol=1e-12)
+    np.testing.assert_allclose(gk, want_gk, atol=1e-12)
+
+
 def test_conv2d_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))

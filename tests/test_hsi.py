@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,26 @@ def test_hsc_truncated_payload(tmp_path):
         hsi.read_cube(path)
 
 
+def _rewrite_hsc_header(path, **fields):
+    blob = path.read_bytes()
+    n = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12 : 12 + n])
+    header.update(fields)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + n :])
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True, None, 0, -1])
+@pytest.mark.parametrize("key", ["height", "width", "bands"])
+def test_hsc_header_extents_must_be_positive_ints(tmp_path, key, value):
+    cube = random_cube(7, bands=2, height=2, width=2)
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(cube, path)
+    _rewrite_hsc_header(path, **{key: value})
+    with pytest.raises(DataError, match=key):
+        hsi.read_cube(path)
+
+
 def _write_envi(tmp_path, cube, interleave="bsq", data_type="4", byte_order="0"):
     data = tmp_path / "scene.dat"
     np.ascontiguousarray(cube.values, dtype="<f4").tofile(data)
@@ -105,6 +128,12 @@ def test_cube_invariants_enforced():
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataError):
         HsiCube(bad, np.array([500.0, 600.0]))
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 4), (1, 4, 0), (0, 4, 4)])
+def test_cube_rejects_zero_extent(shape):
+    with pytest.raises(DataError, match="extents"):
+        HsiCube(np.zeros(shape), np.linspace(500.0, 600.0, shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -248,18 +248,22 @@ def test_rca_same_tensor_matches_two_stream_path():
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
 
 
-def test_rca_attention_rows_sum_to_one():
+def test_rca_attention_rows_sum_to_one(monkeypatch):
     cfg = small_cfg(heads=2, channels=8)
     rca = Rca(cfg, RandomSource(19), "rca")
     rng = RandomSource(20)
     z1 = Tensor(rng.normal((8, 8, 8)))
     z2 = Tensor(rng.normal((8, 8, 8)))
     probe: list = []
-    rgan.ATTENTION_PROBE = probe
-    try:
-        rca(z1, z2)
-    finally:
-        rgan.ATTENTION_PROBE = None
+    softmax = ad.softmax
+
+    def capture(t, axis):
+        out = softmax(t, axis=axis)
+        probe.append(out.data)
+        return out
+
+    monkeypatch.setattr(ad, "softmax", capture)
+    rca(z1, z2)
     assert probe
     for attn in probe:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
