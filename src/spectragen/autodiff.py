@@ -491,9 +491,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
     """Yield (r0, r1, cols) over blocks of output rows of a [C_in,H,W] input.
 
-    cols is the [(r1-r0)*W_out, C_in*kh*kw] im2col matrix of output rows
-    [r0, r1), its columns ordered like a flattened [C_in,kh,kw] kernel.
-    Blocks hold at most _CONV_BLOCK_ELEMS elements, or one output row.
+    cols is the [C_in*kh*kw, (r1-r0)*W_out] im2col matrix of output rows
+    [r0, r1): its rows are ordered like a flattened [C_in,kh,kw] kernel and
+    its columns like the flattened output rows. Each row is gathered from
+    contiguous runs of W_out inputs; for an unpadded 1x1 kernel cols is a
+    view of x. Blocks hold at most _CONV_BLOCK_ELEMS elements, or one
+    output row.
+
+    _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*kh*kw] kernel
+    matrix. With that operand order BLAS sums each output in the same order
+    for every block width, so a blocked result is bit-exact to a
+    single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
+    kernels, and summation order, with the block width.
     """
     c_in = x.shape[0]
     if padding:
@@ -504,7 +513,7 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
     block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
     for r0 in range(0, ho, block):
         r1 = min(r0 + block, ho)
-        yield r0, r1, windows[:, r0:r1].transpose(1, 2, 0, 3, 4).reshape((r1 - r0) * wo, -1)
+        yield r0, r1, windows[:, r0:r1].transpose(0, 3, 4, 1, 2).reshape(-1, (r1 - r0) * wo)
 
 
 def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
@@ -517,10 +526,11 @@ def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
     wo = w + 2 * padding - kw + 1
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
-    km = kernel.reshape(c_out, -1)
+    # Fortran order keeps blocked results bit-exact; see _im2col_blocks.
+    km = np.asfortranarray(kernel.reshape(c_out, -1))
     out = np.empty((c_out, ho, wo))
     for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
-        out[:, r0:r1] = (km @ cols.T).reshape(c_out, r1 - r0, wo)
+        out[:, r0:r1] = (km @ cols).reshape(c_out, r1 - r0, wo)
     return out
 
 
@@ -528,7 +538,7 @@ def _corr2d_kernel_grad(x: Array, g: Array, kh: int, kw: int, padding: int) -> A
     c_in, c_out = x.shape[0], g.shape[0]
     dk = np.zeros((c_out, c_in * kh * kw))
     for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
-        dk += g[:, r0:r1].reshape(c_out, -1) @ cols
+        dk += g[:, r0:r1].reshape(c_out, -1) @ cols.T
     return dk.reshape(c_out, c_in, kh, kw)
 
 

@@ -14,6 +14,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -162,10 +163,17 @@ def _read_hsc(path) -> HsiCube:
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise DataError(f"{path}: header {key!r} must be a positive integer, got {value!r}")
         bands, height, width = header["bands"], header["height"], header["width"]
-        if len(header["wavelengths_nm"]) != bands:
+        wavelengths = header["wavelengths_nm"]
+        if not isinstance(wavelengths, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in wavelengths):
             raise DataError(
-                f"{path}: {bands} bands declared but "
-                f"{len(header['wavelengths_nm'])} wavelengths given"
+                f"{path}: header 'wavelengths_nm' must be a list of finite numbers, "
+                f"got {wavelengths!r}"
+            )
+        if len(wavelengths) != bands:
+            raise DataError(
+                f"{path}: {bands} bands declared but {len(wavelengths)} 'wavelengths_nm' given"
             )
         count = bands * height * width
         payload = fh.read(count * 4)
@@ -173,7 +181,7 @@ def _read_hsc(path) -> HsiCube:
             raise DataError(f"{path}: payload length {len(payload)} != expected {count * 4}")
         values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         values = values.reshape(bands, height, width)
-    return HsiCube(values, np.asarray(header["wavelengths_nm"]))
+    return HsiCube(values, np.asarray(wavelengths))
 
 
 def _parse_envi_header(text: str, path) -> dict:

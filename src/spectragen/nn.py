@@ -148,11 +148,25 @@ def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> N
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
+def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of parameter entry i of a checkpoint manifest."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ValueError(f"{path}: checkpoint parameter entry {i} has no string 'name'")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise ValueError(f"{path}: checkpoint parameter {entry['name']!r} has 'shape' {shape!r}, "
+                         "expected a list of non-negative integers")
+    return entry["name"], tuple(shape)
+
+
 def load_checkpoint(path):
     """Return (kind, config, {name: float64 array}).
 
     Raises ValueError on a bad magic, header length or format field, on a
-    truncated payload and on bytes after the last payload.
+    manifest without kind, config or parameters, on a parameter entry
+    without a name or a shape of non-negative integers, on a truncated
+    payload and on bytes after the last payload.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -166,16 +180,19 @@ def load_checkpoint(path):
         fmt = manifest.get("format") if isinstance(manifest, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+        for key in ("kind", "config", "parameters"):
+            if key not in manifest:
+                raise ValueError(f"{path}: checkpoint manifest missing {key!r}")
+        if not isinstance(manifest["parameters"], list):
+            raise ValueError(f"{path}: checkpoint 'parameters' must be a list")
         values = {}
-        for entry in manifest["parameters"]:
-            shape = tuple(entry["shape"])
+        for i, entry in enumerate(manifest["parameters"]):
+            name, shape = _manifest_entry(path, i, entry)
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 4)
             if len(raw) != count * 4:
-                raise ValueError(f"{path}: truncated payload for {entry['name']}")
-            values[entry["name"]] = (
-                np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            )
+                raise ValueError(f"{path}: truncated payload for {name}")
+            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last payload")
     return manifest["kind"], manifest["config"], values

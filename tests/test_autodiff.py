@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectragen import autodiff as ad
@@ -62,6 +62,40 @@ def test_conv2d_oracle_property(c_in, c_out, h, w, k, same, seed):
     np.testing.assert_allclose(got, want, atol=1e-12)
     if same:
         assert got.shape == (c_out, h, w)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    h=st.integers(3, 8),
+    w=st.integers(3, 8),
+    k=st.sampled_from([1, 3]),
+    same=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_conv2d_grads_oracle_property(c_in, c_out, h, w, k, same, seed):
+    # Unequal channel counts and extents catch a gradient that transposes
+    # the kernel's channel axes or the image axes.
+    assume(c_in != c_out and h != w)
+    rng = RandomSource(seed)
+    x = rand(rng, c_in, h, w)
+    kernel = rand(rng, c_out, c_in, k, k)
+    padding = (k - 1) // 2 if same else 0
+    g = rand(rng, c_out, h + 2 * padding - k + 1, w + 2 * padding - k + 1)
+    xt, kt = Parameter(x, "x"), Parameter(kernel, "kernel")
+    ad.backward(ad.tsum(ad.mul(ad.conv2d(xt, kt, padding=padding), g)))
+    want_gx, want_gk = oracles.conv2d_grads_loops(x, kernel, g, padding)
+    np.testing.assert_allclose(xt.grad, want_gx, atol=1e-12)
+    np.testing.assert_allclose(kt.grad, want_gk, atol=1e-12)
+
+
+def test_im2col_of_unpadded_1x1_kernel_is_a_view():
+    x = RandomSource(4).normal((3, 5, 6))
+    (r0, r1, cols), = ad._im2col_blocks(x, 1, 1, 0)
+    assert (r0, r1) == (0, 5)
+    assert np.shares_memory(cols, x)
+    np.testing.assert_array_equal(cols, x.reshape(3, 30))
 
 
 @pytest.mark.parametrize("padding", [0, 1])

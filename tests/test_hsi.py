@@ -79,6 +79,18 @@ def test_hsc_header_extents_must_be_positive_ints(tmp_path, key, value):
         hsi.read_cube(path)
 
 
+@pytest.mark.parametrize("value", [500.0, "abc", "ab", [None, None], [500.0, "600"],
+                                   [500.0, True], [500.0, float("nan")],
+                                   [500.0, float("inf")], {"a": 1, "b": 2}])
+def test_hsc_header_wavelengths_must_be_finite_numbers(tmp_path, value):
+    cube = random_cube(7, bands=2, height=2, width=2)
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(cube, path)
+    _rewrite_hsc_header(path, wavelengths_nm=value)
+    with pytest.raises(DataError, match="wavelengths_nm"):
+        hsi.read_cube(path)
+
+
 def _write_envi(tmp_path, cube, interleave="bsq", data_type="4", byte_order="0"):
     data = tmp_path / "scene.dat"
     np.ascontiguousarray(cube.values, dtype="<f4").tofile(data)
