@@ -8,6 +8,10 @@ mainstream deep-learning frameworks (no kernel flip).
 Inside `with no_grad():` ops record no parents or vjp closures, so
 inference holds no intermediates alive and `backward` has nothing to
 follow; values are the same as with the graph recorded.
+
+`backward` releases the graph as it walks it, so one graph supports one
+backward pass: a second pass through it raises ValueError. Gradients from
+a new graph over the same parameters add on top of the earlier ones.
 """
 
 from __future__ import annotations
@@ -155,7 +159,17 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
 
-    A second call without resetting gradients adds on top of the first.
+    The walk releases the graph behind it: each node drops its vjp and
+    parents once its gradient has been passed on, so intermediates are
+    freed during the walk and not held after it. A second backward through
+    a released node raises ValueError. Gradients of a new graph over the
+    same leaves add on top of the first, until the leaves are reset.
+
+    A vjp returns (parent, grad) pairs, or (parent, grad, index) when grad
+    covers only parent[index]. backward owns the buffer a gradient sums
+    into: the first contribution is kept as returned, and the buffer is
+    written in place only once backward has allocated it, since a vjp may
+    hand one array to two parents.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -176,21 +190,41 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
+    # Every parent a vjp names is still in topo, hence alive, so ids are unique.
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    owned: set[int] = set()
+    while topo:
+        node = topo.pop()
+        vjp, node._vjp, node._parents = node._vjp, None, ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._vjp is None:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-        if node._vjp is not None:
-            for parent, pg in node._vjp(g):
-                if not parent._needs:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+        if vjp is None:
+            if node.requires_grad:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
+            elif node._needs:
+                raise ValueError(f"backward reached {node!r}, whose graph an earlier backward released")
+            continue
+        for parent, pg, *index in vjp(g):
+            if not parent._needs:
+                continue
+            key = id(parent)
+            acc = grads.get(key)
+            if index:
+                if key not in owned:
+                    acc = np.zeros_like(parent.data) if acc is None else acc.copy()
+                    owned.add(key)
+                acc[index[0]] += pg
+            elif acc is None:
+                acc = pg
+            elif key in owned:
+                acc += pg  # a numpy scalar rebinds here, so acc is stored below
+            else:
+                acc = acc + pg
+                owned.add(key)
+            grads[key] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +317,7 @@ def split(t: Tensor, sections: int, axis: int) -> list[Tensor]:
         idx = tuple(idx)
 
         def vjp(g, idx=idx):
-            full = np.zeros_like(t.data)
-            full[idx] = g
-            return ((t, full),)
+            return ((t, g, idx),)
 
         parts.append(_node(t.data[idx], (t,), vjp))
     return parts
@@ -294,12 +326,11 @@ def split(t: Tensor, sections: int, axis: int) -> list[Tensor]:
 def crop2d(t: Tensor, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     """Spatial crop of a [C,H,W] tensor to rows [h0,h1) and cols [w0,w1)."""
     t = as_tensor(t)
-    data = t.data[:, h0:h1, w0:w1]
+    idx = (slice(None), slice(h0, h1), slice(w0, w1))
+    data = t.data[idx]
 
     def vjp(g):
-        full = np.zeros_like(t.data)
-        full[:, h0:h1, w0:w1] = g
-        return ((t, full),)
+        return ((t, g, idx),)
 
     return _node(data, (t,), vjp)
 

@@ -204,14 +204,42 @@ def _parse_envi_header(text: str, path) -> dict:
     return fields
 
 
+def _envi_extent(fields: dict, key: str, path) -> int:
+    text = fields[key]
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        value = 0
+    if value <= 0:
+        raise DataError(f"{path}: ENVI header {key!r} must be a positive integer, got {text!r}")
+    return value
+
+
+def _envi_wavelengths(fields: dict, path) -> np.ndarray:
+    values = []
+    for tok in fields["wavelength"].strip("{}").split(","):
+        if not tok.strip():
+            continue
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(
+                f"{path}: ENVI header 'wavelength' entry {tok.strip()!r} is not a finite number"
+            )
+        values.append(value)
+    return np.array(values)
+
+
 def _read_envi(header_path) -> HsiCube:
     header_path = Path(header_path)
-    fields = _parse_envi_header(header_path.read_text(), header_path)
-    samples = int(fields["samples"])
-    lines = int(fields["lines"])
-    bands = int(fields["bands"])
-    wl_text = fields["wavelength"].strip("{}")
-    wavelengths = np.array([float(tok) for tok in wl_text.replace("\n", " ").split(",") if tok.strip()])
+    fields = _parse_envi_header(header_path.read_text(encoding="utf-8", errors="replace"),
+                                header_path)
+    samples = _envi_extent(fields, "samples", header_path)
+    lines = _envi_extent(fields, "lines", header_path)
+    bands = _envi_extent(fields, "bands", header_path)
+    wavelengths = _envi_wavelengths(fields, header_path)
     if len(wavelengths) != bands:
         raise DataError(f"{header_path}: wavelength count {len(wavelengths)} != bands {bands}")
     data_path = header_path.with_suffix("")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -240,6 +242,96 @@ def test_backward_rejects_non_scalar():
         ad.backward(ad.mul(p, 2.0))
 
 
+def test_backward_twice_on_one_loss_raises():
+    p = Parameter(np.array([1.0, 2.0]), name="p")
+    loss = ad.tsum(ad.mul(p, p))
+    ad.backward(loss)
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(loss)
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+
+def test_backward_through_released_shared_subgraph_raises():
+    p = Parameter(np.array([1.0, -2.0]), name="p")
+    h = ad.relu(ad.mul(p, 3.0))
+    ad.backward(ad.tsum(h))
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(ad.tsum(ad.mul(h, h)))
+
+
+def test_backward_releases_intermediates():
+    p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
+    y = ad.relu(p)
+    mask, = (c.cell_contents for c in y._vjp.__closure__
+             if isinstance(c.cell_contents, np.ndarray))
+    ref = weakref.ref(mask)
+    del mask
+    loss = ad.tsum(ad.mul(y, y))
+    ad.backward(loss)
+    assert ref() is None
+    assert y._vjp is None and y._parents == () and loss._parents == ()
+    np.testing.assert_array_equal(p.grad, [2.0, 0.0, 6.0])
+
+
+@pytest.mark.parametrize("uses", [2, 3, 4])
+def test_backward_never_writes_into_a_vjp_result(uses):
+    # add hands one array to both parents. x collects it `uses` times and y
+    # once, so accumulating x in place into that array would double y.
+    rng = RandomSource(15)
+    x = Parameter(rand(rng, 3, 4), name="x")
+    y = Parameter(rand(rng, 3, 4), name="y")
+    w = rand(rng, 3, 4)
+    h = ad.add(x, y)
+    for _ in range(uses - 1):
+        h = ad.add(h, x)
+    ad.backward(ad.tsum(ad.mul(h, w)))
+    np.testing.assert_array_equal(y.grad, w)
+    np.testing.assert_array_equal(x.grad, uses * w)
+
+
+def test_split_grad_with_an_unused_section():
+    rng = RandomSource(16)
+    p = Parameter(rand(rng, 6, 3), name="p")
+    w = rand(rng, 2, 3)
+    a, _, c = ad.split(p, 3, axis=0)
+    ad.backward(ad.tsum(ad.add(ad.mul(a, w), ad.mul(c, 2.0 * w))))
+    want = np.zeros((6, 3))
+    want[0:2] = w
+    want[4:6] = 2.0 * w
+    np.testing.assert_allclose(p.grad, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("slices_first", [True, False])
+def test_split_grad_mixed_with_a_direct_use(slices_first):
+    # h feeds two split sections and a direct use; the order of the add
+    # operands decides whether the slice or the full gradients reach h first.
+    rng = RandomSource(17)
+    p = Parameter(rand(rng, 4, 6), name="p")
+    w_full = rand(rng, 4, 6)
+    w_a, w_b = rand(rng, 4, 3), rand(rng, 4, 3)
+    h = ad.mul(p, 3.0)
+    a, b = ad.split(h, 2, axis=1)
+    sliced = ad.tsum(ad.add(ad.mul(a, w_a), ad.mul(b, w_b)))
+    full = ad.tsum(ad.mul(h, w_full))
+    ad.backward(ad.add(sliced, full) if slices_first else ad.add(full, sliced))
+    want = w_full + np.concatenate([w_a, w_b], axis=1)
+    np.testing.assert_allclose(p.grad, 3.0 * want, atol=1e-12, rtol=0)
+
+
+def test_crop2d_grad_matches_dense_reference():
+    rng = RandomSource(18)
+    p = Parameter(rand(rng, 2, 5, 6), name="p")
+    w_crop = rand(rng, 2, 3, 2)
+    w_full = rand(rng, 2, 5, 6)
+    h = ad.mul(p, 1.0)
+    loss = ad.add(ad.tsum(ad.mul(ad.crop2d(h, 1, 4, 3, 5), w_crop)),
+                  ad.tsum(ad.mul(h, w_full)))
+    ad.backward(loss)
+    want = w_full.copy()
+    want[:, 1:4, 3:5] += w_crop
+    np.testing.assert_allclose(p.grad, want, atol=1e-12, rtol=0)
+
+
 def test_no_grad_records_no_graph():
     p = Parameter(np.array([1.0, -2.0]), name="p")
     with ad.no_grad():
@@ -321,6 +413,21 @@ def test_gradcheck_pad_crop_concat_split():
     loss = forward()
     ad.backward(loss)
     oracles.gradcheck(forward, [p], RandomSource(11), n_coords=20)
+
+
+def test_gradcheck_split_with_unused_section():
+    rng = RandomSource(19)
+    p = Parameter(rand(rng, 6, 3, 4), name="p")
+
+    def forward():
+        h = ad.mul(p, p)
+        a, _, c = ad.split(h, 3, axis=0)
+        joined = ad.concat([ad.mul(a, 2.0), ad.crop2d(c, 0, 3, 1, 3)], axis=2)
+        return ad.add(ad.mean(ad.mul(joined, joined)), ad.mean(h))
+
+    loss = forward()
+    ad.backward(loss)
+    oracles.gradcheck(forward, [p], RandomSource(20), n_coords=20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spectragen import hsi
@@ -129,6 +130,58 @@ def test_envi_wrong_dtype_rejected(tmp_path):
     hdr = _write_envi(tmp_path, cube, data_type="5")
     with pytest.raises(DataError):
         hsi.read_cube(hdr)
+
+
+def _set_envi_field(hdr, key, text):
+    lines = [f"{key} = {text}" if line.split(" = ")[0] == key else line
+             for line in hdr.read_text(encoding="utf-8").splitlines()]
+    hdr.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", ["two", "0", "-3", "2.0", "+2", "1e3", "3 4",
+                                  pytest.param("\u0663", id="arabic-indic-3"),
+                                  pytest.param("9" * 5000, id="5000-digits")])
+@pytest.mark.parametrize("key", ["samples", "lines", "bands"])
+def test_envi_extents_must_be_positive_integers(tmp_path, key, text):
+    hdr = _write_envi(tmp_path, random_cube(8, bands=3, height=5, width=6))
+    _set_envi_field(hdr, key, text)
+    with pytest.raises(DataError, match=f"{re.escape(str(hdr))}.*{key}"):
+        hsi.read_cube(hdr)
+
+
+@pytest.mark.parametrize("text", ["{500, abc}", "{500, nan}", "{500, -inf}", "{500, 1e400}",
+                                  "{500, 6 00}", "{500, 0x2}"])
+def test_envi_wavelengths_must_be_finite_numbers(tmp_path, text):
+    hdr = _write_envi(tmp_path, random_cube(9, bands=2, height=4, width=4))
+    _set_envi_field(hdr, "wavelength", text)
+    with pytest.raises(DataError, match=f"{re.escape(str(hdr))}.*wavelength"):
+        hsi.read_cube(hdr)
+
+
+def test_envi_header_that_is_not_utf8_raises_data_error(tmp_path):
+    hdr = _write_envi(tmp_path, random_cube(10, bands=2, height=4, width=4))
+    hdr.write_bytes(hdr.read_bytes().replace(b"samples = 4", b"samples = \xff4"))
+    with pytest.raises(DataError, match="samples"):
+        hsi.read_cube(hdr)
+
+
+_FLOAT_LISTS = st.lists(st.floats(), max_size=4).map(lambda v: "{" + ", ".join(map(repr, v)) + "}")
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    key=st.sampled_from(["samples", "lines", "bands", "wavelength"]),
+    text=st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=24),
+                   st.integers(-3, 40).map(str), _FLOAT_LISTS),
+)
+def test_envi_header_fields_fuzz(tmp_path, key, text):
+    hdr = _write_envi(tmp_path, random_cube(11, bands=2, height=4, width=6))
+    _set_envi_field(hdr, key, text)
+    try:
+        cube = hsi.read_cube(hdr)
+    except DataError:
+        return
+    assert isinstance(cube, HsiCube) and cube.values.size == 48
 
 
 def test_cube_invariants_enforced():

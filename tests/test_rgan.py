@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -461,3 +462,22 @@ def test_train_rgan_overfit_reduces_loss():
     quarters = np.array_split(smoothed, 4)
     means = [float(q.mean()) for q in quarters]
     assert all(b < a for a, b in zip(means, means[1:]))
+
+
+def test_train_rgan_peak_memory_does_not_grow_with_steps():
+    # backward releases each step's graph, so later steps reuse the memory
+    # of the first instead of holding the previous graph through a forward.
+    config = RganConfig(bands=8, scale=2, attention=small_cfg(channels=8))
+    pair = make_pair(50, bands=8, hr_size=16)
+
+    def peak(steps):
+        model = RganModel(config, seed=51)
+        tracemalloc.start()
+        try:
+            rgan.train_rgan([pair], model, steps=steps, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.1 * one, (one, three)
