@@ -421,12 +421,18 @@ def absolute(t: Tensor) -> Tensor:
     return _node(data, (t,), vjp)
 
 
+def softmax_array(x: Array, axis: int) -> Array:
+    """Max-stabilized softmax of a plain array along `axis`; rows sum to 1."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
 def softmax(t: Tensor, axis: int) -> Tensor:
     """Max-stabilized softmax along `axis`; rows sum to 1."""
     t = as_tensor(t)
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_array(t.data, axis)
 
     def vjp(g):
         dot = (g * data).sum(axis=axis, keepdims=True)

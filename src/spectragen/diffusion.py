@@ -347,17 +347,6 @@ class DenoiserConfig:
         }
 
 
-def denoiser_config_from_dict(d: dict) -> DenoiserConfig:
-    return DenoiserConfig(
-        latent_channels=d["latent_channels"],
-        base_channels=d["base_channels"],
-        levels=d["levels"],
-        time_dim=d["time_dim"],
-        cond_slots=tuple((tag, ch) for tag, ch in d["cond_slots"]),
-        global_dim=d["global_dim"],
-    )
-
-
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
@@ -696,17 +685,17 @@ def save_diffusion(path, model: ConditionalDenoiser, schedule: NoiseSchedule,
     nn.save_checkpoint(path, "diffusion", config, params)
 
 
+# Layout of the config that save_diffusion writes; see nn.read_config.
+_CHECKPOINT_CONFIG = {"denoiser": DenoiserConfig, "schedule": make_schedule, "codec": make_codec}
+
+
 def load_diffusion(path):
     kind, config, values = nn.load_checkpoint(path)
     if kind != "diffusion":
         raise ValueError(f"{path}: checkpoint kind {kind!r}, expected 'diffusion'")
-    model = ConditionalDenoiser(denoiser_config_from_dict(config["denoiser"]))
-    sched = make_schedule(config["schedule"]["timesteps"],
-                          config["schedule"]["beta_start"],
-                          config["schedule"]["beta_end"])
-    cc = config["codec"]
-    codec = make_codec(cc["kind"], cc["factor"], cc["image_channels"],
-                       cc["latent_channels"])
+    config = nn.read_config(path, config, _CHECKPOINT_CONFIG)
+    model = ConditionalDenoiser(config["denoiser"])
+    sched, codec = config["schedule"], config["codec"]
     params = list(model.parameters())
     if hasattr(codec, "parameters"):
         params += codec.parameters()

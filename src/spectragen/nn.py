@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 
 import numpy as np
 
@@ -196,6 +197,47 @@ def load_checkpoint(path):
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last payload")
     return manifest["kind"], manifest["config"], values
+
+
+def read_config(path, value, spec, key: str = "config"):
+    """Check a checkpoint config value against `spec` and convert it.
+
+    spec is int, float or str; a fixed or variadic tuple type (stored as a
+    JSON list); a dict of key -> spec (returns a dict); or a dataclass or
+    function, called with a mapping of its annotated parameters. Every key
+    must be present and no other key may be. Raises ValueError naming the
+    file and the dotted key on a missing, unknown or mistyped key, and on a
+    value the dataclass or function rejects with ValueError.
+    """
+    if typing.get_origin(spec) is tuple:
+        types = typing.get_args(spec)
+        if isinstance(value, list) and types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(types):
+            raise ValueError(f"{path}: config key {key!r} is {value!r}, expected {spec}")
+        return tuple(read_config(path, v, t, f"{key}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, types)))
+    if spec in (int, float, str):
+        kinds = (int, float) if spec is float else spec
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ValueError(f"{path}: config key {key!r} is {value!r}, expected {spec.__name__}")
+        return spec(value)
+    fields = spec if isinstance(spec, dict) else typing.get_type_hints(spec)
+    fields = {n: t for n, t in fields.items() if n != "return"}
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: config key {key!r} is a {type(value).__name__}, "
+                         "expected a mapping")
+    for name in list(fields) + list(value):
+        if (name in fields) != (name in value):
+            state = "missing" if name in fields else "unknown"
+            raise ValueError(f"{path}: config key '{key}.{name}' is {state}")
+    out = {n: read_config(path, value[n], t, f"{key}.{n}") for n, t in fields.items()}
+    if isinstance(spec, dict):
+        return out
+    try:
+        return spec(**out)
+    except ValueError as err:
+        raise ValueError(f"{path}: config key {key!r}: {err}") from err
 
 
 def assign_parameters(params: list[Parameter], values: dict) -> None:

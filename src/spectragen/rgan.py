@@ -32,6 +32,10 @@ class AttentionConfig:
     qkv_kernel: int = 1
 
     def __post_init__(self):
+        for name, extents in (("channels", (self.channels,)), ("heads", (self.heads,)),
+                              ("window_h", self.window_h), ("window_v", self.window_v)):
+            if min(extents) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.channels % 2:
             raise ValueError("channels must be even (spectral split into halves)")
         if self.channels % (2 * self.heads):
@@ -71,60 +75,28 @@ class RganConfig:
         return asdict(self)
 
 
-def rgan_config_from_dict(d: dict) -> RganConfig:
-    att = dict(d["attention"])
-    att["window_h"] = tuple(att["window_h"])
-    att["window_v"] = tuple(att["window_v"])
-    return RganConfig(
-        bands=d["bands"],
-        scale=d["scale"],
-        attention=AttentionConfig(**att),
-        embed_kernel=d["embed_kernel"],
-    )
-
-
 # ---------------------------------------------------------------------------
-# window partitioning
+# window attention
 
 
-@dataclass
-class WindowedFeatures:
-    """Non-overlapping rectangular windows of a [C,H,W] feature map."""
-
-    windows: Tensor  # [n_windows, h*w, C]
-    window: tuple[int, int]
-    grid: tuple[int, int]
-    channels: int
-
-    def reverse(self) -> Tensor:
-        h, w = self.window
-        gr, gc = self.grid
-        g = ad.reshape(self.windows, (gr, gc, h, w, self.channels))
-        g = ad.transpose(g, (4, 0, 2, 1, 3))
-        return ad.reshape(g, (self.channels, gr * h, gc * w))
-
-
-def partition_windows(t: Tensor, window: tuple[int, int]) -> WindowedFeatures:
-    """Split [C,H,W] into (H/h)*(W/w) windows of h*w tokens, row-major."""
-    c, height, width = t.shape
+def window_heads(x: np.ndarray, window: tuple[int, int], heads: int) -> np.ndarray:
+    """[C,H,W] -> [n_windows, heads, h*w, C/heads]: non-overlapping h x w
+    windows in row-major order, tokens row-major inside each window."""
+    c, height, width = x.shape
     h, w = window
     if height % h or width % w:
         raise ValueError(f"extents {height}x{width} not divisible by window {window}")
-    g = ad.reshape(t, (c, height // h, h, width // w, w))
-    g = ad.transpose(g, (1, 3, 2, 4, 0))  # (H/h, W/w, h, w, C)
-    windows = ad.reshape(g, ((height // h) * (width // w), h * w, c))
-    return WindowedFeatures(windows, window, (height // h, width // w), c)
+    g = x.reshape(c, height // h, h, width // w, w).transpose(1, 3, 2, 4, 0)
+    return g.reshape(-1, h * w, c).reshape(-1, h * w, heads, c // heads).transpose(0, 2, 1, 3)
 
 
-def _to_heads(windows: Tensor, heads: int) -> Tensor:
-    n, t, c = windows.shape
-    g = ad.reshape(windows, (n, t, heads, c // heads))
-    return ad.transpose(g, (0, 2, 1, 3))
-
-
-def _from_heads(t: Tensor) -> Tensor:
-    n, heads, tok, d = t.shape
-    return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (n, tok, heads * d))
+def merge_window_heads(x: np.ndarray, window: tuple[int, int], height: int,
+                       width: int) -> np.ndarray:
+    """Inverse of window_heads: [n_windows, heads, h*w, d] -> [heads*d, H, W]."""
+    _, heads, _, d = x.shape
+    h, w = window
+    g = x.reshape(height // h, width // w, heads, h, w, d).transpose(2, 5, 0, 3, 1, 4)
+    return g.reshape(heads * d, height, width)
 
 
 def window_attention(query: Tensor, key: Tensor, value: Tensor,
@@ -134,19 +106,40 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor,
     query/key/value are [C/2,H,W]; pos is a per-head [heads, h*w, h*w] bias
     shared across windows. Output attends query against key rows and mixes
     value rows, returned as a [C/2,H,W] map.
+
+    One graph node with parents (query, key, value, pos). The forward keeps
+    the op order of the composed chain (windows, heads, q k^T, scale, + pos,
+    softmax, @ v, merge) and the closed-form vjp keeps that chain's matmul
+    operand order, so values and gradients are bit-exact to it. The vjp
+    keeps the attention map and re-windows q, k, v from the parents, which
+    must not change before backward.
     """
-    qw = partition_windows(query, window)
-    kw = partition_windows(key, window)
-    vw = partition_windows(value, window)
-    d = qw.channels // heads
-    q = _to_heads(qw.windows, heads)
-    k = _to_heads(kw.windows, heads)
-    v = _to_heads(vw.windows, heads)
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
-    logits = ad.add(logits, pos)
-    attn = ad.softmax(logits, axis=-1)
-    out = _from_heads(ad.matmul(attn, v))
-    return WindowedFeatures(out, window, vw.grid, vw.channels).reverse()
+    _, height, width = query.shape
+
+    def merge(x):
+        return merge_window_heads(x, window, height, width)
+
+    q, k, v = (window_heads(t.data, window, heads) for t in (query, key, value))
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    logits = np.matmul(q, k.transpose(0, 1, 3, 2))
+    logits *= scale
+    logits += pos.data
+    attn = ad.softmax_array(logits, axis=-1)
+
+    def vjp(g):
+        q, k, v = (window_heads(t.data, window, heads) for t in (query, key, value))
+        dout = window_heads(g, window, heads)
+        dattn = np.matmul(dout, np.swapaxes(v, -1, -2))
+        dv = np.matmul(np.swapaxes(attn, -1, -2), dout)
+        dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+        dattn *= attn
+        dpos = dattn.sum(axis=0)
+        dattn *= scale
+        dk = np.matmul(np.swapaxes(q, -1, -2), dattn).transpose(0, 1, 3, 2)
+        return ((query, merge(np.matmul(dattn, k))), (key, merge(dk)),
+                (value, merge(dv)), (pos, dpos))
+
+    return ad._node(merge(np.matmul(attn, v)), (query, key, value, pos), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +413,6 @@ def load_rgan(path) -> RganModel:
     kind, config, values = nn.load_checkpoint(path)
     if kind != "rgan":
         raise ValueError(f"{path}: checkpoint kind {kind!r}, expected 'rgan'")
-    model = RganModel(rgan_config_from_dict(config))
+    model = RganModel(nn.read_config(path, config, RganConfig))
     nn.assign_parameters(model.parameters(), values)
     return model

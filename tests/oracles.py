@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from spectragen import autodiff as ad
+
 
 def conv2d_loops(x: np.ndarray, kernel: np.ndarray, padding: int) -> np.ndarray:
     """Quadruple-loop 2-D cross-correlation."""
@@ -126,6 +128,32 @@ def dense_window_attention(q, k, v, pos, scale):
                 attn = e / e.sum()
                 out[wi, h, i] = attn @ v[wi, h]
     return out
+
+
+def composed_window_attention(query, key, value, window, pos, heads):
+    """Window attention as a chain of public autodiff ops, one graph node
+    per step: the unfused reference for rgan.window_attention, in the same
+    op order (partition, split heads, q k^T, scale, + pos, softmax, @ v,
+    merge heads, reverse the partition).
+
+    query/key/value are [C,H,W] tensors; pos is [heads, h*w, h*w].
+    """
+    c, height, width = query.shape
+    h, w = window
+    gr, gc = height // h, width // w
+    d = c // heads
+
+    def to_heads(t):
+        g = ad.transpose(ad.reshape(t, (c, gr, h, gc, w)), (1, 3, 2, 4, 0))
+        g = ad.reshape(ad.reshape(g, (gr * gc, h * w, c)), (gr * gc, h * w, heads, d))
+        return ad.transpose(g, (0, 2, 1, 3))
+
+    q, k, v = to_heads(query), to_heads(key), to_heads(value)
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d))
+    attn = ad.softmax(ad.add(logits, pos), axis=-1)
+    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (gr * gc, h * w, c))
+    out = ad.transpose(ad.reshape(out, (gr, gc, h, w, c)), (4, 0, 2, 1, 3))
+    return ad.reshape(out, (c, height, width))
 
 
 def spr_srec_bruteforce(real: np.ndarray, gen: np.ndarray, k: int):

@@ -538,6 +538,46 @@ def test_inference_entry_points_record_no_graph(monkeypatch):
 # checkpoints
 
 
+def _with(section, **fields):
+    return lambda c: {**c, section: {**c[section], **fields}}
+
+
+def _without(section, name=None):
+    if name is None:
+        return lambda c: {k: v for k, v in c.items() if k != section}
+    return lambda c: {**c, section: {k: v for k, v in c[section].items() if k != name}}
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_without("schedule"), "config.schedule"),
+    (_without("denoiser", "levels"), "config.denoiser.levels"),
+    (_with("denoiser", dropout=0.1), "config.denoiser.dropout"),
+    (_with("denoiser", cond_slots=3), "config.denoiser.cond_slots"),
+    (_with("denoiser", cond_slots=[["lowres"]]), "config.denoiser.cond_slots[0]"),
+    (_with("denoiser", cond_slots=[["lowres", "3"]]), "config.denoiser.cond_slots[0][1]"),
+    (_with("denoiser", levels=0), "config.denoiser"),
+    (_with("schedule", timesteps="16"), "config.schedule.timesteps"),
+    (_with("schedule", beta_start=True), "config.schedule.beta_start"),
+    (_with("codec", kind=5), "config.codec.kind"),
+    (_with("codec", kind="jpeg"), "config.codec"),
+    (_with("schedule", timesteps=0), "config.schedule"),
+    (lambda c: {**c, "codec": None}, "config.codec"),
+    (lambda c: [c], "config"),
+], ids=["no-schedule", "no-levels", "unknown-key", "int-slots", "short-slot", "str-slot-channels",
+        "zero-levels", "str-timesteps", "bool-beta", "int-codec-kind", "unknown-codec-kind",
+        "zero-timesteps", "null-codec", "list-config"])
+def test_load_diffusion_rejects_malformed_config(tmp_path, edit, key):
+    model = ConditionalDenoiser(tiny_config(cond_slots=(("lowres", 3),)), seed=28)
+    good = tmp_path / "good.ckpt"
+    df.save_diffusion(good, model, make_schedule(16), SpaceToDepthCodec(2))
+    kind, config, _ = nn.load_checkpoint(good)
+    path = tmp_path / "diff.ckpt"
+    nn.save_checkpoint(path, kind, edit(config), model.parameters())
+    with pytest.raises(ValueError) as err:
+        df.load_diffusion(path)
+    assert str(path) in str(err.value) and f"'{key}'" in str(err.value)
+
+
 def test_diffusion_checkpoint_round_trip(tmp_path):
     cfg = tiny_config(cond_slots=(("lowres", 3),))
     model = ConditionalDenoiser(cfg, seed=28)

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectragen import autodiff as ad
-from spectragen import rgan
-from spectragen.autodiff import RandomSource, Tensor
+from spectragen import nn, rgan
+from spectragen.autodiff import Parameter, RandomSource, Tensor
 from spectragen.hsi import DegradationSpec, HsiCube, degrade, extract_rgb
 from spectragen.rgan import AttentionConfig, Gal, Rca, RganConfig, RganModel
 from spectragen.synth import synthetic_cube
@@ -25,23 +27,32 @@ def small_cfg(channels=8, heads=1, wh=(2, 4), wv=(4, 2), layers=1):
 # window partitioning
 
 
+def partition(x, window):
+    """Single-head windows [n_windows, h*w, C] of a [C,H,W] array."""
+    return rgan.window_heads(x, window, 1)[:, 0]
+
+
+def reverse(windows, window, shape):
+    return rgan.merge_window_heads(windows[:, None], window, *shape[1:])
+
+
 def test_partition_counts():
-    x = Tensor(RandomSource(0).normal((4, 8, 8)))
-    wf = rgan.partition_windows(x, (2, 4))
-    assert wf.windows.shape == (8, 8, 4)
+    x = RandomSource(0).normal((4, 8, 8))
+    windows = partition(x, (2, 4))
+    assert windows.shape == (8, 8, 4)
 
 
 def test_partition_reverse_round_trip():
     x = RandomSource(1).normal((6, 8, 12))
-    wf = rgan.partition_windows(Tensor(x), (2, 4))
-    np.testing.assert_array_equal(wf.reverse().data, x)
+    windows = partition(x, (2, 4))
+    np.testing.assert_array_equal(reverse(windows, (2, 4), x.shape), x)
 
 
 def test_partition_singleton_windows():
     x = RandomSource(2).normal((2, 4, 4))
-    wf = rgan.partition_windows(Tensor(x), (1, 1))
-    assert wf.windows.shape == (16, 1, 2)
-    np.testing.assert_array_equal(wf.reverse().data, x)
+    windows = partition(x, (1, 1))
+    assert windows.shape == (16, 1, 2)
+    np.testing.assert_array_equal(reverse(windows, (1, 1), x.shape), x)
 
 
 @settings(deadline=None, max_examples=30)
@@ -53,25 +64,101 @@ def test_partition_singleton_windows():
 )
 def test_partition_round_trip_property(seed, h, w, c):
     x = RandomSource(seed).normal((c, 8, 8))
-    wf = rgan.partition_windows(Tensor(x), (h, w))
-    assert wf.windows.shape == ((8 // h) * (8 // w), h * w, c)
-    np.testing.assert_array_equal(wf.reverse().data, x)
+    windows = partition(x, (h, w))
+    assert windows.shape == ((8 // h) * (8 // w), h * w, c)
+    np.testing.assert_array_equal(reverse(windows, (h, w), x.shape), x)
 
 
 def test_partition_rejects_non_divisible():
     with pytest.raises(ValueError):
-        rgan.partition_windows(Tensor(np.zeros((2, 7, 8))), (2, 4))
+        partition(np.zeros((2, 7, 8)), (2, 4))
 
 
 def test_partition_row_major_order():
     # Token (window, position) layout must follow row-major window origins.
     h, w = 4, 8
     x = np.arange(h * w, dtype=float).reshape(1, h, w)
-    wf = rgan.partition_windows(Tensor(x), (2, 4))
-    first = wf.windows.data[0, :, 0]
+    windows = partition(x, (2, 4))
+    first = windows[0, :, 0]
     np.testing.assert_array_equal(first, [0, 1, 2, 3, 8, 9, 10, 11])
-    second = wf.windows.data[1, :, 0]
+    second = windows[1, :, 0]
     np.testing.assert_array_equal(second, [4, 5, 6, 7, 12, 13, 14, 15])
+
+
+def test_window_heads_split_channels_into_heads():
+    x = RandomSource(3).normal((6, 4, 8))
+    heads = rgan.window_heads(x, (2, 4), 2)
+    assert heads.shape == (4, 2, 8, 3)
+    for head in range(2):
+        np.testing.assert_array_equal(heads[:, head], partition(x[3 * head : 3 * head + 3], (2, 4)))
+    np.testing.assert_array_equal(rgan.merge_window_heads(heads, (2, 4), 4, 8), x)
+
+
+# ---------------------------------------------------------------------------
+# fused window attention
+
+
+def attention_inputs(seed, heads, window, extents, channels=4):
+    rng = RandomSource(seed)
+    t = window[0] * window[1]
+    qkv = [Parameter(rng.normal((channels,) + extents), name=n) for n in "qkv"]
+    pos = Parameter(rng.normal((heads, t, t)) * 0.3, name="pos")
+    weight = rng.normal((channels,) + extents)
+    return qkv + [pos], weight
+
+
+ATTENTION_CASES = [  # heads, window, extents
+    (1, (2, 4), (4, 12)),
+    (2, (2, 4), (6, 8)),
+    (1, (4, 2), (12, 4)),
+    (2, (4, 2), (8, 6)),
+    (2, (3, 1), (6, 5)),
+]
+
+
+@pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES)
+def test_window_attention_matches_composed_ops(heads, window, extents):
+    params, weight = attention_inputs(60, heads, window, extents)
+
+    def run(attend):
+        for p in params:
+            p.reset_grad()
+        out = attend(*params[:3], window, params[3], heads)
+        parents = out._parents
+        ad.backward(ad.tsum(ad.mul(out, weight)))
+        return out, parents, [p.grad.copy() for p in params]
+
+    fused, parents, fused_grads = run(rgan.window_attention)
+    composed, _, composed_grads = run(oracles.composed_window_attention)
+    assert parents == tuple(params)  # one node over query, key, value, pos
+    np.testing.assert_array_equal(fused.data, composed.data)
+    for p, a, b in zip(params, fused_grads, composed_grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
+
+
+@pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES[1:4])
+def test_window_attention_gradcheck(heads, window, extents):
+    params, weight = attention_inputs(61, heads, window, extents)
+
+    def forward():
+        out = rgan.window_attention(*params[:3], window, params[3], heads)
+        return ad.mean(ad.mul(out, weight))
+
+    ad.backward(forward())
+    oracles.gradcheck(forward, params, RandomSource(62), n_coords=20)
+
+
+def test_window_attention_backward_releases_saved_arrays():
+    params, weight = attention_inputs(63, 2, (2, 4), (4, 8))
+    out = rgan.window_attention(*params[:3], (2, 4), params[3], 2)
+    attn, = (c.cell_contents for c in out._vjp.__closure__
+             if isinstance(c.cell_contents, np.ndarray))
+    assert attn.shape == (4, 2, 8, 8)
+    ref = weakref.ref(attn)
+    del attn
+    ad.backward(ad.tsum(ad.mul(out, weight)))
+    assert ref() is None
+    assert out._vjp is None and out._parents == ()
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +345,14 @@ def test_rca_attention_rows_sum_to_one(monkeypatch):
     z1 = Tensor(rng.normal((8, 8, 8)))
     z2 = Tensor(rng.normal((8, 8, 8)))
     probe: list = []
-    softmax = ad.softmax
+    softmax = ad.softmax_array
 
-    def capture(t, axis):
-        out = softmax(t, axis=axis)
-        probe.append(out.data)
+    def capture(x, axis):
+        out = softmax(x, axis=axis)
+        probe.append(out)
         return out
 
-    monkeypatch.setattr(ad, "softmax", capture)
+    monkeypatch.setattr(ad, "softmax_array", capture)
     rca(z1, z2)
     assert probe
     for attn in probe:
@@ -288,6 +375,15 @@ def test_attention_config_validation():
         AttentionConfig(channels=8, window_h=(4, 2))
     with pytest.raises(ValueError):
         AttentionConfig(channels=8, window_v=(2, 4))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("heads", 0), ("heads", -1), ("channels", 0), ("channels", -2),
+    ("window_h", (0, 0)), ("window_h", (0, 8)), ("window_v", (2, 0)), ("window_v", (-8, -2)),
+])
+def test_attention_config_rejects_non_positive_extents(field, value):
+    with pytest.raises(ValueError, match=field):
+        AttentionConfig(**{"channels": 8, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +497,33 @@ def test_rgan_checkpoint_round_trip(tmp_path):
     c = rgan.rgan_forward(cube, rgb, rgan.load_rgan(path)).values
     np.testing.assert_array_equal(b, c)
     np.testing.assert_allclose(a, b, atol=1e-5)
+
+
+def _with(section, **fields):
+    return lambda c: {**c, section: {**c[section], **fields}}
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: {k: v for k, v in c.items() if k != "attention"}, "config.attention"),
+    (_with("attention", dropout=0.1), "config.attention.dropout"),
+    (lambda c: {**c, "bands": "4"}, "config.bands"),
+    (lambda c: {**c, "scale": 2.0}, "config.scale"),
+    (_with("attention", window_h=2), "config.attention.window_h"),
+    (_with("attention", window_h=[2, 4, 1]), "config.attention.window_h"),
+    (_with("attention", layers=True), "config.attention.layers"),
+    (_with("attention", heads=0), "config.attention"),
+    (lambda c: {**c, "attention": [8]}, "config.attention"),
+    (lambda c: [c], "config"),
+], ids=["no-attention", "unknown-key", "str-bands", "float-scale", "int-window",
+        "long-window", "bool-layers", "zero-heads", "list-attention", "list-config"])
+def test_load_rgan_rejects_malformed_config(tmp_path, edit, key):
+    model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=39)
+    config = json.loads(json.dumps(model.config.to_dict()))
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, "rgan", edit(config), model.parameters())
+    with pytest.raises(ValueError) as err:
+        rgan.load_rgan(path)
+    assert str(path) in str(err.value) and f"'{key}'" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
