@@ -84,27 +84,6 @@ class Tensor:
         tag = self.name or ("param" if self.requires_grad else "tensor")
         return f"Tensor({tag}, shape={self.data.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Parameter(Tensor):
     """Trainable leaf: value plus an accumulating gradient buffer."""
@@ -648,8 +627,3 @@ def bilinear_resize_array(x: Array, out_h: int, out_w: int) -> Array:
     rmat = _interp_matrix(out_h, x.shape[1])
     cmat = _interp_matrix(out_w, x.shape[2])
     return np.matmul(np.matmul(rmat, x), cmat.T)
-
-
-def gaussian_sample(source: RandomSource, shape) -> Tensor:
-    """Seeded standard-normal constant tensor."""
-    return Tensor(source.normal(shape))

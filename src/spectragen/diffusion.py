@@ -12,7 +12,7 @@ at initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class SpaceToDepthCodec:
         return (c * r * r, h // r, w // r)
 
 
-class TinyAutoencoder:
+class TinyAutoencoder(nn.Module):
     """Small trained codec: space-to-depth plus learned 1x1 channel maps."""
 
     kind = "trained_tiny_ae"
@@ -168,9 +168,6 @@ class TinyAutoencoder:
         self.enc = nn.Conv2d(packed, latent_channels, 1, rng.child(0), "codec.enc")
         self.dec = nn.Conv2d(latent_channels, packed, 1, rng.child(1), "codec.dec")
 
-    def parameters(self):
-        return self.enc.parameters() + self.dec.parameters()
-
     def encode(self, image: np.ndarray) -> np.ndarray:
         with ad.no_grad():
             return self.enc(Tensor(self._s2d.encode(image))).data
@@ -185,19 +182,16 @@ class TinyAutoencoder:
         return (self.latent_channels, h // r, w // r)
 
     def train(self, images, steps: int = 200, lr: float = 1e-2, seed: int = 0) -> list[float]:
+        """Fit the 1x1 maps to reconstruct `images` (mean squared error) at a
+        constant learning rate; returns the per-step loss trace."""
         rng = RandomSource(seed)
-        opt = nn.Adam(self.parameters(), lr=lr)
-        trace = []
         packed = [Tensor(self._s2d.encode(img)) for img in images]
-        for step in range(steps):
+
+        def step_loss(step):
             x = packed[int(rng.integers(0, len(packed)))]
-            recon = self.dec(self.enc(x))
-            loss = nn.mse_loss(recon, x)
-            trace.append(float(loss.data))
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-        return trace
+            return nn.mse_loss(self.dec(self.enc(x)), x)
+
+        return nn.fit(nn.Adam(self.parameters(), lr=lr), steps, step_loss)
 
 
 def make_codec(kind: str, factor: int = 2, image_channels: int = 3,
@@ -233,18 +227,6 @@ class ConditionStack:
                 extents = cmap.shape[1:]
             elif cmap.shape[1:] != extents:
                 raise ValueError("all spatial condition maps must share extents")
-
-    def is_empty(self) -> bool:
-        return not self.spatial and self.global_embedding is None
-
-
-def _resize_stack(stack: ConditionStack, h: int, w: int) -> ConditionStack:
-    spatial = {}
-    for tag, cmap in stack.spatial.items():
-        if cmap.shape[1:] != (h, w):
-            cmap = ad.bilinear_resize_array(cmap, h, w)
-        spatial[tag] = cmap
-    return ConditionStack(spatial, stack.global_embedding)
 
 
 # Built-in proxies so tests need no pretrained extractors.
@@ -336,16 +318,6 @@ class DenoiserConfig:
     def level_channels(self) -> tuple[int, ...]:
         return tuple(self.base_channels * 2**i for i in range(self.levels))
 
-    def to_dict(self) -> dict:
-        return {
-            "latent_channels": self.latent_channels,
-            "base_channels": self.base_channels,
-            "levels": self.levels,
-            "time_dim": self.time_dim,
-            "cond_slots": [list(s) for s in self.cond_slots],
-            "global_dim": self.global_dim,
-        }
-
 
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
     half = dim // 2
@@ -354,7 +326,7 @@ def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
-class _ConvBlock:
+class _ConvBlock(nn.Module):
     def __init__(self, c_in, c_out, rng, name):
         self.conv1 = nn.Conv2d(c_in, c_out, 3, rng.child(0), f"{name}.conv1")
         self.conv2 = nn.Conv2d(c_out, c_out, 3, rng.child(1), f"{name}.conv2")
@@ -367,11 +339,8 @@ class _ConvBlock:
             h = ad.add(h, extra)
         return ad.relu(self.conv2(ad.relu(h)))
 
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
 
-
-class ConditionalDenoiser:
+class ConditionalDenoiser(nn.Module):
     """Noise predictor: 3-level UNet plus a zero-convolution condition branch."""
 
     def __init__(self, config: DenoiserConfig, seed: int = 0):
@@ -421,28 +390,10 @@ class ConditionalDenoiser:
             self.zero_convs = []
             self.zero_out = None
 
-    def parameters(self):
-        out = self.time_fc1.parameters() + self.time_fc2.parameters()
-        for proj in self.time_proj:
-            out += proj.parameters()
-        if self.global_proj is not None:
-            out += self.global_proj.parameters()
-        out += self.conv_in.parameters()
-        for block in self.enc + self.dec:
-            out += block.parameters()
-        out += self.head.parameters()
-        if self.cond_in is not None:
-            out += self.cond_in.parameters()
-            for block in self.cond_blocks:
-                out += block.parameters()
-            for zc in self.zero_convs:
-                out += zc.parameters()
-            out += self.zero_out.parameters()
-        return out
-
     def _stack_condition_input(self, stack: ConditionStack | None,
                                h: int, w: int) -> np.ndarray | None:
-        """Fixed slot layout; absent tags become zero maps.
+        """Fixed slot layout; absent tags become zero maps, maps of other
+        extents are bilinearly resized to h x w.
 
         None for an absent stack or one without spatial maps. A non-empty
         stack that fills none of the slots raises ValueError.
@@ -455,18 +406,18 @@ class ConditionalDenoiser:
                 f"condition stack tags {sorted(stack.spatial)} match none of the "
                 f"denoiser's slots {slots}"
             )
-        stack = _resize_stack(stack, h, w)
         parts = []
         for tag, ch in self.config.cond_slots:
             cmap = stack.spatial.get(tag)
             if cmap is None:
-                parts.append(np.zeros((ch, h, w)))
+                cmap = np.zeros((ch, h, w))
             elif cmap.shape[0] != ch:
                 raise ValueError(
                     f"condition {tag} has {cmap.shape[0]} channels, slot expects {ch}"
                 )
-            else:
-                parts.append(cmap)
+            elif cmap.shape[1:] != (h, w):
+                cmap = ad.bilinear_resize_array(cmap, h, w)
+            parts.append(cmap)
         return np.concatenate(parts, axis=0)
 
     def condition_features(self, stack: ConditionStack | None, h: int, w: int):
@@ -498,7 +449,8 @@ class ConditionalDenoiser:
 
         `cond_features` takes a `condition_features` result for these
         conditions and extents, computed once for many calls; by default it
-        is computed here.
+        is computed here. A stack's global embedding needs a denoiser with
+        global_dim > 0; otherwise ValueError.
         """
         z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
         _, h, w = z_t.shape
@@ -507,8 +459,10 @@ class ConditionalDenoiser:
             raise ValueError(f"latent extents {h}x{w} must be divisible by {div}")
 
         emb = Tensor(sinusoidal_embedding(t, self.config.time_dim))
-        if self.global_proj is not None and conditions is not None \
-                and conditions.global_embedding is not None:
+        if conditions is not None and conditions.global_embedding is not None:
+            if self.global_proj is None:
+                raise ValueError("condition stack carries a global embedding but the "
+                                 "denoiser has global_dim 0")
             emb = ad.add(emb, self.global_proj(Tensor(conditions.global_embedding)))
         emb = self.time_fc2(ad.relu(self.time_fc1(emb)))
 
@@ -555,37 +509,32 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
     """Train the noise predictor on a fixed set of latents.
 
     Schedule: 2% warmup, flat plateau, cosine tail to zero over the last 30%.
-    conditions, when given, is one ConditionStack per latent. Deterministic
-    under a fixed seed; returns the per-step batch loss trace.
+    conditions, when given, is one ConditionStack per latent (ValueError
+    otherwise). Deterministic under a fixed seed; raises NumericalFailure on
+    a non-finite loss; returns the per-step batch loss trace.
     """
     if len(latents) == 0:
         raise ValueError("empty training set")
+    if conditions is not None and len(conditions) != len(latents):
+        raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} latents; "
+                         "need one per latent")
     rng = RandomSource(seed)
-    opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99))
-    warmup = max(int(steps * 0.02), 1)
-    tail_start = int(steps * (1.0 - 0.3))
-    trace = []
     t_max = schedule.timesteps
-    for step in range(steps):
-        opt.lr = lr * nn.warmup_flat_cosine(step, steps, warmup, tail_start)
+
+    def step_loss(step):
         srng = rng.child(step)
         total = None
-        for b in range(batch_size):
+        for _ in range(batch_size):
             idx = int(srng.integers(0, len(latents)))
             t = int(srng.integers(1, t_max + 1))
             eps = srng.normal(latents[idx].shape)
             cond = conditions[idx] if conditions is not None else None
             loss = diffusion_loss(model, schedule, latents[idx], t, eps, cond)
             total = loss if total is None else ad.add(total, loss)
-        total = ad.mul(total, 1.0 / batch_size)
-        value = float(total.data)
-        if not np.isfinite(value):
-            raise nn.NumericalFailure(f"NaN/inf diffusion loss at step {step}")
-        opt.zero_grad()
-        ad.backward(total)
-        opt.step()
-        trace.append(value)
-    return trace
+        return ad.mul(total, 1.0 / batch_size)
+
+    opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99))
+    return nn.fit(opt, steps, step_loss, warmup_frac=0.02, tail_frac=0.3)
 
 
 def sample(model: ConditionalDenoiser, schedule: NoiseSchedule, steps: int,
@@ -663,10 +612,16 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
 # checkpoints
 
 
+def _checkpoint_parameters(model: ConditionalDenoiser, codec) -> list:
+    """The denoiser's parameters, then a trained codec's."""
+    codec_params = codec.parameters() if isinstance(codec, nn.Module) else []
+    return model.parameters() + codec_params
+
+
 def save_diffusion(path, model: ConditionalDenoiser, schedule: NoiseSchedule,
                    codec) -> None:
     config = {
-        "denoiser": model.config.to_dict(),
+        "denoiser": asdict(model.config),
         "schedule": {
             "timesteps": schedule.timesteps,
             "beta_start": schedule.beta_start,
@@ -679,10 +634,7 @@ def save_diffusion(path, model: ConditionalDenoiser, schedule: NoiseSchedule,
             "latent_channels": getattr(codec, "latent_channels", 0),
         },
     }
-    params = list(model.parameters())
-    if hasattr(codec, "parameters"):
-        params += codec.parameters()
-    nn.save_checkpoint(path, "diffusion", config, params)
+    nn.save_checkpoint(path, "diffusion", config, _checkpoint_parameters(model, codec))
 
 
 # Layout of the config that save_diffusion writes; see nn.read_config.
@@ -696,8 +648,5 @@ def load_diffusion(path):
     config = nn.read_config(path, config, _CHECKPOINT_CONFIG)
     model = ConditionalDenoiser(config["denoiser"])
     sched, codec = config["schedule"], config["codec"]
-    params = list(model.parameters())
-    if hasattr(codec, "parameters"):
-        params += codec.parameters()
-    nn.assign_parameters(params, values)
+    nn.assign_parameters(_checkpoint_parameters(model, codec), values)
     return model, sched, codec

@@ -1,4 +1,12 @@
-"""Layers, optimizer and checkpoint I/O shared by the two model families."""
+"""Layers, optimizer, training loop and checkpoint I/O shared by the two
+model families.
+
+`Module` is the base of every layer and model: its one `parameters()`
+walks the attributes in assignment order, which is the order the
+optimizer, the checkpoints and seeded weight noise see. `fit` is the one
+training loop: learning-rate schedule, non-finite check, backward and
+optimizer step around a caller's per-step loss.
+"""
 
 from __future__ import annotations
 
@@ -23,7 +31,29 @@ def he_normal(rng: RandomSource, shape, fan_in: int) -> np.ndarray:
     return rng.normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-class Conv2d:
+class Module:
+    """Base of layers and models: `parameters()` walks `vars(self)` in the
+    order the attributes were assigned. A Parameter is taken, a Module or
+    a list is walked, anything else (configs, ints, None, tuples, dicts)
+    is skipped."""
+
+    def parameters(self) -> list[Parameter]:
+        return _walk(vars(self).values())
+
+
+def _walk(values) -> list[Parameter]:
+    out = []
+    for v in values:
+        if isinstance(v, Parameter):
+            out.append(v)
+        elif isinstance(v, Module):
+            out += v.parameters()
+        elif isinstance(v, list):
+            out += _walk(v)
+    return out
+
+
+class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: RandomSource,
                  name: str, zero_init: bool = False):
         self.padding = (kernel - 1) // 2
@@ -38,11 +68,8 @@ class Conv2d:
         y = ad.conv2d(x, self.weight, padding=self.padding)
         return ad.add(y, ad.reshape(self.bias, (self.bias.shape[0], 1, 1)))
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-
-class Linear:
+class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: RandomSource, name: str,
                  zero_init: bool = False):
         if zero_init:
@@ -55,20 +82,14 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, name: str):
         self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
 
 
 class Adam:
@@ -96,13 +117,15 @@ class Adam:
             p.reset_grad()
 
     def step(self) -> None:
+        """One update; a non-finite gradient raises before any parameter moves."""
+        for p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise NumericalFailure(f"non-finite gradient in {p.name}")
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
         for p, m, v, mult in zip(self.params, self._m, self._v, self.lr_mults):
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericalFailure(f"non-finite gradient in {p.name}")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -118,6 +141,36 @@ def warmup_flat_cosine(step: int, steps: int, warmup: int, tail_start: int) -> f
         return 1.0
     span = max(steps - tail_start, 1)
     return 0.5 * (1.0 + np.cos(np.pi * (step - tail_start) / span))
+
+
+def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
+        tail_frac: float = 0.0) -> list[float]:
+    """Take `steps` optimizer steps on `step_loss(step)`; return the loss trace.
+
+    The learning rate is the optimizer's rate at entry times
+    `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
+    least one step), cosine tail over the last `tail_frac`; with both 0 it
+    stays constant. A non-finite loss (before backward) or gradient (before
+    the update) raises NumericalFailure naming the step.
+    """
+    base = opt.lr
+    warmup = max(int(steps * warmup_frac), 1)
+    tail_start = int(steps * (1.0 - tail_frac))
+    trace = []
+    for step in range(steps):
+        opt.lr = base * warmup_flat_cosine(step, steps, warmup, tail_start)
+        loss = step_loss(step)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NumericalFailure(f"non-finite loss {value} at step {step}")
+        opt.zero_grad()
+        ad.backward(loss)
+        try:
+            opt.step()
+        except NumericalFailure as err:
+            raise NumericalFailure(f"{err} at step {step}") from err
+        trace.append(value)
+    return trace
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -1,7 +1,7 @@
 """Synthetic fixtures: smooth reflectance cubes built from random mixtures.
 
-The repo ships no real datasets; tests, scripts and CLI demos generate
-cubes here. Cubes are convex mixtures of smooth spectral signatures with
+The repo ships no real datasets; tests and the benchmark generate cubes
+here. Cubes are convex mixtures of smooth spectral signatures with
 smooth abundance maps, so values stay in [0,1] and spectra vary smoothly
 with wavelength.
 """

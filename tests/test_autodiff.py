@@ -493,9 +493,3 @@ def test_random_source_children_independent_of_order():
     _ = base2.child(5).normal((10,))
     c1_again = base2.child(3).normal((10,))
     np.testing.assert_array_equal(c1, c1_again)
-
-
-def test_gaussian_sample_deterministic():
-    a = ad.gaussian_sample(RandomSource(1), (4, 4)).data
-    b = ad.gaussian_sample(RandomSource(1), (4, 4)).data
-    np.testing.assert_array_equal(a, b)

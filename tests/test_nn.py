@@ -4,8 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from spectragen import autodiff as ad
 from spectragen import nn
-from spectragen.autodiff import Parameter
+from spectragen.autodiff import Parameter, Tensor
+from spectragen.diffusion import ConditionalDenoiser, DenoiserConfig
+from spectragen.rgan import AttentionConfig, RganConfig, RganModel
 
 MAGIC = nn.CHECKPOINT_MAGIC
 
@@ -92,3 +95,117 @@ def test_assign_parameters_rejects_unknown_name(tmp_path):
     values["b.weight"] = np.zeros(1)
     with pytest.raises(ValueError, match="b.weight"):
         nn.assign_parameters(params(), values)
+
+
+# ---------------------------------------------------------------------------
+# Module: the parameter walk
+
+
+def test_module_walks_attributes_in_assignment_order():
+    class Leaf(nn.Module):
+        def __init__(self, name):
+            self.w = Parameter(np.zeros(1), f"{name}.w")
+
+    class Tree(nn.Module):
+        def __init__(self):
+            self.late = Parameter(np.zeros(1), "late")
+            self.config = {"w": Parameter(np.zeros(1), "in_a_dict")}
+            self.width = 3
+            self.missing = None
+            self.constant = Tensor(np.zeros(1))
+            self.children = [Leaf("c0"), [Leaf("c1"), Parameter(np.zeros(1), "bare")]]
+            self.empty = []
+            self.sub = Leaf("sub")
+
+    assert [p.name for p in Tree().parameters()] == ["late", "c0.w", "c1.w", "bare", "sub.w"]
+
+
+def weight_bias(*names):
+    return [f"{n}.{k}" for n in names for k in ("weight", "bias")]
+
+
+def test_rgan_parameter_order_is_pinned():
+    def rca(n):
+        return weight_bias(f"{n}.qkv") + [f"{n}.pos_h", f"{n}.pos_v"]
+
+    def gate(n):
+        return weight_bias(f"{n}.fc1", f"{n}.fc2", f"{n}.value")
+
+    def ffd(n):
+        return [f"{n}.norm.gamma", f"{n}.norm.beta"] + weight_bias(f"{n}.fc1", f"{n}.fc2")
+
+    model = RganModel(RganConfig(bands=4, attention=AttentionConfig(8, layers=1)))
+    assert [p.name for p in model.parameters()] == (
+        weight_bias("embed_hsi", "embed_rgb")
+        + rca("gal0.sal_hsi") + rca("gal0.sal_rgb") + rca("gal0.cal")
+        + gate("gal0.spec_hsi") + gate("gal0.spec_rgb")
+        + ffd("gal0.ffd_hsi") + ffd("gal0.ffd_rgb")
+        + weight_bias("head"))
+
+
+def test_denoiser_parameter_order_is_pinned():
+    def block(n):
+        return weight_bias(f"{n}.conv1", f"{n}.conv2")
+
+    model = ConditionalDenoiser(DenoiserConfig(
+        2, base_channels=4, levels=2, time_dim=8, cond_slots=(("hed", 1), ("seg", 1)),
+        global_dim=5))
+    assert [p.name for p in model.parameters()] == (
+        weight_bias("time.fc1", "time.fc2", "time.level0", "time.level1", "global.proj",
+                    "conv_in")
+        + block("enc0") + block("enc1") + block("dec0") + weight_bias("head", "cond_in")
+        + block("cond0") + block("cond1") + weight_bias("zero0", "zero1", "zero_out"))
+
+
+# ---------------------------------------------------------------------------
+# fit: the training loop
+
+
+def quadratic(opt_rates, p, target):
+    """step_loss for mean((p - target)^2) that records the rate it ran at."""
+    def step_loss(step):
+        opt_rates.append(opt.lr)
+        return nn.mse_loss(p, Tensor(target))
+
+    opt = nn.Adam([p], lr=0.1)
+    return opt, step_loss
+
+
+@pytest.mark.parametrize("warmup_frac, tail_frac", [(0.0, 0.0), (0.2, 0.5)])
+def test_fit_schedules_the_rate_and_descends(warmup_frac, tail_frac):
+    p = Parameter(np.zeros(3), "p")
+    target = np.array([1.0, -2.0, 0.5])
+    rates = []
+    opt, step_loss = quadratic(rates, p, target)
+    trace = nn.fit(opt, 20, step_loss, warmup_frac=warmup_frac, tail_frac=tail_frac)
+    warmup, tail_start = max(int(20 * warmup_frac), 1), int(20 * (1.0 - tail_frac))
+    assert rates == [0.1 * nn.warmup_flat_cosine(s, 20, warmup, tail_start) for s in range(20)]
+    assert len(trace) == 20 and opt.t == 20
+    assert trace[0] == pytest.approx(np.mean(target**2)) and trace[-1] < trace[0]
+
+
+def test_fit_raises_on_a_non_finite_loss_before_stepping():
+    p = Parameter(np.zeros(2), "p")
+    opt = nn.Adam([p], lr=0.1)
+
+    def step_loss(step):
+        scale = np.nan if step == 2 else 1.0
+        return ad.mul(nn.mse_loss(p, Tensor(np.ones(2))), scale)
+
+    with pytest.raises(nn.NumericalFailure, match="loss.*step 2"):
+        nn.fit(opt, 5, step_loss)
+    assert opt.t == 2 and np.all(np.isfinite(p.data))
+
+
+def test_fit_names_the_step_of_a_non_finite_gradient():
+    p = Parameter(np.zeros(2), "p")
+    opt = nn.Adam([p], lr=0.1)
+
+    def step_loss(step):
+        # relu maps the NaN to 0: the loss is finite, the gradient is not
+        x = Tensor(np.array([1.0, np.nan if step == 1 else 1.0]))
+        return ad.tsum(ad.relu(ad.mul(p, x)))
+
+    with pytest.raises(nn.NumericalFailure, match="gradient in p at step 1"):
+        nn.fit(opt, 3, step_loss)
+    assert opt.t == 1

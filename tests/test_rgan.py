@@ -2,6 +2,7 @@ import json
 import tracemalloc
 import weakref
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -518,7 +519,7 @@ def _with(section, **fields):
         "long-window", "bool-layers", "zero-heads", "list-attention", "list-config"])
 def test_load_rgan_rejects_malformed_config(tmp_path, edit, key):
     model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=39)
-    config = json.loads(json.dumps(model.config.to_dict()))
+    config = json.loads(json.dumps(asdict(model.config)))
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(path, "rgan", edit(config), model.parameters())
     with pytest.raises(ValueError) as err:
