@@ -371,7 +371,11 @@ def mean(t: Tensor, axis=None) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     t = as_tensor(t)
     mask = t.data > 0
-    data = np.where(mask, t.data, 0.0)
+    # fmax maps NaN to 0 like the mask does; the in-place += 0.0 turns the
+    # -0.0 that fmax can leave (numpy's scalar tail and strided loops) into
+    # +0.0, so data is bit-identical to where(mask, t.data, 0.0).
+    data = np.fmax(t.data, 0.0)
+    data += 0.0
 
     def vjp(g):
         return ((t, g * mask),)
@@ -509,10 +513,13 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
 
     cols is the [C_in*kh*kw, (r1-r0)*W_out] im2col matrix of output rows
     [r0, r1): its rows are ordered like a flattened [C_in,kh,kw] kernel and
-    its columns like the flattened output rows. Each row is gathered from
-    contiguous runs of W_out inputs; for an unpadded 1x1 kernel cols is a
-    view of x. Blocks hold at most _CONV_BLOCK_ELEMS elements, or one
-    output row.
+    its columns like the flattened output rows. Each block is one zeroed
+    [C_in,kh,kw,rows,W_out] buffer into which every tap copies its
+    in-bounds rectangle straight from the unpadded input, so the zeros
+    stand for the padding and no padded copy of x is made; a tap whose
+    rectangle is empty (padding kh-1 around a short block) is skipped. For
+    an unpadded 1x1 kernel cols is a view of x. Blocks hold at most
+    _CONV_BLOCK_ELEMS elements, or one output row.
 
     _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*kh*kw] kernel
     matrix. With that operand order BLAS sums each output in the same order
@@ -520,16 +527,28 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
     single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
     kernels, and summation order, with the block width.
     """
-    c_in = x.shape[0]
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    ho = x.shape[1] - kh + 1
-    wo = x.shape[2] - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    c_in, h, w = x.shape
+    ho = h + 2 * padding - kh + 1
+    wo = w + 2 * padding - kw + 1
     block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
     for r0 in range(0, ho, block):
         r1 = min(r0 + block, ho)
-        yield r0, r1, windows[:, r0:r1].transpose(0, 3, 4, 1, 2).reshape(-1, (r1 - r0) * wo)
+        if kh == kw == 1 and not padding:
+            yield r0, r1, x[:, r0:r1].reshape(c_in, -1)
+            continue
+        buf = np.zeros((c_in, kh, kw, r1 - r0, wo))
+        for u in range(kh):
+            # Output rows i in [i0, i1) read input rows i + u - padding.
+            i0, i1 = max(r0, padding - u), min(r1, h + padding - u)
+            if i0 >= i1:
+                continue
+            for v in range(kw):
+                j0, j1 = max(0, padding - v), min(wo, w + padding - v)
+                if j0 < j1:
+                    buf[:, u, v, i0 - r0 : i1 - r0, j0:j1] = x[
+                        :, i0 + u - padding : i1 + u - padding, j0 + v - padding : j1 + v - padding
+                    ]
+        yield r0, r1, buf.reshape(-1, (r1 - r0) * wo)
 
 
 def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
@@ -545,17 +564,22 @@ def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
     # Fortran order keeps blocked results bit-exact; see _im2col_blocks.
     km = np.asfortranarray(kernel.reshape(c_out, -1))
     out = np.empty((c_out, ho, wo))
+    flat = out.reshape(c_out, -1)
     for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
-        out[:, r0:r1] = (km @ cols).reshape(c_out, r1 - r0, wo)
+        np.matmul(km, cols, out=flat[:, r0 * wo : r1 * wo])
     return out
 
 
 def _corr2d_kernel_grad(x: Array, g: Array, kh: int, kw: int, padding: int) -> Array:
-    c_in, c_out = x.shape[0], g.shape[0]
-    dk = np.zeros((c_out, c_in * kh * kw))
+    c_out = g.shape[0]
+    dk = None
     for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
-        dk += g[:, r0:r1].reshape(c_out, -1) @ cols.T
-    return dk.reshape(c_out, c_in, kh, kw)
+        part = g[:, r0:r1].reshape(c_out, -1) @ cols.T
+        if dk is None:
+            dk = part
+        else:
+            dk += part
+    return dk.reshape(c_out, x.shape[0], kh, kw)
 
 
 def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:

@@ -184,6 +184,8 @@ class TinyAutoencoder(nn.Module):
     def train(self, images, steps: int = 200, lr: float = 1e-2, seed: int = 0) -> list[float]:
         """Fit the 1x1 maps to reconstruct `images` (mean squared error) at a
         constant learning rate; returns the per-step loss trace."""
+        if len(images) == 0:
+            raise ValueError("empty training image set")
         rng = RandomSource(seed)
         packed = [Tensor(self._s2d.encode(img)) for img in images]
 
@@ -223,10 +225,14 @@ class ConditionStack:
                 raise ValueError(f"unknown condition tag {tag!r}")
             if cmap.ndim != 3:
                 raise ValueError(f"condition {tag} must be (channels, H, W)")
+            if not np.all(np.isfinite(cmap)):
+                raise ValueError(f"condition {tag} contains non-finite values")
             if extents is None:
                 extents = cmap.shape[1:]
             elif cmap.shape[1:] != extents:
                 raise ValueError("all spatial condition maps must share extents")
+        if self.global_embedding is not None and not np.all(np.isfinite(self.global_embedding)):
+            raise ValueError("condition global_embedding contains non-finite values")
 
 
 # Built-in proxies so tests need no pretrained extractors.

@@ -51,6 +51,14 @@ def conv2d_grads_loops(x: np.ndarray, kernel: np.ndarray, g: np.ndarray,
     return gxp[:, padding : padding + h, padding : padding + w], gk
 
 
+def im2col_reference(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
+    """Whole [C_in*kh*kw, H_out*W_out] im2col matrix of a [C_in,H,W] input,
+    read through a sliding-window view of a zero-padded copy."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 3, 4, 1, 2).reshape(x.shape[0] * kh * kw, -1)
+
+
 def linear_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Explicit dot-product affine map over the last axis."""
     d_out, d_in = weight.shape

@@ -129,6 +129,29 @@ def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_bloc
     np.testing.assert_allclose(gk, want_gk, atol=1e-12)
 
 
+# Padding 2 around a 3x3 kernel is the input-gradient pass of an unpadded
+# 3x3 conv; with 1-row blocks some taps read no input row at all.
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("rows_per_block", [1, 2, None])
+def test_im2col_blocks_match_the_padded_copy_oracle(monkeypatch, k, padding, rows_per_block):
+    rng = RandomSource(5)
+    c_in, h, w = 2, 5, 4
+    x = rand(rng, c_in, h, w)
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    if rows_per_block is not None:
+        monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * c_in * k * k * wo)
+    want = oracles.im2col_reference(x, k, k, padding)
+    blocks = list(ad._im2col_blocks(x, k, k, padding))
+    assert [r0 for r0, _, _ in blocks] == list(range(0, ho, rows_per_block or ho))
+    assert blocks[-1][1] == ho
+    for r0, r1, cols in blocks:
+        np.testing.assert_array_equal(cols, want[:, r0 * wo : r1 * wo])
+    if padding in (0, (k - 1) // 2):
+        y = ad.conv2d(Tensor(x), Tensor(rand(rng, 3, c_in, k, k)), padding=padding).data
+        assert y.flags.c_contiguous and y.flags.owndata
+
+
 def test_conv2d_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
@@ -466,6 +489,23 @@ def test_relu_sigmoid_values():
     x = np.array([-2.0, 0.0, 3.0])
     np.testing.assert_array_equal(ad.relu(Tensor(x)).data, [0.0, 0.0, 3.0])
     np.testing.assert_allclose(ad.sigmoid(Tensor(x)).data, 1 / (1 + np.exp(-x)), atol=1e-12)
+
+
+def test_relu_edge_values_and_gradient():
+    # 17 elements, so -0.0 lands in both the vectorised body and the scalar
+    # tail of numpy's elementwise loops.
+    x = np.full(17, -0.0)
+    x[:9] = [np.nan, -0.0, 0.0, np.inf, -np.inf, 2.5, -1.0, 1e-300, -1e-300]
+    want = np.zeros(17)
+    want[[3, 5, 7]] = [np.inf, 2.5, 1e-300]
+    for data, expected in ((x, want), (x[::2], want[::2])):
+        y = ad.relu(Tensor(data)).data
+        np.testing.assert_array_equal(y, expected)
+        assert not np.signbit(y).any()
+    p = Parameter(x, name="p")
+    ad.backward(ad.tsum(ad.mul(ad.relu(p), np.ones_like(x))))
+    # Zero at NaN, -0.0 and 0.0.
+    np.testing.assert_array_equal(p.grad, x > 0)
 
 
 def test_layer_norm_normalizes():

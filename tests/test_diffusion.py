@@ -215,6 +215,12 @@ def test_tiny_autoencoder_nan_image_names_the_step():
         codec.train([image], steps=5, seed=0)
 
 
+def test_tiny_autoencoder_rejects_an_empty_image_set():
+    codec = TinyAutoencoder(3, 6, factor=2, seed=0)
+    with pytest.raises(ValueError, match="empty training image set"):
+        codec.train([], steps=5, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # conditions
 
@@ -224,6 +230,16 @@ def test_condition_stack_validation():
         ConditionStack({"bogus": np.zeros((1, 4, 4))})
     with pytest.raises(ValueError):
         ConditionStack({"hed": np.zeros((1, 4, 4)), "seg": np.zeros((1, 8, 8))})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_condition_stack_rejects_non_finite_values(bad):
+    cmap = np.zeros((1, 8, 8))
+    cmap[0, 2, 3] = bad
+    with pytest.raises(ValueError, match="hed"):
+        ConditionStack({"lowres": np.zeros((3, 8, 8)), "hed": cmap})
+    with pytest.raises(ValueError, match="global_embedding"):
+        ConditionStack(global_embedding=np.array([0.5, bad]))
 
 
 def test_condition_proxies_shapes_and_ranges():
