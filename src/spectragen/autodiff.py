@@ -370,12 +370,14 @@ def mean(t: Tensor, axis=None) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    mask = t.data > 0
     # fmax maps NaN to 0 like the mask does; the in-place += 0.0 turns the
     # -0.0 that fmax can leave (numpy's scalar tail and strided loops) into
-    # +0.0, so data is bit-identical to where(mask, t.data, 0.0).
+    # +0.0, so data is bit-identical to where(t.data > 0, t.data, 0.0).
     data = np.fmax(t.data, 0.0)
     data += 0.0
+    if not (t._needs and _GRAD_ENABLED.get()):
+        return Tensor(data)  # no vjp is recorded, so no mask is needed
+    mask = t.data > 0
 
     def vjp(g):
         return ((t, g * mask),)
@@ -551,8 +553,13 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
         yield r0, r1, buf.reshape(-1, (r1 - r0) * wo)
 
 
-def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
-    """Blocked im2col cross-correlation of [C_in,H,W] with [C_out,C_in,k,k]."""
+def _corr2d(x: Array, kernel: Array, padding: int, pair: Array | None = None):
+    """Blocked im2col cross-correlation of [C_in,H,W] with [C_out,C_in,k,k].
+
+    With `pair`, a [C_p, H_out, W_out] array, it returns (out, acc): acc is
+    the [C_in*k*k, C_p] sum over blocks of cols @ pair's matching output
+    rows, taken from the same im2col as out.
+    """
     c_in, h, w = x.shape
     c_out, ck, kh, kw = kernel.shape
     if ck != c_in:
@@ -565,9 +572,16 @@ def _corr2d(x: Array, kernel: Array, padding: int) -> Array:
     km = np.asfortranarray(kernel.reshape(c_out, -1))
     out = np.empty((c_out, ho, wo))
     flat = out.reshape(c_out, -1)
+    acc = None
     for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
         np.matmul(km, cols, out=flat[:, r0 * wo : r1 * wo])
-    return out
+        if pair is not None:
+            part = cols @ pair[:, r0:r1].reshape(pair.shape[0], -1).T
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+    return out if pair is None else (out, acc)
 
 
 def _corr2d_kernel_grad(x: Array, g: Array, kh: int, kw: int, padding: int) -> Array:
@@ -586,6 +600,18 @@ def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with a [C_out,C_in,k,k] kernel.
 
     k must be odd and padding either 0 or (k-1)//2 (same-padding).
+
+    The input gradient correlates g, padded by q = k-1-padding, with the
+    flipped kernel, so it builds the im2col of g. When the input needs a
+    gradient too, the kernel gradient is read off that same im2col, since
+    dk[co,ci,u,v] = sum_ij cols_g[(co,k-1-u,k-1-v), ij] * x[ci].ravel()[ij];
+    each block of cols_g covers input rows [r0, r1), the rows of x it pairs
+    with. A backward pass then builds one im2col instead of two. When only
+    the kernel needs a gradient (a first layer over data: the denoiser's
+    conv_in and cond_in, RGAN's embed_hsi and embed_rgb), it comes from the
+    im2col of x, which has C_in*k*k rows against C_out*k*k for g (27
+    against 288 for the 3-band embed_rgb). Building the im2col of g there
+    too made the benchmark's train_diffusion about 5% slower.
     """
     t, kernel = as_tensor(t), as_tensor(kernel)
     if t.ndim != 3 or kernel.ndim != 4:
@@ -598,14 +624,15 @@ def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     data = _corr2d(t.data, kernel.data, padding)
 
     def vjp(g):
-        out = []
-        if t._needs:
-            flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
-            gx = _corr2d(g, flipped, kh - 1 - padding)
-            out.append((t, gx))
-        if kernel._needs:
-            out.append((kernel, _corr2d_kernel_grad(t.data, g, kh, kw, padding)))
-        return out
+        if not t._needs:
+            return ((kernel, _corr2d_kernel_grad(t.data, g, kh, kw, padding)),)
+        flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
+        if not kernel._needs:
+            return ((t, _corr2d(g, flipped, kh - 1 - padding)),)
+        gx, acc = _corr2d(g, flipped, kh - 1 - padding, pair=t.data)
+        c_out, c_in = kernel.shape[:2]
+        gk = acc.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        return ((t, gx), (kernel, gk))
 
     return _node(data, (t, kernel), vjp)
 

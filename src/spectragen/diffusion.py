@@ -521,6 +521,8 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
     """
     if len(latents) == 0:
         raise ValueError("empty training set")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if conditions is not None and len(conditions) != len(latents):
         raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} latents; "
                          "need one per latent")
@@ -573,6 +575,9 @@ def dsrnet_super_resolve(lr_rgb: np.ndarray, model: ConditionalDenoiser,
     if scale not in (2, 4):
         raise ValueError("scale must be 2 or 4")
     codec = codec if codec is not None else IdentityCodec()
+    if np.ndim(lr_rgb) != 3 or 0 in np.shape(lr_rgb):
+        raise ValueError("lr_rgb must be a non-empty (channels, H, W) array, "
+                         f"got shape {np.shape(lr_rgb)}")
     _, h, w = lr_rgb.shape
     upsampled = ad.bilinear_resize_array(np.asarray(lr_rgb, dtype=np.float64),
                                          h * scale, w * scale)

@@ -152,6 +152,70 @@ def test_im2col_blocks_match_the_padded_copy_oracle(monkeypatch, k, padding, row
         assert y.flags.c_contiguous and y.flags.owndata
 
 
+def _record_im2col_blocks(monkeypatch):
+    """Replace ad._im2col_blocks by a wrapper; returns, per call, the row
+    count of each block it yielded."""
+    real = ad._im2col_blocks
+    calls = []
+
+    def recording(x, kh, kw, padding):
+        rows = []
+        calls.append(rows)
+        for r0, r1, cols in real(x, kh, kw, padding):
+            rows.append(r1 - r0)
+            yield r0, r1, cols
+
+    monkeypatch.setattr(ad, "_im2col_blocks", recording)
+    return calls
+
+
+# A Parameter input reads the kernel gradient off the im2col of g that its
+# input gradient builds; a plain Tensor input takes it from the im2col of x.
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("rows_per_block", [1, 2, None])
+def test_conv2d_kernel_grad_paths_match_the_oracle_and_each_other(monkeypatch, k, same,
+                                                                 rows_per_block):
+    rng = RandomSource(18)
+    c_in, c_out, h, w = 2, 3, 7, 5
+    padding = (k - 1) // 2 if same else 0
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    x = rand(rng, c_in, h, w)
+    kernel = rand(rng, c_out, c_in, k, k)
+    g = rand(rng, c_out, ho, wo)
+    calls = _record_im2col_blocks(monkeypatch)
+
+    def kernel_grad(inp, src_rows, row_elems):
+        if rows_per_block is not None:
+            monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * row_elems)
+        kt = Parameter(kernel, "kernel")
+        ad.backward(ad.tsum(ad.mul(ad.conv2d(inp, kt, padding=padding), g)))
+        # The last im2col built is the one the kernel gradient came from.
+        n = rows_per_block or src_rows
+        assert calls[-1] == [min(n, src_rows - r0) for r0 in range(0, src_rows, n)]
+        return kt.grad
+
+    # The im2col of g spans the input extents, that of x the output extents.
+    from_g = kernel_grad(Parameter(x, "x"), h, c_out * k * k * w)
+    from_x = kernel_grad(Tensor(x), ho, c_in * k * k * wo)
+    _, want = oracles.conv2d_grads_loops(x, kernel, g, padding)
+    np.testing.assert_allclose(from_g, want, atol=1e-12)
+    np.testing.assert_allclose(from_x, want, atol=1e-12)
+    assert np.max(np.abs(from_g - from_x)) <= 1e-12 * np.max(np.abs(from_x))
+
+
+@pytest.mark.parametrize("make_input", [lambda x: Parameter(x, "x"), Tensor],
+                         ids=["parameter", "tensor"])
+def test_conv2d_forward_and_backward_build_two_im2cols(monkeypatch, make_input):
+    rng = RandomSource(19)
+    x = rand(rng, 2, 6, 5)
+    kt = Parameter(rand(rng, 3, 2, 3, 3), "kernel")
+    calls = _record_im2col_blocks(monkeypatch)
+    y = ad.conv2d(make_input(x), kt, padding=1)
+    ad.backward(ad.tsum(ad.mul(y, rand(rng, *y.shape))))
+    assert len(calls) == 2
+
+
 def test_conv2d_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))

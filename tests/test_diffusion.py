@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -437,6 +438,14 @@ def test_train_diffusion_needs_one_condition_stack_per_latent(n_stacks, n_latent
                            conditions=stacks)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_diffusion_rejects_batch_size_below_one(batch_size):
+    latents, _ = conditioned_training_set(2, 79)
+    model = ConditionalDenoiser(tiny_config(), seed=80)
+    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+        df.train_diffusion(latents, model, make_schedule(10), steps=3, batch_size=batch_size)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -554,6 +563,14 @@ def test_dsrnet_super_resolve_extents_and_determinism(scale):
     assert not np.array_equal(a, df.dsrnet_super_resolve(lr, model, s, 3, seed=5, scale=scale))
     with pytest.raises(ValueError):
         df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=3)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (1, 3, 8, 6), (3, 0, 6)])
+def test_dsrnet_super_resolve_rejects_lr_rgb_that_is_not_a_cube(shape):
+    lr = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"lr_rgb must be a non-empty (channels, H, W) array, got shape {shape}")):
+        df.dsrnet_super_resolve(lr, pipeline_denoiser(), make_schedule(10), 3, seed=4, scale=2)
 
 
 @pytest.mark.parametrize("scale", [2, 4])
