@@ -151,6 +151,8 @@ def _read_hsc(path) -> HsiCube:
             header = json.loads(fh.read(n).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: malformed JSON header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is a JSON {type(header).__name__}, expected an object")
         for key in ("height", "width", "bands", "wavelengths_nm", "dtype", "layout"):
             if key not in header:
                 raise DataError(f"{path}: header missing {key!r}")

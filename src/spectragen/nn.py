@@ -150,9 +150,12 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     The learning rate is the optimizer's rate at entry times
     `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
     least one step), cosine tail over the last `tail_frac`; with both 0 it
-    stays constant. A non-finite loss (before backward) or gradient (before
-    the update) raises NumericalFailure naming the step.
+    stays constant. A negative `steps` raises ValueError; a non-finite loss
+    (before backward) or gradient (before the update) NumericalFailure
+    naming the step.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     base = opt.lr
     warmup = max(int(steps * warmup_frac), 1)
     tail_start = int(steps * (1.0 - tail_frac))
@@ -217,10 +220,10 @@ def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...]]:
 def load_checkpoint(path):
     """Return (kind, config, {name: float64 array}).
 
-    Raises ValueError on a bad magic, header length or format field, on a
-    manifest without kind, config or parameters, on a parameter entry
-    without a name or a shape of non-negative integers, on a truncated
-    payload and on bytes after the last payload.
+    Raises ValueError on a bad magic or header length, on a manifest that
+    is not UTF-8 JSON, has another format or lacks kind, config or
+    parameters, on a parameter entry without a name or a shape of
+    non-negative integers, on a truncated payload and on trailing bytes.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -230,7 +233,10 @@ def load_checkpoint(path):
         if len(raw_len) != 4:
             raise ValueError(f"{path}: truncated header length")
         (n,) = struct.unpack("<I", raw_len)
-        manifest = json.loads(fh.read(n).decode("utf-8"))
+        try:
+            manifest = json.loads(fh.read(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint manifest: {exc}") from exc
         fmt = manifest.get("format") if isinstance(manifest, dict) else None
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")

@@ -29,7 +29,6 @@ class AttentionConfig:
     window_h: tuple[int, int] = (2, 8)  # wide: w >= h
     window_v: tuple[int, int] = (8, 2)  # tall: h >= w
     layers: int = 2
-    qkv_kernel: int = 1
 
     def __post_init__(self):
         for name, extents in (("channels", (self.channels,)), ("heads", (self.heads,)),
@@ -65,7 +64,6 @@ class RganConfig:
     bands: int
     scale: int = 2
     attention: AttentionConfig = field(default_factory=lambda: AttentionConfig(16))
-    embed_kernel: int = 3
 
     def __post_init__(self):
         if self.scale not in (2, 4):
@@ -143,14 +141,11 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor,
 # modules
 
 
-def project_qkv(z: Tensor, conv: nn.Conv2d) -> tuple[Tensor, Tensor, Tensor]:
-    """One convolution to 3C channels, split into query/key/value maps."""
-    return tuple(ad.split(conv(z), 3, axis=0))
-
-
-def spectral_split(t: Tensor) -> tuple[Tensor, Tensor]:
-    """Halve the channel axis: first half feeds the horizontal branch."""
-    return tuple(ad.split(t, 2, axis=0))
+def project_qkv(z: Tensor, conv: nn.Conv2d) -> tuple[Tensor, ...]:
+    """One convolution to 3C channels, split once into the six [C/2,H,W]
+    blocks of its channel layout [qh|qv|kh|kv|vh|vv]: query, key and value,
+    each halved into a wide-window (h) and a tall-window (v) part."""
+    return tuple(ad.split(conv(z), 6, axis=0))
 
 
 class Rca(nn.Module):
@@ -169,7 +164,7 @@ class Rca(nn.Module):
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
         self.cfg = cfg
         c = cfg.channels
-        self.qkv = nn.Conv2d(c, 3 * c, cfg.qkv_kernel, rng.child(0), f"{name}.qkv")
+        self.qkv = nn.Conv2d(c, 3 * c, 1, rng.child(0), f"{name}.qkv")
         th = cfg.window_h[0] * cfg.window_h[1]
         tv = cfg.window_v[0] * cfg.window_v[1]
         self.pos_h = Parameter(np.zeros((cfg.heads, th, th)), name=f"{name}.pos_h")
@@ -178,20 +173,19 @@ class Rca(nn.Module):
     def __call__(self, z1: Tensor, z2: Tensor) -> tuple[Tensor, Tensor]:
         if z1.shape != z2.shape:
             raise ValueError(f"stream shapes differ: {z1.shape} vs {z2.shape}")
-        q1, k1, v1 = project_qkv(z1, self.qkv)
+        blocks1 = project_qkv(z1, self.qkv)
         if z1 is z2:
-            z_hat = self._attend(q1, k1, v1)
+            z_hat = self._attend(*blocks1)
             return z_hat, z_hat
-        q2, k2, v2 = project_qkv(z2, self.qkv)
-        return self._attend(q2, k1, v1), self._attend(q1, k2, v2)
+        blocks2 = project_qkv(z2, self.qkv)
+        return (self._attend(*blocks2[:2], *blocks1[2:]),
+                self._attend(*blocks1[:2], *blocks2[2:]))
 
-    def _attend(self, query: Tensor, key: Tensor, value: Tensor) -> Tensor:
+    def _attend(self, qh: Tensor, qv: Tensor, kh: Tensor, kv: Tensor,
+                vh: Tensor, vv: Tensor) -> Tensor:
         """Wide-window attention on the first channel half, tall-window on
         the second, concatenated back along the channel axis."""
         cfg = self.cfg
-        qh, qv = spectral_split(query)
-        kh, kv = spectral_split(key)
-        vh, vv = spectral_split(value)
         return ad.concat(
             [
                 window_attention(qh, kh, vh, cfg.window_h, self.pos_h, cfg.heads),
@@ -270,8 +264,8 @@ class RganModel(nn.Module):
         self.config = config
         rng = RandomSource(seed)
         c = config.attention.channels
-        self.embed_hsi = nn.Conv2d(config.bands, c, config.embed_kernel, rng.child(0), "embed_hsi")
-        self.embed_rgb = nn.Conv2d(3, c, config.embed_kernel, rng.child(1), "embed_rgb")
+        self.embed_hsi = nn.Conv2d(config.bands, c, 3, rng.child(0), "embed_hsi")
+        self.embed_rgb = nn.Conv2d(3, c, 3, rng.child(1), "embed_rgb")
         self.gals = [Gal(config.attention, rng.child(10 + i), f"gal{i}")
                      for i in range(config.attention.layers)]
         self.head = nn.Conv2d(c, config.bands, 3, rng.child(2), "head", zero_init=True)
@@ -306,8 +300,7 @@ def _pad_amount(extent: int, divisor: int) -> int:
     return (-extent) % divisor
 
 
-def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel,
-                 clamp: bool = True) -> HsiCube:
+def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel) -> HsiCube:
     """Guided super-resolution of a cube with an RGB image as guidance.
 
     Pads reflectively to window-divisible extents, runs the model without
@@ -335,10 +328,7 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel,
         out = model.forward(lr_t, rgb_t)
     if ph or pw:
         out = ad.crop2d(out, 0, lr_cube.height * scale, 0, lr_cube.width * scale)
-    values = out.data
-    if clamp:
-        values = np.clip(values, 0.0, 1.0)
-    return HsiCube(values, lr_cube.wavelengths)
+    return HsiCube(np.clip(out.data, 0.0, 1.0), lr_cube.wavelengths)
 
 
 def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,

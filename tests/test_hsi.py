@@ -69,6 +69,20 @@ def _rewrite_hsc_header(path, **fields):
     path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + n :])
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"5", "JSON int"), (b'"bsq"', "JSON str"), (b"[1, 2]", "JSON list"), (b"null", "JSON NoneType"),
+    (b"\xff{}", "malformed JSON"), (b"{", "malformed JSON"),
+], ids=["int", "str", "list", "null", "not-utf8", "truncated-json"])
+def test_hsc_header_must_be_a_json_object(tmp_path, blob, message):
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(random_cube(7, bands=2, height=2, width=2), path)
+    raw = path.read_bytes()
+    n = struct.unpack("<I", raw[8:12])[0]
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :])
+    with pytest.raises(DataError, match=f"cube.hsc.*{message}"):
+        hsi.read_cube(path)
+
+
 @pytest.mark.parametrize("value", ["2", 2.0, True, None, 0, -1])
 @pytest.mark.parametrize("key", ["height", "width", "bands"])
 def test_hsc_header_extents_must_be_positive_ints(tmp_path, key, value):

@@ -43,6 +43,18 @@ def test_load_checkpoint_rejects_short_length_field(tmp_path):
         nn.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{", b"not json", b""],
+                         ids=["not-utf8", "truncated-json", "not-json", "empty"])
+def test_load_checkpoint_rejects_malformed_manifest(tmp_path, blob):
+    path = saved(tmp_path)
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    n = struct.unpack("<I", raw[len(MAGIC) : start])[0]
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + n :])
+    with pytest.raises(ValueError, match="model.ckpt.*manifest"):
+        nn.load_checkpoint(path)
+
+
 def test_load_checkpoint_rejects_unknown_format(tmp_path):
     path = saved(tmp_path)
     rewrite_manifest(path, format="spectragen-checkpoint-v2")
@@ -182,6 +194,16 @@ def test_fit_schedules_the_rate_and_descends(warmup_frac, tail_frac):
     assert rates == [0.1 * nn.warmup_flat_cosine(s, 20, warmup, tail_start) for s in range(20)]
     assert len(trace) == 20 and opt.t == 20
     assert trace[0] == pytest.approx(np.mean(target**2)) and trace[-1] < trace[0]
+
+
+@pytest.mark.parametrize("steps", [-1, -20])
+def test_fit_rejects_negative_steps(steps):
+    p = Parameter(np.zeros(3), "p")
+    opt, step_loss = quadratic([], p, np.ones(3))
+    with pytest.raises(ValueError, match=f"steps.*{steps}"):
+        nn.fit(opt, steps, step_loss)
+    assert opt.t == 0
+    assert nn.fit(opt, 0, step_loss) == [] and opt.t == 0
 
 
 def test_fit_raises_on_a_non_finite_loss_before_stepping():

@@ -171,9 +171,10 @@ def test_project_qkv_zero_weights():
     rca = Rca(cfg, RandomSource(3), "rca")
     rca.qkv.weight.data[:] = 0.0
     z = Tensor(RandomSource(4).normal((8, 4, 4)))
-    q, k, v = rgan.project_qkv(z, rca.qkv)
-    for part in (q, k, v):
-        np.testing.assert_array_equal(part.data, np.zeros((8, 4, 4)))
+    blocks = rgan.project_qkv(z, rca.qkv)
+    assert len(blocks) == 6
+    for part in blocks:
+        np.testing.assert_array_equal(part.data, np.zeros((4, 4, 4)))
 
 
 def test_project_qkv_identity_kernel():
@@ -188,20 +189,21 @@ def test_project_qkv_identity_kernel():
     rca.qkv.weight.data = w
     rca.qkv.bias.data[:] = 0.0
     z = RandomSource(6).normal((c, 4, 4))
-    q, k, v = rgan.project_qkv(Tensor(z), rca.qkv)
-    for part in (q, k, v):
-        np.testing.assert_array_equal(part.data, z)
+    qh, qv, kh, kv, vh, vv = rgan.project_qkv(Tensor(z), rca.qkv)
+    for h, v in ((qh, qv), (kh, kv), (vh, vv)):
+        np.testing.assert_array_equal(h.data, z[: c // 2])
+        np.testing.assert_array_equal(v.data, z[c // 2 :])
 
 
 def test_project_qkv_matches_conv_then_slice():
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(7), "rca")
     z = Tensor(RandomSource(8).normal((8, 4, 4)))
-    q, k, v = rgan.project_qkv(z, rca.qkv)
+    qh, qv, kh, kv, vh, vv = rgan.project_qkv(z, rca.qkv)
     full = rca.qkv(z).data
-    np.testing.assert_array_equal(q.data, full[:8])
-    np.testing.assert_array_equal(k.data, full[8:16])
-    np.testing.assert_array_equal(v.data, full[16:24])
+    np.testing.assert_array_equal(np.concatenate([qh.data, qv.data]), full[:8])
+    np.testing.assert_array_equal(np.concatenate([kh.data, kv.data]), full[8:16])
+    np.testing.assert_array_equal(np.concatenate([vh.data, vv.data]), full[16:24])
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +234,18 @@ def test_rca_singleton_window_returns_values():
     rng = RandomSource(12)
     z1 = Tensor(rng.normal((8, 4, 4)))
     z2 = Tensor(rng.normal((8, 4, 4)))
-    _, _, v1 = rgan.project_qkv(z1, rca.qkv)
-    _, _, v2 = rgan.project_qkv(z2, rca.qkv)
+    v1 = np.concatenate([t.data for t in rgan.project_qkv(z1, rca.qkv)[4:]])
+    v2 = np.concatenate([t.data for t in rgan.project_qkv(z2, rca.qkv)[4:]])
     o1, o2 = rca(z1, z2)
-    np.testing.assert_allclose(o1.data, v1.data, atol=1e-14)
-    np.testing.assert_allclose(o2.data, v2.data, atol=1e-14)
+    np.testing.assert_allclose(o1.data, v1, atol=1e-14)
+    np.testing.assert_allclose(o2.data, v2, atol=1e-14)
 
 
 def _dense_rca_oracle(rca, z1, z2):
     """Dense per-window attention with explicit matrices (loops)."""
     cfg = rca.cfg
-    q1, k1, v1 = (t.data for t in rgan.project_qkv(z1, rca.qkv))
-    q2, k2, v2 = (t.data for t in rgan.project_qkv(z2, rca.qkv))
+    q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
+    q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
     half = cfg.channels // 2
     scale = 1.0 / np.sqrt(cfg.head_dim)
 
@@ -337,6 +339,28 @@ def test_rca_same_tensor_matches_two_stream_path():
     np.testing.assert_array_equal(one2, two2)
     for p, a, b in zip(rca.parameters(), one_grads, two_grads):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
+
+
+def test_rca_splits_each_projection_once(monkeypatch):
+    # project_qkv cuts the qkv conv output into its six channel blocks in
+    # one split; Rca(z, z) projects once, Rca(z1, z2) once per stream.
+    rca = Rca(small_cfg(), RandomSource(55), "rca")
+    rng = RandomSource(56)
+    z1 = Tensor(rng.normal((8, 4, 4)))
+    z2 = Tensor(rng.normal((8, 4, 4)))
+    calls = []
+    split = ad.split
+
+    def count(t, sections, axis):
+        calls.append(sections)
+        return split(t, sections, axis)
+
+    monkeypatch.setattr(ad, "split", count)
+    rca(z1, z1)
+    assert calls == [6]
+    calls.clear()
+    rca(z1, z2)
+    assert calls == [6, 6]
 
 
 def test_rca_attention_rows_sum_to_one(monkeypatch):
@@ -452,7 +476,7 @@ def test_rgan_initial_output_is_bilinear_upsample():
     cube = synthetic_cube(32, bands=5, height=8, width=8)
     rgb = extract_rgb(synthetic_cube(33, bands=5, height=16, width=16,
                                      wavelengths=np.linspace(420, 700, 5))).values
-    out = rgan.rgan_forward(cube, rgb, model, clamp=False)
+    out = rgan.rgan_forward(cube, rgb, model)
     want = ad.bilinear_resize(Tensor(cube.values), 16, 16).data
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
