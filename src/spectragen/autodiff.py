@@ -375,12 +375,9 @@ def relu(t: Tensor) -> Tensor:
     # +0.0, so data is bit-identical to where(t.data > 0, t.data, 0.0).
     data = np.fmax(t.data, 0.0)
     data += 0.0
-    if not (t._needs and _GRAD_ENABLED.get()):
-        return Tensor(data)  # no vjp is recorded, so no mask is needed
-    mask = t.data > 0
 
     def vjp(g):
-        return ((t, g * mask),)
+        return ((t, g * (t.data > 0)),)
 
     return _node(data, (t,), vjp)
 

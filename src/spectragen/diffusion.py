@@ -219,12 +219,16 @@ class ConditionStack:
     global_embedding: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.spatial, dict):
+            raise ValueError(f"condition spatial must be a dict, got {type(self.spatial).__name__}")
+        self.spatial = {tag: np.asarray(cmap, dtype=np.float64)
+                        for tag, cmap in self.spatial.items()}
         extents = None
         for tag, cmap in self.spatial.items():
             if tag not in CONDITION_TAGS:
                 raise ValueError(f"unknown condition tag {tag!r}")
-            if cmap.ndim != 3:
-                raise ValueError(f"condition {tag} must be (channels, H, W)")
+            if cmap.ndim != 3 or 0 in cmap.shape:
+                raise ValueError(f"condition {tag} must be a non-empty (channels, H, W) map")
             if not np.all(np.isfinite(cmap)):
                 raise ValueError(f"condition {tag} contains non-finite values")
             if extents is None:
@@ -575,12 +579,12 @@ def dsrnet_super_resolve(lr_rgb: np.ndarray, model: ConditionalDenoiser,
     if scale not in (2, 4):
         raise ValueError("scale must be 2 or 4")
     codec = codec if codec is not None else IdentityCodec()
-    if np.ndim(lr_rgb) != 3 or 0 in np.shape(lr_rgb):
+    lr_rgb = np.asarray(lr_rgb, dtype=np.float64)
+    if lr_rgb.ndim != 3 or 0 in lr_rgb.shape:
         raise ValueError("lr_rgb must be a non-empty (channels, H, W) array, "
-                         f"got shape {np.shape(lr_rgb)}")
+                         f"got shape {lr_rgb.shape}")
     _, h, w = lr_rgb.shape
-    upsampled = ad.bilinear_resize_array(np.asarray(lr_rgb, dtype=np.float64),
-                                         h * scale, w * scale)
+    upsampled = ad.bilinear_resize_array(lr_rgb, h * scale, w * scale)
     cond = ConditionStack({"lowres": upsampled})
     out = sample(model, schedule, steps, cond, codec, seed,
                  (lr_rgb.shape[0], h * scale, w * scale))

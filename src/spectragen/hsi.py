@@ -1,12 +1,13 @@
 """Hyperspectral cube type, file I/O, and the data-preparation operations.
 
-Two on-disk formats are supported:
+Cubes and `nn` checkpoints share one container (`write_container`,
+`read_container`): an 8-byte magic, a 4-byte little-endian header length,
+a UTF-8 JSON object header with sorted keys, then the payloads in header
+order as float32 little-endian values, and nothing after them. Cubes are:
 
-* HSC (canonical): 8-byte magic ``HSCUBE\\x00\\x01``, a 4-byte little-endian
-  header length, a UTF-8 JSON header with fields
-  ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq"}``,
-  followed by height*width*bands float32 little-endian values stored
-  band-sequentially (one full band plane after another).
+* HSC (canonical): the container with magic ``HSCUBE\\x00\\x01``, header
+  ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq"}``
+  and one payload stored band-sequentially (band plane after band plane).
 * ENVI subset: a text ``.hdr`` next to the binary payload, restricted to
   ``interleave = bsq``, ``data type = 4`` and ``byte order = 0``.
 """
@@ -121,6 +122,49 @@ class RgbBands:
 # file I/O
 
 
+def write_container(path, magic: bytes, header: dict, arrays) -> None:
+    """Write the container: magic, header length, JSON header, each array as <f4."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
+    """Return (header, {name: float64 array}); DataError names the file.
+
+    `shapes(header)` checks the format's fields and returns a (name, shape)
+    per payload in file order; `what` names the header in messages.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise DataError(f"{path}: bad magic, expected {magic!r}")
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise DataError(f"{path}: truncated header length")
+        (n,) = struct.unpack("<I", raw_len)
+        try:
+            header = json.loads(fh.read(n).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: malformed JSON {what}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: {what} is a JSON {type(header).__name__}, expected an object")
+        payload = fh.read()
+    arrays, pos = {}, 0
+    for name, shape in shapes(header):
+        count = math.prod(shape)
+        if 4 * count > len(payload) - pos:
+            raise DataError(f"{path}: truncated payload for {name}")
+        arrays[name] = np.frombuffer(payload, "<f4", count, pos).astype(np.float64).reshape(shape)
+        pos += 4 * count
+    if pos != len(payload):
+        raise DataError(f"{path}: {len(payload) - pos} trailing bytes after the last payload")
+    return header, arrays
+
+
 def write_cube(cube: HsiCube, path) -> None:
     header = {
         "height": cube.height,
@@ -130,29 +174,11 @@ def write_cube(cube: HsiCube, path) -> None:
         "dtype": "f32le",
         "layout": "bsq",
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(HSC_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(cube.values, dtype="<f4").tobytes())
+    write_container(path, HSC_MAGIC, header, [cube.values])
 
 
 def _read_hsc(path) -> HsiCube:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(HSC_MAGIC))
-        if magic != HSC_MAGIC:
-            raise DataError(f"{path}: bad HSC magic")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise DataError(f"{path}: truncated header length")
-        (n,) = struct.unpack("<I", raw_len)
-        try:
-            header = json.loads(fh.read(n).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: malformed JSON header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: header is a JSON {type(header).__name__}, expected an object")
+    def shapes(header):
         for key in ("height", "width", "bands", "wavelengths_nm", "dtype", "layout"):
             if key not in header:
                 raise DataError(f"{path}: header missing {key!r}")
@@ -164,26 +190,19 @@ def _read_hsc(path) -> HsiCube:
             value = header[key]
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise DataError(f"{path}: header {key!r} must be a positive integer, got {value!r}")
-        bands, height, width = header["bands"], header["height"], header["width"]
         wavelengths = header["wavelengths_nm"]
         if not isinstance(wavelengths, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
                 for v in wavelengths):
-            raise DataError(
-                f"{path}: header 'wavelengths_nm' must be a list of finite numbers, "
-                f"got {wavelengths!r}"
-            )
-        if len(wavelengths) != bands:
-            raise DataError(
-                f"{path}: {bands} bands declared but {len(wavelengths)} 'wavelengths_nm' given"
-            )
-        count = bands * height * width
-        payload = fh.read(count * 4)
-        if len(payload) != count * 4:
-            raise DataError(f"{path}: payload length {len(payload)} != expected {count * 4}")
-        values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        values = values.reshape(bands, height, width)
-    return HsiCube(values, np.asarray(wavelengths))
+            raise DataError(f"{path}: header 'wavelengths_nm' must be a list of finite numbers, "
+                            f"got {wavelengths!r}")
+        if len(wavelengths) != header["bands"]:
+            raise DataError(f"{path}: {header['bands']} bands declared but "
+                            f"{len(wavelengths)} 'wavelengths_nm' given")
+        return [("values", (header["bands"], header["height"], header["width"]))]
+
+    header, arrays = read_container(path, HSC_MAGIC, "HSC header", shapes)
+    return HsiCube(arrays["values"], np.asarray(header["wavelengths_nm"]))
 
 
 def _parse_envi_header(text: str, path) -> dict:
@@ -327,6 +346,8 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
 
 def patch_grid(height: int, width: int, size: int, stride: int) -> PatchGrid:
     """Patch origins for a size/stride sliding crop, row-major order."""
+    if size < 1:
+        raise DataError(f"patch size must be positive, got {size}")
     if size > height or size > width:
         raise DataError(f"patch size {size} exceeds extents {height}x{width}")
     if stride <= 0:

@@ -5,19 +5,19 @@ model families.
 walks the attributes in assignment order, which is the order the
 optimizer, the checkpoints and seeded weight noise see. `fit` is the one
 training loop: learning-rate schedule, non-finite check, backward and
-optimizer step around a caller's per-step loss.
+optimizer step around a caller's per-step loss. Checkpoints use the
+container of `hsi`, with a JSON manifest as its header.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 import typing
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, RandomSource, Tensor
+from .hsi import read_container, write_container
 
 CHECKPOINT_MAGIC = b"SGCKPT\x00\x01"
 CHECKPOINT_FORMAT = "spectragen-checkpoint-v1"
@@ -186,7 +186,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: JSON manifest + raw float32 little-endian payloads
+# checkpoints: the hsi container with a JSON manifest as its header
 
 
 def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> None:
@@ -196,13 +196,7 @@ def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> N
         "config": config,
         "parameters": [{"name": p.name, "shape": list(p.shape)} for p in params],
     }
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    write_container(path, CHECKPOINT_MAGIC, manifest, [p.data for p in params])
 
 
 def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...]]:
@@ -220,24 +214,13 @@ def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...]]:
 def load_checkpoint(path):
     """Return (kind, config, {name: float64 array}).
 
-    Raises ValueError on a bad magic or header length, on a manifest that
-    is not UTF-8 JSON, has another format or lacks kind, config or
-    parameters, on a parameter entry without a name or a shape of
-    non-negative integers, on a truncated payload and on trailing bytes.
+    The framing checks are `hsi.read_container`'s. Raises ValueError on a
+    manifest with another format or without kind, config or parameters,
+    and on a parameter entry without a name or a shape of non-negative
+    integers.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a spectragen checkpoint")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise ValueError(f"{path}: truncated header length")
-        (n,) = struct.unpack("<I", raw_len)
-        try:
-            manifest = json.loads(fh.read(n).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint manifest: {exc}") from exc
-        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    def shapes(manifest):
+        fmt = manifest.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
         for key in ("kind", "config", "parameters"):
@@ -245,16 +228,9 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: checkpoint manifest missing {key!r}")
         if not isinstance(manifest["parameters"], list):
             raise ValueError(f"{path}: checkpoint 'parameters' must be a list")
-        values = {}
-        for i, entry in enumerate(manifest["parameters"]):
-            name, shape = _manifest_entry(path, i, entry)
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise ValueError(f"{path}: truncated payload for {name}")
-            values[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last payload")
+        return [_manifest_entry(path, i, e) for i, e in enumerate(manifest["parameters"])]
+
+    manifest, values = read_container(path, CHECKPOINT_MAGIC, "checkpoint manifest", shapes)
     return manifest["kind"], manifest["config"], values
 
 

@@ -347,17 +347,18 @@ def test_backward_through_released_shared_subgraph_raises():
 
 
 def test_backward_releases_intermediates():
-    p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
-    y = ad.relu(p)
-    mask, = (c.cell_contents for c in y._vjp.__closure__
-             if isinstance(c.cell_contents, np.ndarray))
-    ref = weakref.ref(mask)
-    del mask
+    x = np.array([1.0, -2.0, 3.0])
+    p = Parameter(np.array([1.0, 2.0, 3.0]), name="p")
+    y = ad.layer_norm(Tensor(x), p, Tensor(np.zeros(3)))
+    cells = dict(zip(y._vjp.__code__.co_freevars, y._vjp.__closure__))
+    ref = weakref.ref(cells.pop("xhat").cell_contents)
+    del cells
     loss = ad.tsum(ad.mul(y, y))
     ad.backward(loss)
     assert ref() is None
     assert y._vjp is None and y._parents == () and loss._parents == ()
-    np.testing.assert_array_equal(p.grad, [2.0, 0.0, 6.0])
+    xhat = (x - x.mean()) / np.sqrt(x.var() + 1e-5)
+    np.testing.assert_allclose(p.grad, 2.0 * p.data * xhat**2, rtol=1e-12)
 
 
 @pytest.mark.parametrize("uses", [2, 3, 4])

@@ -226,11 +226,16 @@ def test_tiny_autoencoder_rejects_an_empty_image_set():
 # conditions
 
 
-def test_condition_stack_validation():
-    with pytest.raises(ValueError):
-        ConditionStack({"bogus": np.zeros((1, 4, 4))})
-    with pytest.raises(ValueError):
-        ConditionStack({"hed": np.zeros((1, 4, 4)), "seg": np.zeros((1, 8, 8))})
+@pytest.mark.parametrize("spatial, match", [
+    ({"bogus": np.zeros((1, 4, 4))}, "bogus"),
+    ({"hed": np.zeros((1, 4, 4)), "seg": np.zeros((1, 8, 8))}, "extents"),
+    ({"hed": [[0.0, 1.0], [1.0, 0.0]]}, "hed"),
+    ([("hed", np.zeros((1, 4, 4)))], "spatial"),
+    ({"hed": np.zeros((1, 0, 8))}, "hed"),
+], ids=["unknown-tag", "mixed-extents", "nested-list-2d", "not-a-dict", "empty-extent"])
+def test_condition_stack_validation(spatial, match):
+    with pytest.raises(ValueError, match=match):
+        ConditionStack(spatial)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -571,6 +576,13 @@ def test_dsrnet_super_resolve_rejects_lr_rgb_that_is_not_a_cube(shape):
     with pytest.raises(ValueError, match=re.escape(
             f"lr_rgb must be a non-empty (channels, H, W) array, got shape {shape}")):
         df.dsrnet_super_resolve(lr, pipeline_denoiser(), make_schedule(10), 3, seed=4, scale=2)
+
+
+def test_dsrnet_super_resolve_takes_a_nested_list():
+    model, s, lr = pipeline_denoiser(), make_schedule(10), synthetic_rgb(76, 8, 6)
+    np.testing.assert_array_equal(
+        df.dsrnet_super_resolve(lr.tolist(), model, s, 3, seed=4, scale=2),
+        df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=2))
 
 
 @pytest.mark.parametrize("scale", [2, 4])

@@ -60,6 +60,38 @@ def test_hsc_truncated_payload(tmp_path):
         hsi.read_cube(path)
 
 
+def test_hsc_bytes_follow_the_documented_layout(tmp_path):
+    cube = HsiCube(np.array([[[0.5, -1.0]], [[2.0, 0.25]]]), np.array([500.0, 600.0]))
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(cube, path)
+    header = (b'{"bands": 2, "dtype": "f32le", "height": 1, "layout": "bsq", '
+              b'"wavelengths_nm": [500.0, 600.0], "width": 2}')
+    payload = struct.pack("<4f", 0.5, -1.0, 2.0, 0.25)
+    want = b"HSCUBE\x00\x01" + struct.pack("<I", len(header)) + header + payload
+    assert path.read_bytes() == want
+    np.testing.assert_array_equal(hsi.read_cube(path).values, cube.values)
+
+
+@pytest.mark.parametrize("edit", ["fewer-bands", "appended"])
+def test_hsc_rejects_bytes_after_the_payload(tmp_path, edit):
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(random_cube(8, bands=3, height=2, width=2), path)
+    if edit == "fewer-bands":
+        _rewrite_hsc_header(path, bands=2, wavelengths_nm=[420.0, 700.0])
+    else:
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(DataError, match="cube.hsc.*trailing"):
+        hsi.read_cube(path)
+
+
+def test_hsc_rejects_extents_larger_than_the_file(tmp_path):
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(random_cube(8, bands=1, height=2, width=2), path)
+    _rewrite_hsc_header(path, height=10**6, width=10**6)
+    with pytest.raises(DataError, match="cube.hsc.*truncated payload"):
+        hsi.read_cube(path)
+
+
 def _rewrite_hsc_header(path, **fields):
     blob = path.read_bytes()
     n = struct.unpack("<I", blob[8:12])[0]
@@ -314,6 +346,12 @@ def test_patch_reassembly_bit_exact():
     for patch, (r, c) in zip(hsi.iter_patches(cube, grid), grid.origins):
         out[:, r : r + 4, c : c + 4] = patch.values
     np.testing.assert_array_equal(out, cube.values)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+def test_patch_size_must_be_positive(size):
+    with pytest.raises(DataError, match=f"patch size must be positive, got {size}"):
+        hsi.patch_grid(8, 8, size, 2)
 
 
 def test_patch_size_exceeds_extent():

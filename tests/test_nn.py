@@ -36,6 +36,15 @@ def rewrite_manifest(path, drop=(), **fields):
     path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[start + n :])
 
 
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
+    manifest = (b'{"config": {"width": 3}, "format": "spectragen-checkpoint-v1", "kind": "toy", '
+                b'"parameters": [{"name": "a.weight", "shape": [2, 3]}, '
+                b'{"name": "a.bias", "shape": [2]}]}')
+    payload = struct.pack("<8f", 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, -1.0)
+    want = b"SGCKPT\x00\x01" + struct.pack("<I", len(manifest)) + manifest + payload
+    assert saved(tmp_path).read_bytes() == want
+
+
 def test_load_checkpoint_rejects_short_length_field(tmp_path):
     path = tmp_path / "short.ckpt"
     path.write_bytes(MAGIC + b"\x07\x00")
