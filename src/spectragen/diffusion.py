@@ -191,7 +191,7 @@ class TinyAutoencoder(nn.Module):
 
         def step_loss(step):
             x = packed[int(rng.integers(0, len(packed)))]
-            return nn.mse_loss(self.dec(self.enc(x)), x)
+            yield nn.mse_loss(self.dec(self.enc(x)), x)
 
         return nn.fit(nn.Adam(self.parameters(), lr=lr), steps, step_loss)
 
@@ -213,7 +213,13 @@ def make_codec(kind: str, factor: int = 2, image_channels: int = 3,
 
 @dataclass
 class ConditionStack:
-    """Zero or more spatial condition maps plus an optional global vector."""
+    """Zero or more spatial condition maps plus an optional global vector.
+
+    Both are stored as float64. ValueError names the tag (or
+    `global_embedding`) of a value that is ragged, not numeric, not finite
+    or of the wrong rank: a spatial map is (channels, H, W), the global
+    embedding a non-empty 1-D vector.
+    """
 
     spatial: dict[str, np.ndarray] = field(default_factory=dict)
     global_embedding: np.ndarray | None = None
@@ -221,7 +227,7 @@ class ConditionStack:
     def __post_init__(self):
         if not isinstance(self.spatial, dict):
             raise ValueError(f"condition spatial must be a dict, got {type(self.spatial).__name__}")
-        self.spatial = {tag: np.asarray(cmap, dtype=np.float64)
+        self.spatial = {tag: _float_array(cmap, f"condition {tag}")
                         for tag, cmap in self.spatial.items()}
         extents = None
         for tag, cmap in self.spatial.items():
@@ -235,8 +241,23 @@ class ConditionStack:
                 extents = cmap.shape[1:]
             elif cmap.shape[1:] != extents:
                 raise ValueError("all spatial condition maps must share extents")
-        if self.global_embedding is not None and not np.all(np.isfinite(self.global_embedding)):
-            raise ValueError("condition global_embedding contains non-finite values")
+        if self.global_embedding is not None:
+            g = _float_array(self.global_embedding, "condition global_embedding")
+            if g.ndim != 1 or g.size == 0:
+                raise ValueError("condition global_embedding must be a non-empty 1-D vector, "
+                                 f"got shape {g.shape}")
+            if not np.all(np.isfinite(g)):
+                raise ValueError("condition global_embedding contains non-finite values")
+            self.global_embedding = g
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """value as a float64 array; ValueError naming `what` when it is ragged
+    or not numeric."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{what} is not a numeric array: {err}") from err
 
 
 # Built-in proxies so tests need no pretrained extractors.
@@ -520,8 +541,11 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
 
     Schedule: 2% warmup, flat plateau, cosine tail to zero over the last 30%.
     conditions, when given, is one ConditionStack per latent (ValueError
-    otherwise). Deterministic under a fixed seed; raises NumericalFailure on
-    a non-finite loss; returns the per-step batch loss trace.
+    otherwise). Each sample's loss is back-propagated before the next
+    sample's forward runs, so one sample's graph is alive at a time and
+    memory does not grow with batch_size. Deterministic under a fixed seed;
+    raises NumericalFailure on a non-finite loss; returns the per-step batch
+    loss trace.
     """
     if len(latents) == 0:
         raise ValueError("empty training set")
@@ -535,15 +559,13 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
 
     def step_loss(step):
         srng = rng.child(step)
-        total = None
         for _ in range(batch_size):
             idx = int(srng.integers(0, len(latents)))
             t = int(srng.integers(1, t_max + 1))
             eps = srng.normal(latents[idx].shape)
             cond = conditions[idx] if conditions is not None else None
-            loss = diffusion_loss(model, schedule, latents[idx], t, eps, cond)
-            total = loss if total is None else ad.add(total, loss)
-        return ad.mul(total, 1.0 / batch_size)
+            yield ad.mul(diffusion_loss(model, schedule, latents[idx], t, eps, cond),
+                         1.0 / batch_size)
 
     opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99))
     return nn.fit(opt, steps, step_loss, warmup_frac=0.02, tail_frac=0.3)

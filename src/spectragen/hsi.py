@@ -137,7 +137,8 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
     """Return (header, {name: float64 array}); DataError names the file.
 
     `shapes(header)` checks the format's fields and returns a (name, shape)
-    per payload in file order; `what` names the header in messages.
+    per payload in file order; `what` names the header in messages. A name
+    given to two payloads raises DataError naming it.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -155,6 +156,8 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
         payload = fh.read()
     arrays, pos = {}, 0
     for name, shape in shapes(header):
+        if name in arrays:
+            raise DataError(f"{path}: payload name {name!r} appears twice")
         count = math.prod(shape)
         if 4 * count > len(payload) - pos:
             raise DataError(f"{path}: truncated payload for {name}")

@@ -4,9 +4,12 @@ model families.
 `Module` is the base of every layer and model: its one `parameters()`
 walks the attributes in assignment order, which is the order the
 optimizer, the checkpoints and seeded weight noise see. `fit` is the one
-training loop: learning-rate schedule, non-finite check, backward and
-optimizer step around a caller's per-step loss. Checkpoints use the
-container of `hsi`, with a JSON manifest as its header.
+training loop: learning-rate schedule, non-finite checks, backward and
+optimizer step around a caller's per-step losses. A step's loss comes in
+micro-batch parts, each checked and back-propagated as soon as it exists,
+so one part's graph is alive at a time while the gradients accumulate
+across the parts. Checkpoints use the container of `hsi`, with a JSON
+manifest as its header.
 """
 
 from __future__ import annotations
@@ -147,11 +150,18 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
         tail_frac: float = 0.0) -> list[float]:
     """Take `steps` optimizer steps on `step_loss(step)`; return the loss trace.
 
+    `step_loss(step)` yields micro-batch losses whose sum is the step's
+    loss. The gradients are zeroed once per step. Each yielded loss is
+    checked and back-propagated, which releases its graph, before the next
+    is asked for; its gradients add to those of the parts before it. One
+    optimizer step follows the last part, and the trace entry is the sum of
+    the parts' values.
+
     The learning rate is the optimizer's rate at entry times
     `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
     least one step), cosine tail over the last `tail_frac`; with both 0 it
-    stays constant. A negative `steps` raises ValueError; a non-finite loss
-    (before backward) or gradient (before the update) NumericalFailure
+    stays constant. A negative `steps` raises ValueError; a non-finite part
+    (before its backward) or gradient (before the update) NumericalFailure
     naming the step.
     """
     if steps < 0:
@@ -162,17 +172,19 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     trace = []
     for step in range(steps):
         opt.lr = base * warmup_flat_cosine(step, steps, warmup, tail_start)
-        loss = step_loss(step)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericalFailure(f"non-finite loss {value} at step {step}")
         opt.zero_grad()
-        ad.backward(loss)
+        total = 0.0
+        for loss in step_loss(step):
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise NumericalFailure(f"non-finite loss {value} at step {step}")
+            ad.backward(loss)
+            total += value
         try:
             opt.step()
         except NumericalFailure as err:
             raise NumericalFailure(f"{err} at step {step}") from err
-        trace.append(value)
+        trace.append(total)
     return trace
 
 

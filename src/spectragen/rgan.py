@@ -364,7 +364,7 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
         nonlocal pred
         lr_t, rgb_t, target = tensors[int(rng.integers(0, len(tensors)))]
         pred = model.forward(lr_t, rgb_t)
-        return nn.l1_loss(pred, target)
+        yield nn.l1_loss(pred, target)
 
     return nn.fit(opt, steps, step_loss, warmup_frac=0.05, tail_frac=0.35)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from spectragen import autodiff as ad
+from spectragen import nn
+from spectragen.diffusion import diffusion_loss
 
 
 def conv2d_loops(x: np.ndarray, kernel: np.ndarray, padding: int) -> np.ndarray:
@@ -162,6 +164,35 @@ def composed_window_attention(query, key, value, window, pos, heads):
     out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (gr * gc, h * w, c))
     out = ad.transpose(ad.reshape(out, (gr, gc, h, w, c)), (4, 0, 2, 1, 3))
     return ad.reshape(out, (c, height, width))
+
+
+def train_diffusion_one_graph(latents, model, schedule, steps: int, batch_size: int,
+                              lr: float = 2e-3, seed: int = 0, conditions=None) -> list[float]:
+    """train_diffusion with each step's batch in one graph: the per-sample
+    losses summed into one node, scaled by 1/batch_size and back-propagated
+    once. Same sampling, schedule and optimizer as the library loop."""
+    rng = ad.RandomSource(seed)
+    opt = nn.Adam(model.parameters(), lr=lr, betas=(0.9, 0.99))
+    warmup = max(int(steps * 0.02), 1)
+    tail_start = int(steps * (1.0 - 0.3))
+    trace = []
+    for step in range(steps):
+        opt.lr = lr * nn.warmup_flat_cosine(step, steps, warmup, tail_start)
+        srng = rng.child(step)
+        total = None
+        for _ in range(batch_size):
+            idx = int(srng.integers(0, len(latents)))
+            t = int(srng.integers(1, schedule.timesteps + 1))
+            eps = srng.normal(latents[idx].shape)
+            cond = conditions[idx] if conditions is not None else None
+            loss = diffusion_loss(model, schedule, latents[idx], t, eps, cond)
+            total = loss if total is None else ad.add(total, loss)
+        loss = ad.mul(total, 1.0 / batch_size)
+        opt.zero_grad()
+        ad.backward(loss)
+        opt.step()
+        trace.append(float(loss.data))
+    return trace
 
 
 def spr_srec_bruteforce(real: np.ndarray, gen: np.ndarray, k: int):

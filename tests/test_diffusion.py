@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -232,10 +233,24 @@ def test_tiny_autoencoder_rejects_an_empty_image_set():
     ({"hed": [[0.0, 1.0], [1.0, 0.0]]}, "hed"),
     ([("hed", np.zeros((1, 4, 4)))], "spatial"),
     ({"hed": np.zeros((1, 0, 8))}, "hed"),
-], ids=["unknown-tag", "mixed-extents", "nested-list-2d", "not-a-dict", "empty-extent"])
+    ({"hed": [[[0.0, 1.0], [1.0]]]}, "condition hed is not a numeric array"),
+    ({"seg": np.array([[["a", "b"]]])}, "condition seg is not a numeric array"),
+], ids=["unknown-tag", "mixed-extents", "nested-list-2d", "not-a-dict", "empty-extent",
+        "ragged", "strings"])
 def test_condition_stack_validation(spatial, match):
     with pytest.raises(ValueError, match=match):
         ConditionStack(spatial)
+
+
+@pytest.mark.parametrize("embedding, match", [
+    ([[1.0, 2.0], [3.0]], "global_embedding is not a numeric array"),
+    ("abc", "global_embedding is not a numeric array"),
+    (np.ones((1, 3)), r"global_embedding must be a non-empty 1-D vector, got shape \(1, 3\)"),
+    (np.float64(0.5), r"global_embedding must be a non-empty 1-D vector, got shape \(\)"),
+], ids=["ragged", "string", "row-matrix", "scalar"])
+def test_condition_stack_rejects_a_malformed_global_embedding(embedding, match):
+    with pytest.raises(ValueError, match=match):
+        ConditionStack(global_embedding=embedding)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -389,9 +404,9 @@ def test_diffusion_loss_gradcheck():
 # training
 
 
-def conditioned_training_set(n, seed):
-    latents = [RandomSource(seed).child(i).normal((2, 8, 8)) for i in range(n)]
-    stacks = [ConditionStack({"hed": np.abs(synthetic_rgb(seed + i, 8, 8))[:1]})
+def conditioned_training_set(n, seed, size=8):
+    latents = [RandomSource(seed).child(i).normal((2, size, size)) for i in range(n)]
+    stacks = [ConditionStack({"hed": np.abs(synthetic_rgb(seed + i, size, size))[:1]})
               for i in range(n)]
     return latents, stacks
 
@@ -410,6 +425,43 @@ def test_train_diffusion_seeded_trace_is_deterministic_finite_positive():
     assert all(np.isfinite(v) and v > 0.0 for v in t1)
     for a, b in zip(p1, p2):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+def test_train_diffusion_matches_the_one_graph_oracle(batch_size):
+    latents, stacks = conditioned_training_set(3, 81)
+    runs = []
+    for train in (df.train_diffusion, oracles.train_diffusion_one_graph):
+        model = ConditionalDenoiser(tiny_config(cond_slots=(("hed", 1),)), seed=82)
+        randomize(model.parameters(), 83)
+        trace = train(latents, model, make_schedule(20), steps=3, batch_size=batch_size,
+                      seed=84, conditions=stacks)
+        runs.append((trace, model.parameters()))
+    (trace, params), (want_trace, want_params) = runs
+    for p, q in zip(params, want_params):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
+    if batch_size in (1, 2, 4):
+        assert trace == want_trace
+    else:
+        # a sum of parts scaled by 1/3 rounds apart from a scaled sum
+        assert all(abs(a - b) <= np.spacing(b) for a, b in zip(trace, want_trace))
+
+
+def test_train_diffusion_peak_memory_does_not_grow_with_the_batch():
+    latents, stacks = conditioned_training_set(4, 85, size=16)
+
+    def peak(batch_size):
+        model = ConditionalDenoiser(tiny_config(base_channels=8, cond_slots=(("hed", 1),)),
+                                    seed=86)
+        tracemalloc.start()
+        try:
+            df.train_diffusion(latents, model, make_schedule(20), steps=1,
+                               batch_size=batch_size, seed=87, conditions=stacks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.1 * peak(1)
 
 
 def test_train_diffusion_moves_the_zero_convolutions():

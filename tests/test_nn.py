@@ -8,6 +8,7 @@ from spectragen import autodiff as ad
 from spectragen import nn
 from spectragen.autodiff import Parameter, Tensor
 from spectragen.diffusion import ConditionalDenoiser, DenoiserConfig
+from spectragen.hsi import DataError
 from spectragen.rgan import AttentionConfig, RganConfig, RganModel
 
 MAGIC = nn.CHECKPOINT_MAGIC
@@ -111,6 +112,15 @@ def test_load_checkpoint_rejects_trailing_bytes(tmp_path):
         nn.load_checkpoint(path)
 
 
+def test_load_checkpoint_rejects_a_parameter_name_given_twice(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    nn.save_checkpoint(path, "toy", {}, [Parameter(np.zeros(3), "a.weight"),
+                                         Parameter(np.full(3, 7.0), "a.weight"),
+                                         Parameter(np.zeros(2), "a.bias")])
+    with pytest.raises(DataError, match="twice.ckpt.*'a.weight' appears twice"):
+        nn.load_checkpoint(path)
+
+
 def test_assign_parameters_rejects_unknown_name(tmp_path):
     _, _, values = nn.load_checkpoint(saved(tmp_path))
     values["b.weight"] = np.zeros(1)
@@ -186,7 +196,7 @@ def quadratic(opt_rates, p, target):
     """step_loss for mean((p - target)^2) that records the rate it ran at."""
     def step_loss(step):
         opt_rates.append(opt.lr)
-        return nn.mse_loss(p, Tensor(target))
+        yield nn.mse_loss(p, Tensor(target))
 
     opt = nn.Adam([p], lr=0.1)
     return opt, step_loss
@@ -221,7 +231,7 @@ def test_fit_raises_on_a_non_finite_loss_before_stepping():
 
     def step_loss(step):
         scale = np.nan if step == 2 else 1.0
-        return ad.mul(nn.mse_loss(p, Tensor(np.ones(2))), scale)
+        yield ad.mul(nn.mse_loss(p, Tensor(np.ones(2))), scale)
 
     with pytest.raises(nn.NumericalFailure, match="loss.*step 2"):
         nn.fit(opt, 5, step_loss)
@@ -235,8 +245,47 @@ def test_fit_names_the_step_of_a_non_finite_gradient():
     def step_loss(step):
         # relu maps the NaN to 0: the loss is finite, the gradient is not
         x = Tensor(np.array([1.0, np.nan if step == 1 else 1.0]))
-        return ad.tsum(ad.relu(ad.mul(p, x)))
+        yield ad.tsum(ad.relu(ad.mul(p, x)))
 
     with pytest.raises(nn.NumericalFailure, match="gradient in p at step 1"):
         nn.fit(opt, 3, step_loss)
     assert opt.t == 1
+
+
+def test_fit_checks_each_part_before_its_backward():
+    p = Parameter(np.zeros(2), "p")
+    opt = nn.Adam([p], lr=0.1)
+    at_step, asked = [], []
+
+    def step_loss(step):
+        at_step.append(p.data.copy())
+        for part in range(3):
+            asked.append((step, part))
+            scale = np.nan if (step, part) == (1, 1) else 1.0
+            yield ad.mul(nn.mse_loss(p, Tensor(np.ones(2))), scale)
+
+    with pytest.raises(nn.NumericalFailure, match="loss nan at step 1"):
+        nn.fit(opt, 3, step_loss)
+    assert opt.t == 1 and asked[-1] == (1, 1)
+    np.testing.assert_array_equal(p.data, at_step[1])
+
+
+def test_fit_sums_the_gradients_of_the_parts_of_a_step():
+    # dyadic values over a power-of-two size keep every sum exact, so the
+    # gradients must match whatever order they add in
+    init = np.array([0.5, -1.0, 2.0, 0.25])
+    targets = [np.array([1.0, 0.0, -0.5, 2.0]), np.array([0.0, 4.0, 1.0, -1.0]),
+               np.array([-2.0, 0.5, 0.5, 0.0])]
+    p = Parameter(init.copy(), "p")
+
+    def step_loss(step):
+        for t in targets:
+            yield nn.mse_loss(p, Tensor(t))
+
+    trace = nn.fit(nn.Adam([p], lr=0.1), 1, step_loss)
+    q = Parameter(init.copy(), "q")
+    parts = [nn.mse_loss(q, Tensor(t)) for t in targets]
+    summed = ad.add(ad.add(parts[0], parts[1]), parts[2])
+    ad.backward(summed)
+    np.testing.assert_array_equal(p.grad, q.grad)
+    assert trace == [float(summed.data)]
