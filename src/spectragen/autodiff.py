@@ -385,7 +385,8 @@ def relu(t: Tensor) -> Tensor:
 def sigmoid(t: Tensor) -> Tensor:
     t = as_tensor(t)
     x = t.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
         return ((t, g * data * (1.0 - data)),)

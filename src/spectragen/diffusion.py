@@ -480,8 +480,8 @@ class ConditionalDenoiser(nn.Module):
 
         `cond_features` takes a `condition_features` result for these
         conditions and extents, computed once for many calls; by default it
-        is computed here. A stack's global embedding needs a denoiser with
-        global_dim > 0; otherwise ValueError.
+        is computed here. A stack's global embedding must have length
+        global_dim; otherwise ValueError.
         """
         z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
         _, h, w = z_t.shape
@@ -491,9 +491,9 @@ class ConditionalDenoiser(nn.Module):
 
         emb = Tensor(sinusoidal_embedding(t, self.config.time_dim))
         if conditions is not None and conditions.global_embedding is not None:
-            if self.global_proj is None:
-                raise ValueError("condition stack carries a global embedding but the "
-                                 "denoiser has global_dim 0")
+            if (n := len(conditions.global_embedding)) != self.config.global_dim:
+                raise ValueError(f"condition global_embedding has length {n} but the "
+                                 f"denoiser has global_dim {self.config.global_dim}")
             emb = ad.add(emb, self.global_proj(Tensor(conditions.global_embedding)))
         emb = self.time_fc2(ad.relu(self.time_fc1(emb)))
 

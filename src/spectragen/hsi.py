@@ -180,6 +180,14 @@ def write_cube(cube: HsiCube, path) -> None:
     write_container(path, HSC_MAGIC, header, [cube.values])
 
 
+def _file_cube(path, values, wavelengths) -> HsiCube:
+    """HsiCube(values, wavelengths), with a validation error naming the file."""
+    try:
+        return HsiCube(values, wavelengths)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_hsc(path) -> HsiCube:
     def shapes(header):
         for key in ("height", "width", "bands", "wavelengths_nm", "dtype", "layout"):
@@ -205,7 +213,7 @@ def _read_hsc(path) -> HsiCube:
         return [("values", (header["bands"], header["height"], header["width"]))]
 
     header, arrays = read_container(path, HSC_MAGIC, "HSC header", shapes)
-    return HsiCube(arrays["values"], np.asarray(header["wavelengths_nm"]))
+    return _file_cube(path, arrays["values"], header["wavelengths_nm"])
 
 
 def _parse_envi_header(text: str, path) -> dict:
@@ -276,7 +284,8 @@ def _read_envi(header_path) -> HsiCube:
         raise DataError(
             f"{data_path}: payload has {values.size} values, expected {bands * lines * samples}"
         )
-    return HsiCube(values.astype(np.float64).reshape(bands, lines, samples), wavelengths)
+    return _file_cube(header_path, values.astype(np.float64).reshape(bands, lines, samples),
+                      wavelengths)
 
 
 def read_cube(path) -> HsiCube:

@@ -5,8 +5,8 @@ layers. Each layer runs windowed self-attention per stream, windowed
 cross-attention between streams, a channel gate, and a feed-forward block,
 with a residual around every sub-layer. Attention is computed inside
 non-overlapping rectangular windows: the first half of the channels uses
-wide (horizontal) windows, the second half tall (vertical) windows, and the
-halves are concatenated back together.
+wide (horizontal) windows, the second half tall (vertical) windows, and one
+node writes both halves into one output.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class AttentionConfig:
             raise ValueError(f"vertical window must be tall, got {self.window_v}")
         if self.layers < 1:
             raise ValueError("need at least one layer")
-
-    @property
-    def head_dim(self) -> int:
-        return self.channels // (2 * self.heads)
 
     @property
     def row_divisor(self) -> int:
@@ -94,58 +90,60 @@ def merge_window_heads(x: np.ndarray, window: tuple[int, int], height: int,
     return g.reshape(heads * d, height, width)
 
 
-def window_attention(query: Tensor, key: Tensor, value: Tensor,
-                     window: tuple[int, int], pos: Tensor, heads: int) -> Tensor:
-    """Windowed multi-head attention on channel-half feature maps.
+def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionConfig,
+                     pos_h: Tensor, pos_v: Tensor) -> Tensor:
+    """Rectangular windowed multi-head attention on [C,H,W] feature maps.
 
-    query/key/value are [C/2,H,W]; pos is a per-head [heads, h*w, h*w] bias
-    shared across windows. Output attends query against key rows and mixes
-    value rows, returned as a [C/2,H,W] map.
+    Channels [:C/2] attend inside wide cfg.window_h windows with bias pos_h
+    and channels [C/2:] inside tall cfg.window_v windows with pos_v, each
+    bias a per-head [heads, h*w, h*w] map shared across windows; both
+    halves are written into one [C,H,W] output.
 
-    One graph node with parents (query, key, value, pos). The forward keeps
-    the op order of the composed chain (windows, heads, q k^T, scale, + pos,
-    softmax, @ v, merge) and the closed-form vjp keeps that chain's matmul
-    operand order, so values and gradients are bit-exact to it. The vjp
-    keeps the attention map and re-windows q, k, v from the parents, which
-    must not change before backward.
+    One graph node with parents (query, key, value, pos_h, pos_v). Per
+    half, the forward keeps the op order of the composed chain (windows,
+    heads, q k^T, scale, + pos, softmax, @ v, merge) and the closed-form vjp
+    keeps that chain's matmul operand order, so values and gradients are
+    bit-exact to it. The vjp keeps both attention maps and re-windows q, k,
+    v from the parents, which must not change before backward.
     """
-    _, height, width = query.shape
-
-    def merge(x):
-        return merge_window_heads(x, window, height, width)
-
-    q, k, v = (window_heads(t.data, window, heads) for t in (query, key, value))
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    logits = np.matmul(q, k.transpose(0, 1, 3, 2))
-    logits *= scale
-    logits += pos.data
-    attn = ad.softmax_array(logits, axis=-1)
+    c, height, width = query.shape
+    halves = ((slice(0, c // 2), cfg.window_h, pos_h), (slice(c // 2, c), cfg.window_v, pos_v))
+    scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
+    out = np.empty(query.shape)
+    maps = []  # for the vjp; none is kept when no graph is recorded
+    for rows, window, pos in halves:
+        q, k, v = (window_heads(t.data[rows], window, cfg.heads) for t in (query, key, value))
+        logits = np.matmul(q, k.transpose(0, 1, 3, 2))
+        logits *= scale
+        logits += pos.data
+        attn = ad.softmax_array(logits, axis=-1)
+        out[rows] = merge_window_heads(np.matmul(attn, v), window, height, width)
+        if ad._GRAD_ENABLED.get():
+            maps.append(attn)
+        del q, k, v, logits, attn  # free this half's arrays before the next runs
 
     def vjp(g):
-        q, k, v = (window_heads(t.data, window, heads) for t in (query, key, value))
-        dout = window_heads(g, window, heads)
-        dattn = np.matmul(dout, np.swapaxes(v, -1, -2))
-        dv = np.matmul(np.swapaxes(attn, -1, -2), dout)
-        dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
-        dattn *= attn
-        dpos = dattn.sum(axis=0)
-        dattn *= scale
-        dk = np.matmul(np.swapaxes(q, -1, -2), dattn).transpose(0, 1, 3, 2)
-        return ((query, merge(np.matmul(dattn, k))), (key, merge(dk)),
-                (value, merge(dv)), (pos, dpos))
+        grads = [np.empty(query.shape) for _ in range(3)]  # query, key, value
+        dpos = []
+        for (rows, window, _), attn in zip(halves, maps):
+            q, k, v = (window_heads(t.data[rows], window, cfg.heads) for t in (query, key, value))
+            dout = window_heads(g[rows], window, cfg.heads)
+            dattn = np.matmul(dout, np.swapaxes(v, -1, -2))
+            dv = np.matmul(np.swapaxes(attn, -1, -2), dout)
+            dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+            dattn *= attn
+            dpos.append(dattn.sum(axis=0))
+            dattn *= scale
+            dk = np.matmul(np.swapaxes(q, -1, -2), dattn).transpose(0, 1, 3, 2)
+            for grad, part in zip(grads, (np.matmul(dattn, k), dk, dv)):
+                grad[rows] = merge_window_heads(part, window, height, width)
+        return (*zip((query, key, value), grads), (pos_h, dpos[0]), (pos_v, dpos[1]))
 
-    return ad._node(merge(np.matmul(attn, v)), (query, key, value, pos), vjp)
+    return ad._node(out, (query, key, value, pos_h, pos_v), vjp)
 
 
 # ---------------------------------------------------------------------------
 # modules
-
-
-def project_qkv(z: Tensor, conv: nn.Conv2d) -> tuple[Tensor, ...]:
-    """One convolution to 3C channels, split once into the six [C/2,H,W]
-    blocks of its channel layout [qh|qv|kh|kv|vh|vv]: query, key and value,
-    each halved into a wide-window (h) and a tall-window (v) part."""
-    return tuple(ad.split(conv(z), 6, axis=0))
 
 
 class Rca(nn.Module):
@@ -153,12 +151,14 @@ class Rca(nn.Module):
 
     Returns (z1_hat, z2_hat): z1_hat attends stream-2 queries against
     stream-1 keys/values (so it carries stream-1 content), and vice versa.
-    The projection is shared by both streams, which makes the module
-    exactly equivariant to swapping its inputs; with both inputs equal it
-    degenerates to windowed self-attention. When both inputs are the same
-    tensor (`Rca(z, z)`), the projection and the attention run once and
-    the one map is returned for both streams: equal inputs give equal
-    streams, so the values are those of the two-stream path.
+    Each stream's [q|k|v] projection is split once, and each output is one
+    `window_attention` node. The projection is shared by both streams,
+    which makes the module exactly equivariant to swapping its inputs; with
+    both inputs equal it degenerates to windowed self-attention. When both
+    inputs are the same tensor (`Rca(z, z)`), the projection and the
+    attention run once and the one map is returned for both streams: equal
+    inputs give equal streams, so the values are those of the two-stream
+    path.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
@@ -173,26 +173,13 @@ class Rca(nn.Module):
     def __call__(self, z1: Tensor, z2: Tensor) -> tuple[Tensor, Tensor]:
         if z1.shape != z2.shape:
             raise ValueError(f"stream shapes differ: {z1.shape} vs {z2.shape}")
-        blocks1 = project_qkv(z1, self.qkv)
+        shared = (self.cfg, self.pos_h, self.pos_v)
+        q1, k1, v1 = ad.split(self.qkv(z1), 3, axis=0)
         if z1 is z2:
-            z_hat = self._attend(*blocks1)
+            z_hat = window_attention(q1, k1, v1, *shared)
             return z_hat, z_hat
-        blocks2 = project_qkv(z2, self.qkv)
-        return (self._attend(*blocks2[:2], *blocks1[2:]),
-                self._attend(*blocks1[:2], *blocks2[2:]))
-
-    def _attend(self, qh: Tensor, qv: Tensor, kh: Tensor, kv: Tensor,
-                vh: Tensor, vv: Tensor) -> Tensor:
-        """Wide-window attention on the first channel half, tall-window on
-        the second, concatenated back along the channel axis."""
-        cfg = self.cfg
-        return ad.concat(
-            [
-                window_attention(qh, kh, vh, cfg.window_h, self.pos_h, cfg.heads),
-                window_attention(qv, kv, vv, cfg.window_v, self.pos_v, cfg.heads),
-            ],
-            axis=0,
-        )
+        q2, k2, v2 = ad.split(self.qkv(z2), 3, axis=0)
+        return window_attention(q2, k1, v1, *shared), window_attention(q1, k2, v2, *shared)
 
 
 class SpectralGate(nn.Module):

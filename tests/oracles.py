@@ -166,6 +166,18 @@ def composed_window_attention(query, key, value, window, pos, heads):
     return ad.reshape(out, (c, height, width))
 
 
+def composed_rectangular_attention(query, key, value, cfg, pos_h, pos_v):
+    """rgan.window_attention as composed ops: query, key and value split
+    into channel halves, the first half through wide cfg.window_h windows
+    with pos_h and the second through tall cfg.window_v windows with pos_v,
+    each by composed_window_attention, and the halves joined by a concat."""
+    (qh, qv), (kh, kv), (vh, vv) = (ad.split(t, 2, axis=0) for t in (query, key, value))
+    return ad.concat([
+        composed_window_attention(qh, kh, vh, cfg.window_h, pos_h, cfg.heads),
+        composed_window_attention(qv, kv, vv, cfg.window_v, pos_v, cfg.heads),
+    ], axis=0)
+
+
 def train_diffusion_one_graph(latents, model, schedule, steps: int, batch_size: int,
                               lr: float = 2e-3, seed: int = 0, conditions=None) -> list[float]:
     """train_diffusion with each step's batch in one graph: the per-sample
@@ -193,72 +205,3 @@ def train_diffusion_one_graph(latents, model, schedule, steps: int, batch_size: 
         opt.step()
         trace.append(float(loss.data))
     return trace
-
-
-def spr_srec_bruteforce(real: np.ndarray, gen: np.ndarray, k: int):
-    """O(n^2) spectral precision/recall on one group pair.
-
-    Squared distances computed by direct differences; kth neighbor found by
-    sorting (distance, index) pairs with the query itself excluded.
-    """
-
-    def sq(a, b):
-        diff = a - b
-        return float(np.dot(diff, diff))
-
-    def radii(rows):
-        n = rows.shape[0]
-        out = np.zeros(n)
-        for i in range(n):
-            cand = sorted((sq(rows[i], rows[j]), j) for j in range(n) if j != i)
-            out[i] = cand[k - 1][0]
-        return out
-
-    def hit_fraction(queries, manifold, rad):
-        hits = 0
-        for qrow in queries:
-            for idx in range(manifold.shape[0]):
-                if sq(qrow, manifold[idx]) <= rad[idx]:
-                    hits += 1
-                    break
-        return hits / queries.shape[0]
-
-    spr = hit_fraction(gen, real, radii(real))
-    srec = hit_fraction(real, gen, radii(gen))
-    return spr, srec
-
-
-def psnr_direct(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
-    mse = float(np.mean((x.astype(np.float64) - ref.astype(np.float64)) ** 2))
-    if mse < 1e-10:
-        return 100.0
-    return 10.0 * np.log10(peak * peak / mse)
-
-
-def ssim_direct(x: np.ndarray, ref: np.ndarray) -> float:
-    """Direct per-window SSIM over a band stack, 11x11 Gaussian, sigma 1.5."""
-    half = 5
-    ax = np.arange(-half, half + 1)
-    g1 = np.exp(-(ax**2) / (2 * 1.5**2))
-    win = np.outer(g1, g1)
-    win /= win.sum()
-    c1 = (0.01 * 1.0) ** 2
-    c2 = (0.03 * 1.0) ** 2
-    vals = []
-    for b in range(x.shape[0]):
-        xb, rb = x[b], ref[b]
-        h, w = xb.shape
-        for i in range(h - 2 * half):
-            for j in range(w - 2 * half):
-                px = xb[i : i + 11, j : j + 11]
-                pr = rb[i : i + 11, j : j + 11]
-                mx = float((win * px).sum())
-                mr = float((win * pr).sum())
-                vx = float((win * px * px).sum()) - mx * mx
-                vr = float((win * pr * pr).sum()) - mr * mr
-                cov = float((win * px * pr).sum()) - mx * mr
-                vals.append(
-                    ((2 * mx * mr + c1) * (2 * cov + c2))
-                    / ((mx * mx + mr * mr + c1) * (vx + vr + c2))
-                )
-    return float(np.mean(vals))

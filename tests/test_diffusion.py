@@ -344,6 +344,14 @@ def test_global_embedding_without_global_dim_rejected(cond_slots):
         model.predict(np.zeros((2, 8, 8)), 1, stack)
 
 
+@pytest.mark.parametrize("length", [3, 6])
+def test_global_embedding_of_the_wrong_length_rejected(length):
+    model = ConditionalDenoiser(tiny_config(global_dim=5), seed=16)
+    stack = ConditionStack(global_embedding=np.ones(length))
+    with pytest.raises(ValueError, match=f"global_embedding has length {length}.*global_dim 5"):
+        model.predict(np.zeros((2, 8, 8)), 1, stack)
+
+
 def test_denoiser_rejects_bad_extents():
     model = ConditionalDenoiser(tiny_config(), seed=17)
     with pytest.raises(ValueError):

@@ -204,6 +204,27 @@ def test_envi_wavelengths_must_be_finite_numbers(tmp_path, text):
         hsi.read_cube(hdr)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("hsc-nan", "non-finite"),
+    ("hsc-decreasing", "strictly increasing"),
+    ("envi-decreasing", "strictly increasing"),
+])
+def test_cube_validation_errors_name_the_file(tmp_path, fault, message):
+    cube = random_cube(12, bands=2, height=4, width=4)
+    if fault.startswith("envi"):
+        path = _write_envi(tmp_path, cube)
+        _set_envi_field(path, "wavelength", "{600.0, 500.0}")
+    else:
+        path = tmp_path / "cube.hsc"
+        hsi.write_cube(cube, path)
+        if fault == "hsc-nan":
+            path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        else:
+            _rewrite_hsc_header(path, wavelengths_nm=[600.0, 500.0])
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{message}"):
+        hsi.read_cube(path)
+
+
 def test_envi_header_that_is_not_utf8_raises_data_error(tmp_path):
     hdr = _write_envi(tmp_path, random_cube(10, bands=2, height=4, width=4))
     hdr.write_bytes(hdr.read_bytes().replace(b"samples = 4", b"samples = \xff4"))

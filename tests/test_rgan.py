@@ -99,50 +99,54 @@ def test_window_heads_split_channels_into_heads():
 # fused window attention
 
 
-def attention_inputs(seed, heads, window, extents, channels=4):
+def attention_inputs(seed, heads, windows, extents, channels=8):
     rng = RandomSource(seed)
-    t = window[0] * window[1]
+    cfg = small_cfg(channels, heads, *windows)
     qkv = [Parameter(rng.normal((channels,) + extents), name=n) for n in "qkv"]
-    pos = Parameter(rng.normal((heads, t, t)) * 0.3, name="pos")
+    pos = [Parameter(rng.normal((heads, h * w, h * w)) * 0.3, name=f"pos_{n}")
+           for n, (h, w) in zip("hv", windows)]
     weight = rng.normal((channels,) + extents)
-    return qkv + [pos], weight
+    return cfg, qkv + pos, weight
 
 
-ATTENTION_CASES = [  # heads, window, extents
-    (1, (2, 4), (4, 12)),
-    (2, (2, 4), (6, 8)),
-    (1, (4, 2), (12, 4)),
-    (2, (4, 2), (8, 6)),
-    (2, (3, 1), (6, 5)),
+ATTENTION_CASES = [  # heads, (wide window, tall window), extents
+    (1, ((2, 4), (4, 2)), (4, 12)),
+    (2, ((2, 4), (2, 2)), (6, 8)),
+    (1, ((1, 2), (4, 2)), (12, 4)),
+    (2, ((2, 3), (4, 2)), (8, 6)),
+    (2, ((1, 5), (3, 1)), (6, 5)),
 ]
 
 
 @pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES)
 def test_window_attention_matches_composed_ops(heads, window, extents):
-    params, weight = attention_inputs(60, heads, window, extents)
+    cfg, params, weight = attention_inputs(60, heads, window, extents)
 
     def run(attend):
         for p in params:
             p.reset_grad()
-        out = attend(*params[:3], window, params[3], heads)
+        out = attend(*params[:3], cfg, *params[3:])
         parents = out._parents
         ad.backward(ad.tsum(ad.mul(out, weight)))
         return out, parents, [p.grad.copy() for p in params]
 
     fused, parents, fused_grads = run(rgan.window_attention)
-    composed, _, composed_grads = run(oracles.composed_window_attention)
-    assert parents == tuple(params)  # one node over query, key, value, pos
+    composed, _, composed_grads = run(oracles.composed_rectangular_attention)
+    assert parents == tuple(params)  # one node over query, key, value, pos_h, pos_v
     np.testing.assert_array_equal(fused.data, composed.data)
     for p, a, b in zip(params, fused_grads, composed_grads):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
+    with ad.no_grad():  # the path that keeps no attention maps
+        plain = rgan.window_attention(*params[:3], cfg, *params[3:])
+    np.testing.assert_array_equal(plain.data, fused.data)
 
 
 @pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES[1:4])
 def test_window_attention_gradcheck(heads, window, extents):
-    params, weight = attention_inputs(61, heads, window, extents)
+    cfg, params, weight = attention_inputs(61, heads, window, extents)
 
     def forward():
-        out = rgan.window_attention(*params[:3], window, params[3], heads)
+        out = rgan.window_attention(*params[:3], cfg, *params[3:])
         return ad.mean(ad.mul(out, weight))
 
     ad.backward(forward())
@@ -150,15 +154,15 @@ def test_window_attention_gradcheck(heads, window, extents):
 
 
 def test_window_attention_backward_releases_saved_arrays():
-    params, weight = attention_inputs(63, 2, (2, 4), (4, 8))
-    out = rgan.window_attention(*params[:3], (2, 4), params[3], 2)
-    attn, = (c.cell_contents for c in out._vjp.__closure__
-             if isinstance(c.cell_contents, np.ndarray))
-    assert attn.shape == (4, 2, 8, 8)
-    ref = weakref.ref(attn)
-    del attn
+    cfg, params, weight = attention_inputs(63, 2, ((2, 4), (4, 2)), (4, 8))
+    out = rgan.window_attention(*params[:3], cfg, *params[3:])
+    maps, = (c.cell_contents for c in out._vjp.__closure__
+             if isinstance(c.cell_contents, list))
+    assert [m.shape for m in maps] == [(4, 2, 8, 8), (4, 2, 8, 8)]
+    refs = [weakref.ref(m) for m in maps]
+    del maps
     ad.backward(ad.tsum(ad.mul(out, weight)))
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
     assert out._vjp is None and out._parents == ()
 
 
@@ -166,18 +170,32 @@ def test_window_attention_backward_releases_saved_arrays():
 # qkv projection
 
 
-def test_project_qkv_zero_weights():
+def attention_operands(monkeypatch, rca, z1, z2):
+    """(query, key, value) arrays of each window_attention call of rca(z1, z2)."""
+    calls = []
+    attend = rgan.window_attention
+
+    def capture(query, key, value, *rest):
+        calls.append((query.data, key.data, value.data))
+        return attend(query, key, value, *rest)
+
+    monkeypatch.setattr(rgan, "window_attention", capture)
+    rca(z1, z2)
+    return calls
+
+
+def test_project_qkv_zero_weights(monkeypatch):
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(3), "rca")
     rca.qkv.weight.data[:] = 0.0
     z = Tensor(RandomSource(4).normal((8, 4, 4)))
-    blocks = rgan.project_qkv(z, rca.qkv)
-    assert len(blocks) == 6
-    for part in blocks:
-        np.testing.assert_array_equal(part.data, np.zeros((4, 4, 4)))
+    calls = attention_operands(monkeypatch, rca, z, z)
+    assert len(calls) == 1
+    for part in calls[0]:
+        np.testing.assert_array_equal(part, np.zeros((8, 4, 4)))
 
 
-def test_project_qkv_identity_kernel():
+def test_project_qkv_identity_kernel(monkeypatch):
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(5), "rca")
     c = cfg.channels
@@ -188,22 +206,27 @@ def test_project_qkv_identity_kernel():
         w[i + 2 * c, i, 0, 0] = 1.0
     rca.qkv.weight.data = w
     rca.qkv.bias.data[:] = 0.0
-    z = RandomSource(6).normal((c, 4, 4))
-    qh, qv, kh, kv, vh, vv = rgan.project_qkv(Tensor(z), rca.qkv)
-    for h, v in ((qh, qv), (kh, kv), (vh, vv)):
-        np.testing.assert_array_equal(h.data, z[: c // 2])
-        np.testing.assert_array_equal(v.data, z[c // 2 :])
+    z = Tensor(RandomSource(6).normal((c, 4, 4)))
+    (operands,) = attention_operands(monkeypatch, rca, z, z)
+    for part in operands:
+        np.testing.assert_array_equal(part, z.data)
 
 
-def test_project_qkv_matches_conv_then_slice():
+def test_project_qkv_matches_conv_then_slice(monkeypatch):
+    # Each output stream attends the other stream's queries against its own
+    # keys and values: [q|k|v] are the thirds of the qkv conv output.
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(7), "rca")
-    z = Tensor(RandomSource(8).normal((8, 4, 4)))
-    qh, qv, kh, kv, vh, vv = rgan.project_qkv(z, rca.qkv)
-    full = rca.qkv(z).data
-    np.testing.assert_array_equal(np.concatenate([qh.data, qv.data]), full[:8])
-    np.testing.assert_array_equal(np.concatenate([kh.data, kv.data]), full[8:16])
-    np.testing.assert_array_equal(np.concatenate([vh.data, vv.data]), full[16:24])
+    rng = RandomSource(8)
+    z1 = Tensor(rng.normal((8, 4, 4)))
+    z2 = Tensor(rng.normal((8, 4, 4)))
+    q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
+    q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
+    calls = attention_operands(monkeypatch, rca, z1, z2)
+    assert len(calls) == 2
+    for got, want in zip(calls, ((q2, k1, v1), (q1, k2, v2))):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +257,8 @@ def test_rca_singleton_window_returns_values():
     rng = RandomSource(12)
     z1 = Tensor(rng.normal((8, 4, 4)))
     z2 = Tensor(rng.normal((8, 4, 4)))
-    v1 = np.concatenate([t.data for t in rgan.project_qkv(z1, rca.qkv)[4:]])
-    v2 = np.concatenate([t.data for t in rgan.project_qkv(z2, rca.qkv)[4:]])
+    v1 = np.split(rca.qkv(z1).data, 3)[2]
+    v2 = np.split(rca.qkv(z2).data, 3)[2]
     o1, o2 = rca(z1, z2)
     np.testing.assert_allclose(o1.data, v1, atol=1e-14)
     np.testing.assert_allclose(o2.data, v2, atol=1e-14)
@@ -247,7 +270,7 @@ def _dense_rca_oracle(rca, z1, z2):
     q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
     q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
     half = cfg.channels // 2
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    scale = 1.0 / np.sqrt(cfg.channels // (2 * cfg.heads))
 
     def windowize(x, window):
         c, height, width = x.shape
@@ -342,8 +365,8 @@ def test_rca_same_tensor_matches_two_stream_path():
 
 
 def test_rca_splits_each_projection_once(monkeypatch):
-    # project_qkv cuts the qkv conv output into its six channel blocks in
-    # one split; Rca(z, z) projects once, Rca(z1, z2) once per stream.
+    # The qkv conv output is cut into query, key and value in one split;
+    # Rca(z, z) projects once, Rca(z1, z2) once per stream.
     rca = Rca(small_cfg(), RandomSource(55), "rca")
     rng = RandomSource(56)
     z1 = Tensor(rng.normal((8, 4, 4)))
@@ -357,10 +380,10 @@ def test_rca_splits_each_projection_once(monkeypatch):
 
     monkeypatch.setattr(ad, "split", count)
     rca(z1, z1)
-    assert calls == [6]
+    assert calls == [3]
     calls.clear()
     rca(z1, z2)
-    assert calls == [6, 6]
+    assert calls == [3, 3]
 
 
 def test_rca_attention_rows_sum_to_one(monkeypatch):
