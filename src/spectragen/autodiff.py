@@ -2,8 +2,10 @@
 
 Desk-scale engine: tensors carry no batch axis, every op is explicit, and
 broadcasting is restricted to bias-style addition (trailing-shape or
-size-1 axes). Convolution uses the cross-correlation convention of
-mainstream deep-learning frameworks (no kernel flip).
+size-1 axes). Channels lead: `linear` maps the leading axis, so it mixes
+the channels of a [C,H,W] map per pixel (a 1x1 convolution), and `conv2d`
+is the spatial kernel, in the cross-correlation convention of mainstream
+deep-learning frameworks (no kernel flip). Only a `Parameter` gets a grad.
 
 Inside `with no_grad():` ops record no parents or vjp closures, so
 inference holds no intermediates alive and `backward` has nothing to
@@ -57,16 +59,13 @@ class RandomSource:
 class Tensor:
     """Node of the computation graph holding a float64 array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp", "_needs")
+    __slots__ = ("data", "_parents", "_vjp", "_needs")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Array | None = None
-        self.requires_grad = requires_grad
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
-        self._needs = requires_grad
+        self._needs = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,16 +80,22 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = self.name or ("param" if self.requires_grad else "tensor")
-        return f"Tensor({tag}, shape={self.data.shape})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Parameter(Tensor):
-    """Trainable leaf: value plus an accumulating gradient buffer."""
+    """Trainable leaf, the only gradient leaf: value, name and grad buffer."""
+
+    __slots__ = ("grad", "name")
 
     def __init__(self, value, name: str):
-        super().__init__(value, requires_grad=True, name=name)
+        super().__init__(value)
+        self._needs = True
+        self.name = name
         self.grad = np.zeros_like(self.data)
+
+    def __repr__(self):
+        return f"Parameter({self.name}, shape={self.data.shape})"
 
     def reset_grad(self) -> None:
         self.grad.fill(0.0)
@@ -136,13 +141,13 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
+    """Accumulate d(loss)/d(p) into the grad of every reachable Parameter p.
 
     The walk releases the graph behind it: each node drops its vjp and
     parents once its gradient has been passed on, so intermediates are
     freed during the walk and not held after it. A second backward through
     a released node raises ValueError. Gradients of a new graph over the
-    same leaves add on top of the first, until the leaves are reset.
+    same parameters add on top of the first, until they are reset.
 
     A vjp returns (parent, grad) pairs, or (parent, grad, index) when grad
     covers only parent[index]. backward owns the buffer a gradient sums
@@ -179,9 +184,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if vjp is None:
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
+            if isinstance(node, Parameter):
                 node.grad += g
             elif node._needs:
                 raise ValueError(f"backward reached {node!r}, whose graph an earlier backward released")
@@ -460,32 +463,27 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: floa
 # linear / matmul
 
 
-def linear(t: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: y = x @ W.T + b, W is [D_out, D_in]."""
-    t, weight = as_tensor(t), as_tensor(weight)
+def linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map of the leading axis, y = W @ x + b with W [D_out, D_in]:
+    x is [D_in] or a [D_in,H,W] map (a 1x1 convolution), y [D_out, ...]."""
+    t, weight, bias = as_tensor(t), as_tensor(weight), as_tensor(bias)
     d_out, d_in = weight.shape
-    if t.shape[-1] != d_in:
-        raise ValueError(f"linear: input extent {t.shape[-1]} != weight D_in {d_in}")
-    lead = t.shape[:-1]
-    x2 = t.data.reshape(-1, d_in)
-    y2 = x2 @ weight.data.T
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (d_out,):
-            raise ValueError(f"linear: bias shape {bias.shape} != ({d_out},)")
-        y2 = y2 + bias.data
-    data = y2.reshape(lead + (d_out,))
-
-    parents = (t, weight) if bias is None else (t, weight, bias)
+    if t.shape[:1] != (d_in,):
+        raise ValueError(f"linear: input shape {t.shape} does not lead with weight D_in {d_in}")
+    if bias.shape != (d_out,):
+        raise ValueError(f"linear: bias shape {bias.shape} != ({d_out},)")
+    x2 = t.data.reshape(d_in, -1)
+    data = np.empty((d_out,) + t.shape[1:])
+    y2 = data.reshape(d_out, -1)
+    np.matmul(weight.data, x2, out=y2)
+    y2 += bias.data[:, None]
 
     def vjp(g):
-        g2 = g.reshape(-1, d_out)
-        out = [(t, (g2 @ weight.data).reshape(t.shape)), (weight, g2.T @ x2)]
-        if bias is not None:
-            out.append((bias, g2.sum(axis=0)))
-        return out
+        g2 = g.reshape(d_out, -1)
+        return ((t, (weight.data.T @ g2).reshape(t.shape)), (weight, g2 @ x2.T),
+                (bias, g2.sum(axis=1)))
 
-    return _node(data, parents, vjp)
+    return _node(data, (t, weight, bias), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -517,9 +515,8 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
     [C_in,kh,kw,rows,W_out] buffer into which every tap copies its
     in-bounds rectangle straight from the unpadded input, so the zeros
     stand for the padding and no padded copy of x is made; a tap whose
-    rectangle is empty (padding kh-1 around a short block) is skipped. For
-    an unpadded 1x1 kernel cols is a view of x. Blocks hold at most
-    _CONV_BLOCK_ELEMS elements, or one output row.
+    rectangle is empty (padding kh-1 around a short block) is skipped.
+    Blocks hold at most _CONV_BLOCK_ELEMS elements, or one output row.
 
     _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*kh*kw] kernel
     matrix. With that operand order BLAS sums each output in the same order
@@ -533,9 +530,6 @@ def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
     block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
     for r0 in range(0, ho, block):
         r1 = min(r0 + block, ho)
-        if kh == kw == 1 and not padding:
-            yield r0, r1, x[:, r0:r1].reshape(c_in, -1)
-            continue
         buf = np.zeros((c_in, kh, kw, r1 - r0, wo))
         for u in range(kh):
             # Output rows i in [i0, i1) read input rows i + u - padding.
@@ -599,9 +593,10 @@ def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
 
     k must be odd and padding either 0 or (k-1)//2 (same-padding).
 
+    The kernel gradient is always computed (every kernel is a Parameter).
     The input gradient correlates g, padded by q = k-1-padding, with the
-    flipped kernel, so it builds the im2col of g. When the input needs a
-    gradient too, the kernel gradient is read off that same im2col, since
+    flipped kernel, so it builds the im2col of g; the kernel gradient is
+    then read off that same im2col, since
     dk[co,ci,u,v] = sum_ij cols_g[(co,k-1-u,k-1-v), ij] * x[ci].ravel()[ij];
     each block of cols_g covers input rows [r0, r1), the rows of x it pairs
     with. A backward pass then builds one im2col instead of two. When only
@@ -625,8 +620,6 @@ def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
         if not t._needs:
             return ((kernel, _corr2d_kernel_grad(t.data, g, kh, kw, padding)),)
         flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
-        if not kernel._needs:
-            return ((t, _corr2d(g, flipped, kh - 1 - padding)),)
         gx, acc = _corr2d(g, flipped, kh - 1 - padding, pair=t.data)
         c_out, c_in = kernel.shape[:2]
         gk = acc.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)

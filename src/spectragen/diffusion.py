@@ -5,9 +5,9 @@ latent codecs, and the two-stage super-resolution augmentation pipeline.
 The denoiser is a small 3-level convolutional encoder-decoder with skip
 connections and a sinusoidal timestep embedding added per level. Spatial
 conditions pass through a convolutional feature extractor whose per-scale
-outputs go through zero-initialized 1x1 convolutions before being added to
-the matching denoiser scale, so conditioning contributes exactly nothing
-at initialization.
+outputs go through zero convolutions (zero-initialized channel maps,
+`nn.Linear`) before being added to the matching denoiser scale, so
+conditioning contributes exactly nothing at initialization.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .hsi import HsiCube, crop_patches, extract_rgb, iter_patches
 from .rgan import RganModel, rgan_forward
 
 CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres", "custom")
-
-# Default of `ConditionalDenoiser.forward`'s `cond_features`: "not supplied,
-# compute from the stack". None cannot serve, it means "no conditioning".
-_COMPUTE = object()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +149,7 @@ class SpaceToDepthCodec:
 
 
 class TinyAutoencoder(nn.Module):
-    """Small trained codec: space-to-depth plus learned 1x1 channel maps."""
+    """Small trained codec: space-to-depth plus learned channel maps."""
 
     kind = "trained_tiny_ae"
 
@@ -165,8 +161,8 @@ class TinyAutoencoder(nn.Module):
         self._s2d = SpaceToDepthCodec(factor)
         rng = RandomSource(seed)
         packed = image_channels * factor * factor
-        self.enc = nn.Conv2d(packed, latent_channels, 1, rng.child(0), "codec.enc")
-        self.dec = nn.Conv2d(latent_channels, packed, 1, rng.child(1), "codec.dec")
+        self.enc = nn.Linear(packed, latent_channels, rng.child(0), "codec.enc")
+        self.dec = nn.Linear(latent_channels, packed, rng.child(1), "codec.dec")
 
     def encode(self, image: np.ndarray) -> np.ndarray:
         with ad.no_grad():
@@ -182,7 +178,7 @@ class TinyAutoencoder(nn.Module):
         return (self.latent_channels, h // r, w // r)
 
     def train(self, images, steps: int = 200, lr: float = 1e-2, seed: int = 0) -> list[float]:
-        """Fit the 1x1 maps to reconstruct `images` (mean squared error) at a
+        """Fit the channel maps to reconstruct `images` (mean squared error) at a
         constant learning rate; returns the per-step loss trace."""
         if len(images) == 0:
             raise ValueError("empty training image set")
@@ -359,8 +355,8 @@ def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
 
 class _ConvBlock(nn.Module):
     def __init__(self, c_in, c_out, rng, name):
-        self.conv1 = nn.Conv2d(c_in, c_out, 3, rng.child(0), f"{name}.conv1")
-        self.conv2 = nn.Conv2d(c_out, c_out, 3, rng.child(1), f"{name}.conv2")
+        self.conv1 = nn.Conv2d(c_in, c_out, rng.child(0), f"{name}.conv1")
+        self.conv2 = nn.Conv2d(c_out, c_out, rng.child(1), f"{name}.conv2")
 
     def __call__(self, x, bias=None, extra=None):
         h = self.conv1(x)
@@ -390,19 +386,19 @@ class ConditionalDenoiser(nn.Module):
         else:
             self.global_proj = None
 
-        self.conv_in = nn.Conv2d(config.latent_channels, chans[0], 3, rng.child(10), "conv_in")
+        self.conv_in = nn.Conv2d(config.latent_channels, chans[0], rng.child(10), "conv_in")
         self.enc = [_ConvBlock(chans[max(i - 1, 0)], chans[i], rng.child(20 + i), f"enc{i}")
                     for i in range(config.levels)]
         self.dec = []
         for i in range(config.levels - 2, -1, -1):
             self.dec.append(_ConvBlock(chans[i] + chans[i + 1], chans[i],
                                        rng.child(40 + i), f"dec{i}"))
-        self.head = nn.Conv2d(chans[0], config.latent_channels, 3, rng.child(60),
-                              "head", zero_init=True)
+        self.head = nn.Conv2d(chans[0], config.latent_channels, rng.child(60), "head",
+                              zero_init=True)
 
         self.cond_channels = sum(ch for _, ch in config.cond_slots)
         if self.cond_channels:
-            self.cond_in = nn.Conv2d(self.cond_channels, chans[0], 3, rng.child(70), "cond_in")
+            self.cond_in = nn.Conv2d(self.cond_channels, chans[0], rng.child(70), "cond_in")
             self.cond_blocks = [
                 _ConvBlock(chans[max(i - 1, 0)], chans[i], rng.child(80 + i), f"cond{i}")
                 for i in range(config.levels)
@@ -410,10 +406,10 @@ class ConditionalDenoiser(nn.Module):
             # one zero-conv per encoder scale plus one at the pre-head scale,
             # so conditioning has a direct route to the output
             self.zero_convs = [
-                nn.Conv2d(chans[i], chans[i], 1, rng.child(90 + i), f"zero{i}", zero_init=True)
+                nn.Linear(chans[i], chans[i], rng.child(90 + i), f"zero{i}", zero_init=True)
                 for i in range(config.levels)
             ]
-            self.zero_out = nn.Conv2d(chans[0], chans[0], 1, rng.child(99), "zero_out",
+            self.zero_out = nn.Linear(chans[0], chans[0], rng.child(99), "zero_out",
                                       zero_init=True)
         else:
             self.cond_in = None
@@ -475,13 +471,13 @@ class ConditionalDenoiser(nn.Module):
         return outs, self.zero_out(top_feat)
 
     def forward(self, z_t, t: int, conditions: ConditionStack | None = None,
-                cond_features=_COMPUTE) -> Tensor:
+                cond_features=None) -> Tensor:
         """Predicted noise for latent z_t at timestep t.
 
         `cond_features` takes a `condition_features` result for these
-        conditions and extents, computed once for many calls; by default it
-        is computed here. A stack's global embedding must have length
-        global_dim; otherwise ValueError.
+        conditions and extents, computed once for many calls; None computes
+        it here. A stack's global embedding must have length global_dim;
+        otherwise ValueError.
         """
         z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
         _, h, w = z_t.shape
@@ -497,7 +493,7 @@ class ConditionalDenoiser(nn.Module):
             emb = ad.add(emb, self.global_proj(Tensor(conditions.global_embedding)))
         emb = self.time_fc2(ad.relu(self.time_fc1(emb)))
 
-        if cond_features is _COMPUTE:
+        if cond_features is None:
             cond_features = self.condition_features(conditions, h, w)
         level_feats, top_feat = cond_features if cond_features is not None else (None, None)
 
@@ -517,7 +513,7 @@ class ConditionalDenoiser(nn.Module):
         return self.head(feat)
 
     def predict(self, z_t: np.ndarray, t: int, conditions: ConditionStack | None = None,
-                cond_features=_COMPUTE) -> np.ndarray:
+                cond_features=None) -> np.ndarray:
         return self.forward(z_t, t, conditions, cond_features).data
 
 

@@ -57,28 +57,26 @@ def _walk(values) -> list[Parameter]:
 
 
 class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: RandomSource,
-                 name: str, zero_init: bool = False):
-        self.padding = (kernel - 1) // 2
-        if zero_init:
-            w = np.zeros((c_out, c_in, kernel, kernel))
-        else:
-            w = he_normal(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel)
+    """3x3 same-padded convolution plus bias; a 1x1 one is `Linear`."""
+
+    def __init__(self, c_in: int, c_out: int, rng: RandomSource, name: str,
+                 zero_init: bool = False):
+        shape = (c_out, c_in, 3, 3)
+        w = np.zeros(shape) if zero_init else he_normal(rng, shape, c_in * 9)
         self.weight = Parameter(w, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(c_out), name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.conv2d(x, self.weight, padding=self.padding)
+        y = ad.conv2d(x, self.weight, padding=1)
         return ad.add(y, ad.reshape(self.bias, (self.bias.shape[0], 1, 1)))
 
 
 class Linear(Module):
+    """`ad.linear`: maps a vector, or the channels of a [C,H,W] map."""
+
     def __init__(self, d_in: int, d_out: int, rng: RandomSource, name: str,
                  zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((d_out, d_in))
-        else:
-            w = he_normal(rng, (d_out, d_in), d_in)
+        w = np.zeros((d_out, d_in)) if zero_init else he_normal(rng, (d_out, d_in), d_in)
         self.weight = Parameter(w, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(d_out), name=f"{name}.bias")
 
@@ -87,12 +85,14 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
+    """Normalizes the channels of a [C,H,W] map at each pixel."""
+
     def __init__(self, dim: int, name: str):
         self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta)
+        return ad.layer_norm(x, self.gamma, self.beta, axis=0)
 
 
 class Adam:

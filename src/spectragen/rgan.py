@@ -164,7 +164,7 @@ class Rca(nn.Module):
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
         self.cfg = cfg
         c = cfg.channels
-        self.qkv = nn.Conv2d(c, 3 * c, 1, rng.child(0), f"{name}.qkv")
+        self.qkv = nn.Linear(c, 3 * c, rng.child(0), f"{name}.qkv")
         th = cfg.window_h[0] * cfg.window_h[1]
         tv = cfg.window_v[0] * cfg.window_v[1]
         self.pos_h = Parameter(np.zeros((cfg.heads, th, th)), name=f"{name}.pos_h")
@@ -185,8 +185,8 @@ class Rca(nn.Module):
 class SpectralGate(nn.Module):
     """Channel attention: spatial mean -> two linear layers -> sigmoid gate.
 
-    The gate scales the channels of a 1x1-projected branch, so zeroed
-    weights contribute exactly nothing through the surrounding residual.
+    The gate scales the channels of a linear value map, so zeroed weights
+    contribute exactly nothing through the surrounding residual.
     """
 
     def __init__(self, channels: int, rng: RandomSource, name: str):
@@ -194,7 +194,7 @@ class SpectralGate(nn.Module):
         self.channels = channels
         self.fc1 = nn.Linear(channels, hidden, rng.child(0), f"{name}.fc1")
         self.fc2 = nn.Linear(hidden, channels, rng.child(1), f"{name}.fc2")
-        self.value = nn.Conv2d(channels, channels, 1, rng.child(2), f"{name}.value")
+        self.value = nn.Linear(channels, channels, rng.child(2), f"{name}.value")
 
     def __call__(self, x: Tensor) -> Tensor:
         gate = ad.sigmoid(self.fc2(ad.relu(self.fc1(ad.mean(x, axis=(1, 2))))))
@@ -202,8 +202,8 @@ class SpectralGate(nn.Module):
 
 
 class Ffd(nn.Module):
-    """Feed-forward block: layer norm then two linears with a ReLU; the
-    hidden width is twice the channel count."""
+    """Feed-forward block mixing the channels of a [C,H,W] map per pixel:
+    layer norm, then two linears with a ReLU; hidden width is 2C."""
 
     def __init__(self, channels: int, rng: RandomSource, name: str):
         self.norm = nn.LayerNorm(channels, f"{name}.norm")
@@ -211,10 +211,7 @@ class Ffd(nn.Module):
         self.fc2 = nn.Linear(2 * channels, channels, rng.child(1), f"{name}.fc2")
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        tokens = ad.reshape(ad.transpose(x, (1, 2, 0)), (h * w, c))
-        tokens = self.fc2(ad.relu(self.fc1(self.norm(tokens))))
-        return ad.transpose(ad.reshape(tokens, (h, w, c)), (2, 0, 1))
+        return self.fc2(ad.relu(self.fc1(self.norm(x))))
 
 
 class Gal(nn.Module):
@@ -251,11 +248,11 @@ class RganModel(nn.Module):
         self.config = config
         rng = RandomSource(seed)
         c = config.attention.channels
-        self.embed_hsi = nn.Conv2d(config.bands, c, 3, rng.child(0), "embed_hsi")
-        self.embed_rgb = nn.Conv2d(3, c, 3, rng.child(1), "embed_rgb")
+        self.embed_hsi = nn.Conv2d(config.bands, c, rng.child(0), "embed_hsi")
+        self.embed_rgb = nn.Conv2d(3, c, rng.child(1), "embed_rgb")
         self.gals = [Gal(config.attention, rng.child(10 + i), f"gal{i}")
                      for i in range(config.attention.layers)]
-        self.head = nn.Conv2d(c, config.bands, 3, rng.child(2), "head", zero_init=True)
+        self.head = nn.Conv2d(c, config.bands, rng.child(2), "head", zero_init=True)
 
     def forward(self, lr: Tensor, rgb: Tensor) -> Tensor:
         bands, h, w = lr.shape

@@ -62,18 +62,31 @@ def im2col_reference(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarra
 
 
 def linear_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Explicit dot-product affine map over the last axis."""
+    """Explicit dot-product affine map over the leading axis, one trailing
+    position at a time."""
     d_out, d_in = weight.shape
-    lead = x.shape[:-1]
-    x2 = x.reshape(-1, d_in)
-    out = np.zeros((x2.shape[0], d_out))
-    for r in range(x2.shape[0]):
+    x2 = x.reshape(d_in, -1)
+    out = np.zeros((d_out, x2.shape[1]))
+    for r in range(x2.shape[1]):
         for o in range(d_out):
             acc = bias[o]
             for i in range(d_in):
-                acc += weight[o, i] * x2[r, i]
-            out[r, o] = acc
-    return out.reshape(lead + (d_out,))
+                acc += weight[o, i] * x2[i, r]
+            out[o, r] = acc
+    return out.reshape((d_out,) + x.shape[1:])
+
+
+def ffd_tokens(x: np.ndarray, gamma, beta, w1, b1, w2, b2, eps: float = 1e-5) -> np.ndarray:
+    """rgan.Ffd in the token layout: the [C,H,W] map as [H*W, C] tokens,
+    each token layer-normed over its channels, then x @ W.T + b, ReLU,
+    x @ W.T + b, and the tokens laid back out as [C,H,W]."""
+    c, h, w = x.shape
+    tokens = x.reshape(c, h * w).T
+    mu = tokens.mean(axis=1, keepdims=True)
+    var = ((tokens - mu) ** 2).mean(axis=1, keepdims=True)
+    normed = (tokens - mu) / np.sqrt(var + eps) * gamma + beta
+    hidden = np.maximum(normed @ w1.T + b1, 0.0)
+    return (hidden @ w2.T + b2).T.reshape(c, h, w)
 
 
 def central_difference(f, params, coords, step: float = 1e-5):

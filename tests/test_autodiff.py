@@ -92,14 +92,6 @@ def test_conv2d_grads_oracle_property(c_in, c_out, h, w, k, same, seed):
     np.testing.assert_allclose(kt.grad, want_gk, atol=1e-12)
 
 
-def test_im2col_of_unpadded_1x1_kernel_is_a_view():
-    x = RandomSource(4).normal((3, 5, 6))
-    (r0, r1, cols), = ad._im2col_blocks(x, 1, 1, 0)
-    assert (r0, r1) == (0, 5)
-    assert np.shares_memory(cols, x)
-    np.testing.assert_array_equal(cols, x.reshape(3, 30))
-
-
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("rows_per_block", [1, 2])
 def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_block):
@@ -230,7 +222,7 @@ def test_conv2d_rejects_bad_shapes():
 
 
 def test_linear_identity_and_zero():
-    x = np.arange(12.0).reshape(3, 4)
+    x = np.arange(12.0).reshape(4, 3)
     eye = np.eye(4)
     zero_b = np.zeros(4)
     y = ad.linear(Tensor(x), Tensor(eye), Tensor(zero_b))
@@ -238,12 +230,12 @@ def test_linear_identity_and_zero():
 
     b = np.array([1.0, -2.0, 3.0])
     y = ad.linear(Tensor(x), Tensor(np.zeros((3, 4))), Tensor(b))
-    np.testing.assert_array_equal(y.data, np.broadcast_to(b, (3, 3)))
+    np.testing.assert_array_equal(y.data, np.broadcast_to(b[:, None], (3, 3)))
 
 
 def test_linear_matches_loop_oracle():
     rng = RandomSource(3)
-    x = rand(rng, 2, 3, 5)
+    x = rand(rng, 5, 2, 3)
     w = rand(rng, 4, 5)
     b = rand(rng, 4)
     got = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
@@ -253,7 +245,30 @@ def test_linear_matches_loop_oracle():
 
 def test_linear_extent_mismatch():
     with pytest.raises(ValueError):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        ad.linear(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError):
+        ad.linear(Tensor(np.zeros((5, 2))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+def test_linear_on_a_map_matches_a_1x1_conv2d():
+    # Channel mixing of a [C,H,W] map: values and the input, weight and
+    # bias gradients of linear match a 1x1 conv2d plus a broadcast bias.
+    rng = RandomSource(21)
+    x, w, b = rand(rng, 5, 4, 6), rand(rng, 3, 5), rand(rng, 3)
+    g = rand(rng, 3, 4, 6)
+
+    def run(op):
+        xt, wt, bt = Parameter(x, "x"), Parameter(w, "w"), Parameter(b, "b")
+        y = op(xt, wt, bt)
+        ad.backward(ad.tsum(ad.mul(y, g)))
+        return y.data, xt.grad, wt.grad, bt.grad
+
+    got = run(ad.linear)
+    want = run(lambda xt, wt, bt: ad.add(ad.conv2d(xt, ad.reshape(wt, (3, 5, 1, 1))),
+                                         ad.reshape(bt, (3, 1, 1))))
+    for a, e in zip(got, want):
+        assert a.shape == e.shape
+        np.testing.assert_allclose(a, e, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +470,11 @@ def test_gradcheck_composed_ops():
         h = ad.conv2d(x, w1, padding=1)
         h = ad.relu(h)
         h = ad.bilinear_resize(h, 3, 3)
-        tokens = ad.reshape(ad.transpose(h, (1, 2, 0)), (9, 4))
-        tokens = ad.layer_norm(tokens, gamma, beta, axis=-1)
-        tokens = ad.linear(tokens, w2, b2)
-        tokens = ad.sigmoid(tokens)
-        att = ad.softmax(tokens, axis=1)
-        return ad.mean(ad.mul(att, tokens))
+        h = ad.layer_norm(h, gamma, beta, axis=0)
+        h = ad.linear(h, w2, b2)
+        h = ad.sigmoid(h)
+        att = ad.softmax(h, axis=0)
+        return ad.mean(ad.mul(att, h))
 
     params = [w1, w2, b2, gamma, beta]
     loss = forward()

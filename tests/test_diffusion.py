@@ -688,26 +688,31 @@ def test_augment_two_stage_zero_rgan_patches_are_bilinear_crops():
 
 
 def test_inference_entry_points_record_no_graph(monkeypatch):
-    outputs = []
-    original = nn.Conv2d.__call__
+    outputs = []  # (layer, output) of every Conv2d and Linear call
 
-    def recording(self, x):
-        out = original(self, x)
-        outputs.append(out)
-        return out
+    for cls in (nn.Conv2d, nn.Linear):
+        def recording(self, x, original=cls.__call__):
+            out = original(self, x)
+            outputs.append((self, out))
+            return out
 
-    monkeypatch.setattr(nn.Conv2d, "__call__", recording)
+        monkeypatch.setattr(cls, "__call__", recording)
     codec = TinyAutoencoder(3, 4, factor=2, seed=0)
     codec.encode(synthetic_rgb(77, 8, 8))
     model = ConditionalDenoiser(tiny_config(latent_channels=4), seed=78)
     df.sample(model, make_schedule(10), 2, None, codec, seed=1, image_shape=(3, 8, 8))
     cube = pipeline_cubes()[0]
     rgan_forward(cube, np.zeros((3, 16, 16)), pipeline_rgan(2))
-    assert len(outputs) > 10
-    assert all(not out._parents for out in outputs)
+    layers = [layer for layer, _ in outputs]
+    assert sum(isinstance(layer, nn.Conv2d) for layer in layers) > 10
+    assert any(layer is codec.enc for layer in layers)
+    assert any(layer is codec.dec for layer in layers)
+    assert all(not out._parents for _, out in outputs)
     # outside those entry points the same layers do record their graph
     model.conv_in(Tensor(np.zeros((4, 4, 4))))
-    assert outputs[-1]._parents
+    assert outputs[-1][1]._parents
+    codec.enc(Tensor(np.zeros((12, 4, 4))))
+    assert outputs[-1][1]._parents
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,11 @@ def test_project_qkv_identity_kernel(monkeypatch):
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(5), "rca")
     c = cfg.channels
-    w = np.zeros((3 * c, c, 1, 1))
+    w = np.zeros((3 * c, c))
     for i in range(c):
-        w[i, i, 0, 0] = 1.0
-        w[i + c, i, 0, 0] = 1.0
-        w[i + 2 * c, i, 0, 0] = 1.0
+        w[i, i] = 1.0
+        w[i + c, i] = 1.0
+        w[i + 2 * c, i] = 1.0
     rca.qkv.weight.data = w
     rca.qkv.bias.data[:] = 0.0
     z = Tensor(RandomSource(6).normal((c, 4, 4)))
@@ -489,6 +489,30 @@ def test_gal_stack_gradcheck():
     oracles.gradcheck(forward, params, RandomSource(30), n_coords=20)
 
 
+def test_ffd_matches_the_token_layout_oracle():
+    ffd = rgan.Ffd(6, RandomSource(61), "ffd")
+    init = RandomSource(62)
+    for p in ffd.parameters():
+        p.data = p.data + init.child(zlib.crc32(p.name.encode())).normal(p.shape) * 0.3
+    x = RandomSource(63).normal((6, 4, 5))
+    got = ffd(Tensor(x)).data
+    want = oracles.ffd_tokens(x, ffd.norm.gamma.data, ffd.norm.beta.data, ffd.fc1.weight.data,
+                              ffd.fc1.bias.data, ffd.fc2.weight.data, ffd.fc2.bias.data)
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+def test_ffd_makes_no_structural_nodes(monkeypatch):
+    calls = []
+    for name in ("reshape", "transpose"):
+        def counting(*args, real=getattr(ad, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ad, name, counting)
+    rgan.Ffd(4, RandomSource(64), "ffd")(Tensor(np.ones((4, 2, 3))))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # full model
 
@@ -572,6 +596,23 @@ def test_load_rgan_rejects_malformed_config(tmp_path, edit, key):
     with pytest.raises(ValueError) as err:
         rgan.load_rgan(path)
     assert str(path) in str(err.value) and f"'{key}'" in str(err.value)
+
+
+def test_load_rgan_rejects_a_1x1_conv_qkv_weight(tmp_path):
+    # A qkv projection stored as a [3C, C, 1, 1] conv kernel, the layout
+    # before qkv became a linear map, does not load into a [3C, C] weight.
+    model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=39)
+    c = model.config.attention.channels
+    name = "gal0.sal_hsi.qkv.weight"
+    params = [Parameter(p.data.reshape(3 * c, c, 1, 1), name) if p.name == name else p
+              for p in model.parameters()]
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, "rgan", asdict(model.config), params)
+    with pytest.raises(ValueError) as err:
+        rgan.load_rgan(path)
+    message = str(err.value)
+    assert name in message
+    assert str((3 * c, c, 1, 1)) in message and str((3 * c, c)) in message
 
 
 # ---------------------------------------------------------------------------
