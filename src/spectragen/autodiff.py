@@ -4,8 +4,9 @@ Desk-scale engine: tensors carry no batch axis, every op is explicit, and
 broadcasting is restricted to bias-style addition (trailing-shape or
 size-1 axes). Channels lead: `linear` maps the leading axis, so it mixes
 the channels of a [C,H,W] map per pixel (a 1x1 convolution), and `conv2d`
-is the spatial kernel, in the cross-correlation convention of mainstream
-deep-learning frameworks (no kernel flip). Only a `Parameter` gets a grad.
+is the same-padded spatial kernel, in the cross-correlation convention of
+mainstream deep-learning frameworks (no kernel flip); each adds its bias in
+place, as one graph node. Only a `Parameter` gets a grad.
 
 Inside `with no_grad():` ops record no parents or vjp closures, so
 inference holds no intermediates alive and `backward` has nothing to
@@ -506,67 +507,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # conv2d
 
 
-def _im2col_blocks(x: Array, kh: int, kw: int, padding: int):
-    """Yield (r0, r1, cols) over blocks of output rows of a [C_in,H,W] input.
+def _im2col_blocks(x: Array, k: int):
+    """Yield (r0, r1, cols) over blocks of output rows of a [C_in,H,W] input
+    under a k x k kernel, same-padded by p = (k-1)//2, so the output is [H,W].
 
-    cols is the [C_in*kh*kw, (r1-r0)*W_out] im2col matrix of output rows
-    [r0, r1): its rows are ordered like a flattened [C_in,kh,kw] kernel and
-    its columns like the flattened output rows. Each block is one zeroed
-    [C_in,kh,kw,rows,W_out] buffer into which every tap copies its
-    in-bounds rectangle straight from the unpadded input, so the zeros
-    stand for the padding and no padded copy of x is made; a tap whose
-    rectangle is empty (padding kh-1 around a short block) is skipped.
+    cols is the [C_in*k*k, (r1-r0)*W] im2col matrix of output rows [r0, r1):
+    its rows are ordered like a flattened [C_in,k,k] kernel and its columns
+    like the flattened output rows. Each block is one zeroed [C_in,k,k,rows,W]
+    buffer into which every tap copies its in-bounds rectangle straight from
+    the unpadded input, so the zeros stand for the padding and no padded copy
+    of x is made; a tap whose rectangle is empty (an edge tap of an edge
+    block, or input, of at most p rows) is skipped.
     Blocks hold at most _CONV_BLOCK_ELEMS elements, or one output row.
 
-    _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*kh*kw] kernel
+    _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*k*k] kernel
     matrix. With that operand order BLAS sums each output in the same order
     for every block width, so a blocked result is bit-exact to a
     single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
     kernels, and summation order, with the block width.
     """
     c_in, h, w = x.shape
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    block = max(1, _CONV_BLOCK_ELEMS // (c_in * kh * kw * wo))
-    for r0 in range(0, ho, block):
-        r1 = min(r0 + block, ho)
-        buf = np.zeros((c_in, kh, kw, r1 - r0, wo))
-        for u in range(kh):
-            # Output rows i in [i0, i1) read input rows i + u - padding.
-            i0, i1 = max(r0, padding - u), min(r1, h + padding - u)
+    p = (k - 1) // 2
+    block = max(1, _CONV_BLOCK_ELEMS // (c_in * k * k * w))
+    for r0 in range(0, h, block):
+        r1 = min(r0 + block, h)
+        buf = np.zeros((c_in, k, k, r1 - r0, w))
+        for u in range(k):
+            # Output rows i in [i0, i1) read input rows i + u - p.
+            i0, i1 = max(r0, p - u), min(r1, h + p - u)
             if i0 >= i1:
                 continue
-            for v in range(kw):
-                j0, j1 = max(0, padding - v), min(wo, w + padding - v)
+            for v in range(k):
+                j0, j1 = max(0, p - v), min(w, w + p - v)
                 if j0 < j1:
                     buf[:, u, v, i0 - r0 : i1 - r0, j0:j1] = x[
-                        :, i0 + u - padding : i1 + u - padding, j0 + v - padding : j1 + v - padding
+                        :, i0 + u - p : i1 + u - p, j0 + v - p : j1 + v - p
                     ]
-        yield r0, r1, buf.reshape(-1, (r1 - r0) * wo)
+        yield r0, r1, buf.reshape(-1, (r1 - r0) * w)
 
 
-def _corr2d(x: Array, kernel: Array, padding: int, pair: Array | None = None):
-    """Blocked im2col cross-correlation of [C_in,H,W] with [C_out,C_in,k,k].
+def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
+    """Blocked im2col same-padded cross-correlation of [C_in,H,W] with
+    [C_out,C_in,k,k], giving [C_out,H,W].
 
-    With `pair`, a [C_p, H_out, W_out] array, it returns (out, acc): acc is
-    the [C_in*k*k, C_p] sum over blocks of cols @ pair's matching output
-    rows, taken from the same im2col as out.
+    With `pair`, a [C_p,H,W] array, it returns (out, acc): acc is the
+    [C_in*k*k, C_p] sum over blocks of cols @ pair's matching rows.
     """
     c_in, h, w = x.shape
-    c_out, ck, kh, kw = kernel.shape
+    c_out, ck = kernel.shape[:2]
     if ck != c_in:
         raise ValueError(f"conv2d: kernel expects {ck} input channels, got {c_in}")
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho <= 0 or wo <= 0:
-        raise ValueError("conv2d: kernel larger than padded input")
     # Fortran order keeps blocked results bit-exact; see _im2col_blocks.
     km = np.asfortranarray(kernel.reshape(c_out, -1))
-    out = np.empty((c_out, ho, wo))
+    out = np.empty((c_out, h, w))
     flat = out.reshape(c_out, -1)
     acc = None
-    for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
-        np.matmul(km, cols, out=flat[:, r0 * wo : r1 * wo])
+    for r0, r1, cols in _im2col_blocks(x, kernel.shape[2]):
+        np.matmul(km, cols, out=flat[:, r0 * w : r1 * w])
         if pair is not None:
             part = cols @ pair[:, r0:r1].reshape(pair.shape[0], -1).T
             if acc is None:
@@ -576,27 +573,26 @@ def _corr2d(x: Array, kernel: Array, padding: int, pair: Array | None = None):
     return out if pair is None else (out, acc)
 
 
-def _corr2d_kernel_grad(x: Array, g: Array, kh: int, kw: int, padding: int) -> Array:
+def _corr2d_kernel_grad(x: Array, g: Array, k: int) -> Array:
     c_out = g.shape[0]
     dk = None
-    for r0, r1, cols in _im2col_blocks(x, kh, kw, padding):
+    for r0, r1, cols in _im2col_blocks(x, k):
         part = g[:, r0:r1].reshape(c_out, -1) @ cols.T
         if dk is None:
             dk = part
         else:
             dk += part
-    return dk.reshape(c_out, x.shape[0], kh, kw)
+    return dk.reshape(c_out, x.shape[0], k, k)
 
 
-def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of [C_in,H,W] with a [C_out,C_in,k,k] kernel.
-
-    k must be odd and padding either 0 or (k-1)//2 (same-padding).
+def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """2-D cross-correlation of [C_in,H,W] with a [C_out,C_in,k,k] kernel,
+    k odd and zero-padded by (k-1)//2, plus a [C_out] bias: y is [C_out,H,W].
 
     The kernel gradient is always computed (every kernel is a Parameter).
-    The input gradient correlates g, padded by q = k-1-padding, with the
-    flipped kernel, so it builds the im2col of g; the kernel gradient is
-    then read off that same im2col, since
+    The input gradient correlates g with the flipped kernel, also
+    same-padded, so it builds the im2col of g; the kernel gradient is then
+    read off that same im2col, since
     dk[co,ci,u,v] = sum_ij cols_g[(co,k-1-u,k-1-v), ij] * x[ci].ravel()[ij];
     each block of cols_g covers input rows [r0, r1), the rows of x it pairs
     with. A backward pass then builds one im2col instead of two. When only
@@ -604,28 +600,30 @@ def conv2d(t: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     conv_in and cond_in, RGAN's embed_hsi and embed_rgb), it comes from the
     im2col of x, which has C_in*k*k rows against C_out*k*k for g (27
     against 288 for the 3-band embed_rgb). Building the im2col of g there
-    too made the benchmark's train_diffusion about 5% slower.
+    too made the benchmark's train_diffusion about 5% slower. The bias
+    gradient sums g over rows, then columns, as a broadcast add's vjp does.
     """
-    t, kernel = as_tensor(t), as_tensor(kernel)
-    if t.ndim != 3 or kernel.ndim != 4:
-        raise ValueError("conv2d expects input [C,H,W] and kernel [C_out,C_in,k,k]")
-    kh, kw = kernel.shape[2], kernel.shape[3]
-    if kh != kw or kh % 2 == 0:
+    t, kernel, bias = as_tensor(t), as_tensor(kernel), as_tensor(bias)
+    if t.ndim != 3 or 0 in t.shape[1:] or kernel.ndim != 4:
+        raise ValueError("conv2d expects a non-empty input [C,H,W] and kernel [C_out,C_in,k,k]")
+    c_out, c_in, k, kw = kernel.shape
+    if k != kw or k % 2 == 0:
         raise ValueError("conv2d kernel must be square with odd extent")
-    if padding not in (0, (kh - 1) // 2):
-        raise ValueError(f"conv2d padding must be 0 or {(kh - 1) // 2}")
-    data = _corr2d(t.data, kernel.data, padding)
+    if bias.shape != (c_out,):
+        raise ValueError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
+    data = _corr2d(t.data, kernel.data)
+    data += bias.data[:, None, None]
 
     def vjp(g):
+        gb = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True).reshape(c_out)
         if not t._needs:
-            return ((kernel, _corr2d_kernel_grad(t.data, g, kh, kw, padding)),)
+            return ((kernel, _corr2d_kernel_grad(t.data, g, k)), (bias, gb))
         flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
-        gx, acc = _corr2d(g, flipped, kh - 1 - padding, pair=t.data)
-        c_out, c_in = kernel.shape[:2]
-        gk = acc.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-        return ((t, gx), (kernel, gk))
+        gx, acc = _corr2d(g, flipped, pair=t.data)
+        gk = acc.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        return ((t, gx), (kernel, gk), (bias, gb))
 
-    return _node(data, (t, kernel), vjp)
+    return _node(data, (t, kernel, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -616,8 +616,11 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
     """Two-stage augmentation: RGB SR first, then guided cube SR, then crop.
 
     Returns (patches, manifest_rows); each row records provenance: source
-    cube index, patch origin in the upscaled cube, and the scale.
+    cube index, patch origin in the upscaled cube, and the scale. A scale
+    other than the RGAN's raises ValueError before any sampling.
     """
+    if scale != rgan_model.config.scale:
+        raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     stride = stride if stride is not None else patch_size // 2
     patches: list[HsiCube] = []
     manifest: list[dict] = []

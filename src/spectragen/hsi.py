@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -103,8 +104,8 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian_noise", "downsample"):
             raise DataError(f"unknown degradation kind {self.kind!r}")
-        if self.sigma < 0:
-            raise DataError("sigma must be nonnegative")
+        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < math.inf):
+            raise DataError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
         if self.kind == "downsample" and self.factor not in (2, 4):
             raise DataError("downsample factor must be 2 or 4")
 
@@ -334,6 +335,8 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
     if target is None:
         target, _ = covered_default_grid(cube)
     target = np.asarray(target, dtype=np.float64)
+    if target.ndim != 1 or target.size == 0 or not np.isfinite(target).all():
+        raise DataError(f"target grid must be a non-empty 1-D array of finite values, got {target}")
     src = cube.wavelengths
     if target[0] < src[0] or target[-1] > src[-1]:
         raise DataError(

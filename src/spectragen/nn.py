@@ -57,7 +57,7 @@ def _walk(values) -> list[Parameter]:
 
 
 class Conv2d(Module):
-    """3x3 same-padded convolution plus bias; a 1x1 one is `Linear`."""
+    """`ad.conv2d`: 3x3 same-padded convolution plus bias; 1x1 is `Linear`."""
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, name: str,
                  zero_init: bool = False):
@@ -67,8 +67,7 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(c_out), name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.conv2d(x, self.weight, padding=1)
-        return ad.add(y, ad.reshape(self.bias, (self.bias.shape[0], 1, 1)))
+        return ad.conv2d(x, self.weight, self.bias)
 
 
 class Linear(Module):
@@ -188,12 +187,18 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     return trace
 
 
+def _residual(pred: Tensor, target: Tensor) -> Tensor:
+    if pred.shape != target.shape:
+        raise ValueError(f"loss: prediction shape {pred.shape} != target shape {target.shape}")
+    return ad.sub(pred, target)
+
+
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    return ad.mean(ad.absolute(ad.sub(pred, target)))
+    return ad.mean(ad.absolute(_residual(pred, target)))
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    diff = ad.sub(pred, target)
+    diff = _residual(pred, target)
     return ad.mean(ad.mul(diff, diff))
 
 

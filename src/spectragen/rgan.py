@@ -256,6 +256,8 @@ class RganModel(nn.Module):
 
     def forward(self, lr: Tensor, rgb: Tensor) -> Tensor:
         bands, h, w = lr.shape
+        if bands != self.config.bands:
+            raise ValueError(f"input has {bands} bands, config.bands is {self.config.bands}")
         scale = self.config.scale
         if rgb.shape != (3, h * scale, w * scale):
             raise ValueError(

@@ -23,7 +23,7 @@ def test_conv2d_identity_kernel():
     rng = RandomSource(1)
     x = rand(rng, 1, 6, 7)
     kernel = np.ones((1, 1, 1, 1))
-    y = ad.conv2d(Tensor(x), Tensor(kernel), padding=0)
+    y = ad.conv2d(Tensor(x), Tensor(kernel), Tensor(np.zeros(1)))
     np.testing.assert_array_equal(y.data, x)
 
 
@@ -31,16 +31,17 @@ def test_conv2d_constant_field():
     c = 0.7
     x = np.full((1, 8, 8), c)
     kernel = np.ones((1, 1, 3, 3))
-    y = ad.conv2d(Tensor(x), Tensor(kernel), padding=1).data
-    np.testing.assert_allclose(y[0, 1:-1, 1:-1], 9 * c, atol=1e-14)
+    y = ad.conv2d(Tensor(x), Tensor(kernel), Tensor([0.25])).data
+    np.testing.assert_allclose(y[0, 1:-1, 1:-1], 9 * c + 0.25, atol=1e-14)
 
 
 def test_conv2d_matches_loop_oracle():
     rng = RandomSource(2)
     x = rand(rng, 2, 3, 5)
     kernel = rand(rng, 4, 2, 5, 5)
-    got = ad.conv2d(Tensor(x), Tensor(kernel), padding=2).data
-    want = oracles.conv2d_loops(x, kernel, padding=2)
+    bias = rand(rng, 4)
+    got = ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+    want = oracles.conv2d_loops(x, kernel, padding=2) + bias[:, None, None]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -50,20 +51,18 @@ def test_conv2d_matches_loop_oracle():
     c_out=st.integers(1, 4),
     h=st.integers(3, 8),
     w=st.integers(3, 8),
-    k=st.sampled_from([1, 3]),
-    same=st.booleans(),
+    k=st.sampled_from([1, 3, 5]),
     seed=st.integers(0, 10_000),
 )
-def test_conv2d_oracle_property(c_in, c_out, h, w, k, same, seed):
+def test_conv2d_oracle_property(c_in, c_out, h, w, k, seed):
     rng = RandomSource(seed)
     x = rand(rng, c_in, h, w)
     kernel = rand(rng, c_out, c_in, k, k)
-    padding = (k - 1) // 2 if same else 0
-    got = ad.conv2d(Tensor(x), Tensor(kernel), padding=padding).data
-    want = oracles.conv2d_loops(x, kernel, padding)
+    bias = rand(rng, c_out)
+    got = ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+    want = oracles.conv2d_loops(x, kernel, (k - 1) // 2) + bias[:, None, None]
     np.testing.assert_allclose(got, want, atol=1e-12)
-    if same:
-        assert got.shape == (c_out, h, w)
+    assert got.shape == (c_out, h, w)
 
 
 @settings(deadline=None, max_examples=25)
@@ -72,76 +71,79 @@ def test_conv2d_oracle_property(c_in, c_out, h, w, k, same, seed):
     c_out=st.integers(1, 4),
     h=st.integers(3, 8),
     w=st.integers(3, 8),
-    k=st.sampled_from([1, 3]),
-    same=st.booleans(),
+    k=st.sampled_from([1, 3, 5]),
     seed=st.integers(0, 10_000),
 )
-def test_conv2d_grads_oracle_property(c_in, c_out, h, w, k, same, seed):
+def test_conv2d_grads_oracle_property(c_in, c_out, h, w, k, seed):
     # Unequal channel counts and extents catch a gradient that transposes
     # the kernel's channel axes or the image axes.
     assume(c_in != c_out and h != w)
     rng = RandomSource(seed)
     x = rand(rng, c_in, h, w)
     kernel = rand(rng, c_out, c_in, k, k)
-    padding = (k - 1) // 2 if same else 0
-    g = rand(rng, c_out, h + 2 * padding - k + 1, w + 2 * padding - k + 1)
+    g = rand(rng, c_out, h, w)
     xt, kt = Parameter(x, "x"), Parameter(kernel, "kernel")
-    ad.backward(ad.tsum(ad.mul(ad.conv2d(xt, kt, padding=padding), g)))
-    want_gx, want_gk = oracles.conv2d_grads_loops(x, kernel, g, padding)
+    bt = Parameter(rand(rng, c_out), "bias")
+    ad.backward(ad.tsum(ad.mul(ad.conv2d(xt, kt, bt), g)))
+    want_gx, want_gk = oracles.conv2d_grads_loops(x, kernel, g, (k - 1) // 2)
     np.testing.assert_allclose(xt.grad, want_gx, atol=1e-12)
     np.testing.assert_allclose(kt.grad, want_gk, atol=1e-12)
+    np.testing.assert_allclose(bt.grad, g.sum(axis=(1, 2)), atol=1e-12)
 
 
+# The kernel is 2*padding+1 wide: conv2d pads (k-1)//2 on each side.
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("rows_per_block", [1, 2])
 def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_block):
     rng = RandomSource(3)
+    k = 2 * padding + 1
     x = rand(rng, 3, 7, 6)
-    kernel = rand(rng, 3, 3, 3, 3)
-    ho, wo = 7 + 2 * padding - 2, 6 + 2 * padding - 2
-    g = rand(rng, 3, ho, wo)
+    kernel = rand(rng, 3, 3, k, k)
+    bias = rand(rng, 3)
+    g = rand(rng, 3, 7, 6)
 
     def run():
-        xt, kt = Parameter(x, "x"), Parameter(kernel, "kernel")
-        y = ad.conv2d(xt, kt, padding=padding)
+        xt, kt, bt = Parameter(x, "x"), Parameter(kernel, "kernel"), Parameter(bias, "bias")
+        y = ad.conv2d(xt, kt, bt)
         ad.backward(ad.tsum(ad.mul(y, g)))
-        return y.data, xt.grad, kt.grad
+        return y.data, xt.grad, kt.grad, bt.grad
 
-    y1, gx1, gk1 = run()
+    y1, gx1, gk1, gb1 = run()
     # C_in = C_out, so the forward pass, the input gradient and the kernel
-    # gradient all see C*k*k*W_out elements per output row.
-    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * 3 * 3 * 3 * wo)
-    y, gx, gk = run()
+    # gradient all see C*k*k*W elements per output row.
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * 3 * k * k * 6)
+    y, gx, gk, gb = run()
     np.testing.assert_array_equal(y, y1)
     np.testing.assert_array_equal(gx, gx1)
+    np.testing.assert_array_equal(gb, gb1)
     assert np.max(np.abs(gk - gk1)) <= 1e-12 * np.max(np.abs(gk1))
     want_gx, want_gk = oracles.conv2d_grads_loops(x, kernel, g, padding)
-    np.testing.assert_allclose(y, oracles.conv2d_loops(x, kernel, padding), atol=1e-12)
+    want_y = oracles.conv2d_loops(x, kernel, padding) + bias[:, None, None]
+    np.testing.assert_allclose(y, want_y, atol=1e-12)
     np.testing.assert_allclose(gx, want_gx, atol=1e-12)
     np.testing.assert_allclose(gk, want_gk, atol=1e-12)
 
 
-# Padding 2 around a 3x3 kernel is the input-gradient pass of an unpadded
-# 3x3 conv; with 1-row blocks some taps read no input row at all.
-@pytest.mark.parametrize("k", [1, 3])
+# A k = 2*padding+1 kernel over an input of h rows: on a 1-row input, or
+# in 1-row blocks, the edge taps of a k >= 3 kernel read no input row, so
+# their rectangles are empty and skipped.
+@pytest.mark.parametrize("h", [1, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("rows_per_block", [1, 2, None])
-def test_im2col_blocks_match_the_padded_copy_oracle(monkeypatch, k, padding, rows_per_block):
+def test_im2col_blocks_match_the_padded_copy_oracle(monkeypatch, h, padding, rows_per_block):
     rng = RandomSource(5)
-    c_in, h, w = 2, 5, 4
+    c_in, w, k = 2, 4, 2 * padding + 1
     x = rand(rng, c_in, h, w)
-    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     if rows_per_block is not None:
-        monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * c_in * k * k * wo)
+        monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * c_in * k * k * w)
     want = oracles.im2col_reference(x, k, k, padding)
-    blocks = list(ad._im2col_blocks(x, k, k, padding))
-    assert [r0 for r0, _, _ in blocks] == list(range(0, ho, rows_per_block or ho))
-    assert blocks[-1][1] == ho
+    blocks = list(ad._im2col_blocks(x, k))
+    assert [r0 for r0, _, _ in blocks] == list(range(0, h, rows_per_block or h))
+    assert blocks[-1][1] == h
     for r0, r1, cols in blocks:
-        np.testing.assert_array_equal(cols, want[:, r0 * wo : r1 * wo])
-    if padding in (0, (k - 1) // 2):
-        y = ad.conv2d(Tensor(x), Tensor(rand(rng, 3, c_in, k, k)), padding=padding).data
-        assert y.flags.c_contiguous and y.flags.owndata
+        np.testing.assert_array_equal(cols, want[:, r0 * w : r1 * w])
+    y = ad.conv2d(Tensor(x), Tensor(rand(rng, 3, c_in, k, k)), Tensor(rand(rng, 3))).data
+    assert y.flags.c_contiguous and y.flags.owndata
 
 
 def _record_im2col_blocks(monkeypatch):
@@ -150,10 +152,10 @@ def _record_im2col_blocks(monkeypatch):
     real = ad._im2col_blocks
     calls = []
 
-    def recording(x, kh, kw, padding):
+    def recording(x, k):
         rows = []
         calls.append(rows)
-        for r0, r1, cols in real(x, kh, kw, padding):
+        for r0, r1, cols in real(x, k):
             rows.append(r1 - r0)
             yield r0, r1, cols
 
@@ -163,34 +165,34 @@ def _record_im2col_blocks(monkeypatch):
 
 # A Parameter input reads the kernel gradient off the im2col of g that its
 # input gradient builds; a plain Tensor input takes it from the im2col of x.
+# A tall input and a wide one split into different block counts.
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("tall", [False, True])
 @pytest.mark.parametrize("rows_per_block", [1, 2, None])
-def test_conv2d_kernel_grad_paths_match_the_oracle_and_each_other(monkeypatch, k, same,
+def test_conv2d_kernel_grad_paths_match_the_oracle_and_each_other(monkeypatch, k, tall,
                                                                  rows_per_block):
     rng = RandomSource(18)
-    c_in, c_out, h, w = 2, 3, 7, 5
-    padding = (k - 1) // 2 if same else 0
-    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    c_in, c_out = 2, 3
+    h, w = (7, 5) if tall else (5, 7)
     x = rand(rng, c_in, h, w)
     kernel = rand(rng, c_out, c_in, k, k)
-    g = rand(rng, c_out, ho, wo)
+    g = rand(rng, c_out, h, w)
     calls = _record_im2col_blocks(monkeypatch)
 
-    def kernel_grad(inp, src_rows, row_elems):
+    def kernel_grad(inp, row_elems):
         if rows_per_block is not None:
             monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * row_elems)
         kt = Parameter(kernel, "kernel")
-        ad.backward(ad.tsum(ad.mul(ad.conv2d(inp, kt, padding=padding), g)))
+        ad.backward(ad.tsum(ad.mul(ad.conv2d(inp, kt, Tensor(np.zeros(c_out))), g)))
         # The last im2col built is the one the kernel gradient came from.
-        n = rows_per_block or src_rows
-        assert calls[-1] == [min(n, src_rows - r0) for r0 in range(0, src_rows, n)]
+        n = rows_per_block or h
+        assert calls[-1] == [min(n, h - r0) for r0 in range(0, h, n)]
         return kt.grad
 
-    # The im2col of g spans the input extents, that of x the output extents.
-    from_g = kernel_grad(Parameter(x, "x"), h, c_out * k * k * w)
-    from_x = kernel_grad(Tensor(x), ho, c_in * k * k * wo)
-    _, want = oracles.conv2d_grads_loops(x, kernel, g, padding)
+    # The im2col of g has C_out*k*k rows, that of x C_in*k*k.
+    from_g = kernel_grad(Parameter(x, "x"), c_out * k * k * w)
+    from_x = kernel_grad(Tensor(x), c_in * k * k * w)
+    _, want = oracles.conv2d_grads_loops(x, kernel, g, (k - 1) // 2)
     np.testing.assert_allclose(from_g, want, atol=1e-12)
     np.testing.assert_allclose(from_x, want, atol=1e-12)
     assert np.max(np.abs(from_g - from_x)) <= 1e-12 * np.max(np.abs(from_x))
@@ -202,19 +204,53 @@ def test_conv2d_forward_and_backward_build_two_im2cols(monkeypatch, make_input):
     rng = RandomSource(19)
     x = rand(rng, 2, 6, 5)
     kt = Parameter(rand(rng, 3, 2, 3, 3), "kernel")
+    bt = Parameter(rand(rng, 3), "bias")
     calls = _record_im2col_blocks(monkeypatch)
-    y = ad.conv2d(make_input(x), kt, padding=1)
+    y = ad.conv2d(make_input(x), kt, bt)
     ad.backward(ad.tsum(ad.mul(y, rand(rng, *y.shape))))
     assert len(calls) == 2
 
 
+# The bias was once a separate broadcast add of the reshaped bias; the
+# fused one sums its gradient in the same order, on both vjp paths.
+@pytest.mark.parametrize("make_input", [lambda x: Parameter(x, "x"), Tensor],
+                         ids=["parameter", "tensor"])
+def test_conv2d_bias_matches_the_add_chain(make_input):
+    rng = RandomSource(20)
+    x, kernel, bias = rand(rng, 2, 6, 5), rand(rng, 3, 2, 3, 3), rand(rng, 3)
+    g = rand(rng, 3, 6, 5)
+
+    def run(op):
+        xt, kt, bt = make_input(x), Parameter(kernel, "kernel"), Parameter(bias, "bias")
+        y = op(xt, kt, bt)
+        ad.backward(ad.tsum(ad.mul(y, g)))
+        return y.data, kt.grad, bt.grad, getattr(xt, "grad", None)
+
+    got = run(ad.conv2d)
+    want = run(lambda xt, kt, bt: ad.add(ad.conv2d(xt, kt, Tensor(np.zeros(3))),
+                                         ad.reshape(bt, (3, 1, 1))))
+    for a, e in zip(got, want):
+        np.testing.assert_array_equal(a, e)
+
+
 def test_conv2d_rejects_bad_shapes():
+    bias = Tensor(np.zeros(1))
     with pytest.raises(ValueError):
-        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), bias)
     with pytest.raises(ValueError):
-        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 2, 2))))
+        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 2, 2))), bias)
     with pytest.raises(ValueError):
-        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))), padding=2)
+        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 1))), bias)
+    with pytest.raises(ValueError, match="non-empty"):
+        ad.conv2d(Tensor(np.zeros((2, 0, 4))), Tensor(np.zeros((1, 2, 3, 3))), bias)
+
+
+def test_conv2d_rejects_a_wrong_bias_shape():
+    x, kernel = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ValueError, match=r"\(2,\) != \(3,\)"):
+        ad.conv2d(x, kernel, Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match=r"\(3, 1, 1\) != \(3,\)"):
+        ad.conv2d(x, kernel, Tensor(np.zeros((3, 1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +288,7 @@ def test_linear_extent_mismatch():
 
 def test_linear_on_a_map_matches_a_1x1_conv2d():
     # Channel mixing of a [C,H,W] map: values and the input, weight and
-    # bias gradients of linear match a 1x1 conv2d plus a broadcast bias.
+    # bias gradients of linear match a 1x1 conv2d.
     rng = RandomSource(21)
     x, w, b = rand(rng, 5, 4, 6), rand(rng, 3, 5), rand(rng, 3)
     g = rand(rng, 3, 4, 6)
@@ -264,8 +300,7 @@ def test_linear_on_a_map_matches_a_1x1_conv2d():
         return y.data, xt.grad, wt.grad, bt.grad
 
     got = run(ad.linear)
-    want = run(lambda xt, wt, bt: ad.add(ad.conv2d(xt, ad.reshape(wt, (3, 5, 1, 1))),
-                                         ad.reshape(bt, (3, 1, 1))))
+    want = run(lambda xt, wt, bt: ad.conv2d(xt, ad.reshape(wt, (3, 5, 1, 1)), bt))
     for a, e in zip(got, want):
         assert a.shape == e.shape
         np.testing.assert_allclose(a, e, atol=1e-12, rtol=0)
@@ -465,9 +500,10 @@ def test_gradcheck_composed_ops():
     gamma = Parameter(np.ones(4) + 0.1 * rand(rng, 4), name="gamma")
     beta = Parameter(0.1 * rand(rng, 4), name="beta")
     x = Tensor(rand(rng, 2, 6, 6))
+    b1 = Parameter(rand(rng, 4) * 0.1, name="b1")
 
     def forward():
-        h = ad.conv2d(x, w1, padding=1)
+        h = ad.conv2d(x, w1, b1)
         h = ad.relu(h)
         h = ad.bilinear_resize(h, 3, 3)
         h = ad.layer_norm(h, gamma, beta, axis=0)
@@ -476,7 +512,7 @@ def test_gradcheck_composed_ops():
         att = ad.softmax(h, axis=0)
         return ad.mean(ad.mul(att, h))
 
-    params = [w1, w2, b2, gamma, beta]
+    params = [w1, w2, b2, gamma, beta, b1]
     loss = forward()
     ad.backward(loss)
     oracles.gradcheck(forward, params, RandomSource(7), n_coords=25)

@@ -673,6 +673,16 @@ def test_augment_two_stage_extents_manifest_and_determinism(scale):
         assert p.values.min() >= 0.0 and p.values.max() <= 1.0
 
 
+def test_augment_two_stage_rejects_a_scale_the_rgan_lacks(monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before checking the scale")
+
+    monkeypatch.setattr(df, "dsrnet_super_resolve", sample)
+    with pytest.raises(ValueError, match=re.escape("scale 4 != rgan_model.config.scale 2")):
+        df.augment_two_stage(pipeline_cubes(), pipeline_denoiser(), make_schedule(10),
+                             pipeline_rgan(2), scale=4, patch_size=8, steps=2)
+
+
 def test_augment_two_stage_zero_rgan_patches_are_bilinear_crops():
     # The zero-init RGAN head makes stage two the bilinear upsample,
     # whatever guide stage one produced.

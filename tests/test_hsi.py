@@ -312,6 +312,14 @@ def test_align_rejects_extrapolation():
         hsi.align_wavelengths(cube, np.array([400.0, 500.0]))
 
 
+@pytest.mark.parametrize("target", [[], 500.0, [[500.0, 600.0]], [np.nan], [500.0, np.inf]],
+                         ids=["empty", "0d", "2d", "nan", "inf"])
+def test_align_rejects_a_target_grid_that_is_not_a_non_empty_vector(target):
+    cube = synthetic_cube(10, bands=16, wavelengths=np.linspace(450.0, 900.0, 16))
+    with pytest.raises(DataError, match="target grid"):
+        hsi.align_wavelengths(cube, target)
+
+
 def test_align_default_grid_clips_to_coverage():
     cube = synthetic_cube(11, bands=16, height=4, width=4,
                           wavelengths=np.linspace(450.0, 900.0, 16))
@@ -477,3 +485,9 @@ def test_degradation_spec_validation():
         DegradationSpec("gaussian_noise", sigma=-1.0)
     with pytest.raises(DataError):
         DegradationSpec("downsample", factor=3)
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf, "0.1", None])
+def test_degradation_spec_rejects_a_sigma_that_is_not_a_finite_number(sigma):
+    with pytest.raises(DataError, match="sigma"):
+        DegradationSpec("gaussian_noise", sigma=sigma)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -151,6 +152,15 @@ def test_module_walks_attributes_in_assignment_order():
     assert [p.name for p in Tree().parameters()] == ["late", "c0.w", "c1.w", "bare", "sub.w"]
 
 
+def test_conv2d_layer_records_one_graph_node():
+    conv = nn.Conv2d(2, 3, ad.RandomSource(3), "conv")
+    x = Parameter(ad.RandomSource(4).normal((2, 5, 4)), "x")
+    y = conv(x)
+    assert len(y._parents) == 3
+    assert all(a is b for a, b in zip(y._parents, (x, conv.weight, conv.bias)))
+    np.testing.assert_array_equal(y.data, ad.conv2d(x, conv.weight, conv.bias).data)
+
+
 def weight_bias(*names):
     return [f"{n}.{k}" for n in names for k in ("weight", "bias")]
 
@@ -289,3 +299,11 @@ def test_fit_sums_the_gradients_of_the_parts_of_a_step():
     ad.backward(summed)
     np.testing.assert_array_equal(p.grad, q.grad)
     assert trace == [float(summed.data)]
+
+
+@pytest.mark.parametrize("loss", [nn.l1_loss, nn.mse_loss])
+@pytest.mark.parametrize("target_shape", [(1, 4, 4), (2, 1, 4), (4,)])
+def test_losses_reject_a_target_of_another_shape(loss, target_shape):
+    pred = Parameter(np.zeros((2, 4, 4)), "pred")
+    with pytest.raises(ValueError, match=re.escape(f"(2, 4, 4) != target shape {target_shape}")):
+        loss(pred, Tensor(np.zeros(target_shape)))

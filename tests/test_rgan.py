@@ -653,6 +653,22 @@ def test_train_rgan_empty_pairs():
         rgan.train_rgan([], RganModel(config, seed=45), steps=1)
 
 
+@pytest.mark.parametrize("target_size", [(1, 16, 16), (8, 1, 16)])
+def test_train_rgan_rejects_a_target_of_another_shape(target_size):
+    # An 8-band model against a 1-band or 1-row target cube.
+    config = RganConfig(bands=8, scale=2, attention=small_cfg())
+    lr, rgb, _ = make_pair(52, bands=8)
+    target = HsiCube(np.zeros(target_size), np.linspace(430, 990, target_size[0]))
+    with pytest.raises(ValueError, match="target shape"):
+        rgan.train_rgan([(lr, rgb, target)], RganModel(config, seed=53), steps=1)
+
+
+def test_rgan_forward_names_a_band_count_mismatch():
+    model = RganModel(RganConfig(bands=8, scale=2, attention=small_cfg()), seed=54)
+    with pytest.raises(ValueError, match="5 bands, config.bands is 8"):
+        model.forward(Tensor(np.zeros((5, 8, 8))), Tensor(np.zeros((3, 16, 16))))
+
+
 def test_train_rgan_nan_aborts():
     config = RganConfig(bands=4, scale=2, attention=small_cfg())
     model = RganModel(config, seed=46)
