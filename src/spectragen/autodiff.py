@@ -26,7 +26,8 @@ import numpy as np
 
 Array = np.ndarray
 
-# Block size (in float64 elements) for the im2col buffers used by conv2d.
+# Block size (in float64 elements, halo rows aside) for the row-shift im2col
+# buffers used by conv2d.
 _CONV_BLOCK_ELEMS = 4_000_000
 
 
@@ -508,100 +509,116 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col_blocks(x: Array, k: int):
-    """Yield (r0, r1, cols) over blocks of output rows of a [C_in,H,W] input
+    """Yield (r0, r1, buf) over blocks of output rows of a [C_in,H,W] input
     under a k x k kernel, same-padded by p = (k-1)//2, so the output is [H,W].
 
-    cols is the [C_in*k*k, (r1-r0)*W] im2col matrix of output rows [r0, r1):
-    its rows are ordered like a flattened [C_in,k,k] kernel and its columns
-    like the flattened output rows. Each block is one zeroed [C_in,k,k,rows,W]
-    buffer into which every tap copies its in-bounds rectangle straight from
-    the unpadded input, so the zeros stand for the padding and no padded copy
-    of x is made; a tap whose rectangle is empty (an edge tap of an edge
-    block, or input, of at most p rows) is skipped.
-    Blocks hold at most _CONV_BLOCK_ELEMS elements, or one output row.
-
-    _corr2d multiplies cols by a Fortran-ordered [C_out, C_in*k*k] kernel
-    matrix. With that operand order BLAS sums each output in the same order
-    for every block width, so a blocked result is bit-exact to a
-    single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
-    kernels, and summation order, with the block width.
+    buf is the row-shift im2col of output rows [r0, r1), n = r1-r0 of them:
+    a [C_in*k, (n+k-1)*W] matrix whose row (c, v) holds channel c shifted
+    by v-p columns, over input rows r0-p .. r1+p-1. Kernel row u's im2col,
+    whose rows are ordered like a flattened [C_in,k] kernel row and whose
+    columns like the flattened output rows, is the view
+    buf[:, u*W : u*W + n*W]; BLAS takes it as is (row stride (n+k-1)*W,
+    unit column stride). So a block holds k copies of its input rows, not
+    the k*k of a full im2col. Each shift is copied straight from the
+    unpadded input, and only the padding strips around it are zeroed.
+    Blocks hold at most _CONV_BLOCK_ELEMS elements plus the k-1 halo rows,
+    or one output row.
     """
     c_in, h, w = x.shape
     p = (k - 1) // 2
-    block = max(1, _CONV_BLOCK_ELEMS // (c_in * k * k * w))
+    block = max(1, _CONV_BLOCK_ELEMS // (c_in * k * w))
     for r0 in range(0, h, block):
         r1 = min(r0 + block, h)
-        buf = np.zeros((c_in, k, k, r1 - r0, w))
-        for u in range(k):
-            # Output rows i in [i0, i1) read input rows i + u - p.
-            i0, i1 = max(r0, p - u), min(r1, h + p - u)
-            if i0 >= i1:
-                continue
-            for v in range(k):
-                j0, j1 = max(0, p - v), min(w, w + p - v)
-                if j0 < j1:
-                    buf[:, u, v, i0 - r0 : i1 - r0, j0:j1] = x[
-                        :, i0 + u - p : i1 + u - p, j0 + v - p : j1 + v - p
-                    ]
-        yield r0, r1, buf.reshape(-1, (r1 - r0) * w)
+        rows = r1 - r0 + k - 1
+        buf = np.empty((c_in, k, rows, w))
+        # Buffer row i holds input row r0 - p + i; rows [a, b) are in bounds.
+        a, b = max(0, p - r0), min(rows, h + p - r0)
+        buf[:, :, :a] = 0.0
+        buf[:, :, b:] = 0.0
+        for v in range(k):
+            # Column j reads input column j + v - p; columns [j0, j1) are in bounds.
+            j0 = min(max(0, p - v), w)
+            j1 = max(min(w, w + p - v), j0)
+            buf[:, v, a:b, :j0] = 0.0
+            buf[:, v, a:b, j1:] = 0.0
+            buf[:, v, a:b, j0:j1] = x[:, a + r0 - p : b + r0 - p, j0 + v - p : j1 + v - p]
+        yield r0, r1, buf.reshape(c_in * k, rows * w)
 
 
 def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
-    """Blocked im2col same-padded cross-correlation of [C_in,H,W] with
-    [C_out,C_in,k,k], giving [C_out,H,W].
+    """Blocked row-shift im2col same-padded cross-correlation of [C_in,H,W]
+    with [C_out,C_in,k,k], giving [C_out,H,W].
 
-    With `pair`, a [C_p,H,W] array, it returns (out, acc): acc is the
-    [C_in*k*k, C_p] sum over blocks of cols @ pair's matching rows.
+    Each block's output is the sum over kernel rows u, in order, of kernel
+    row u's [C_out, C_in*k] matrix times its im2col view of buf (see
+    _im2col_blocks): k GEMMs with K = C_in*k, the first written into the
+    output and the others added to it. Each kernel matrix is Fortran
+    ordered: with that operand order BLAS sums each output in the same
+    order for every block width, so a blocked result is bit-exact to a
+    single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
+    kernels, and summation order, with the block width.
+
+    With `pair`, a [C_p,H,W] array, it returns (out, acc): acc[u] is the
+    [C_in*k, C_p] sum over blocks of kernel row u's im2col @ pair's
+    matching rows, one GEMM per kernel row with K = (r1-r0)*W.
     """
     c_in, h, w = x.shape
-    c_out, ck = kernel.shape[:2]
+    c_out, ck, k = kernel.shape[:3]
     if ck != c_in:
         raise ValueError(f"conv2d: kernel expects {ck} input channels, got {c_in}")
-    # Fortran order keeps blocked results bit-exact; see _im2col_blocks.
-    km = np.asfortranarray(kernel.reshape(c_out, -1))
+    kms = [np.asfortranarray(kernel[:, :, u].reshape(c_out, -1)) for u in range(k)]
     out = np.empty((c_out, h, w))
     flat = out.reshape(c_out, -1)
-    acc = None
-    for r0, r1, cols in _im2col_blocks(x, kernel.shape[2]):
-        np.matmul(km, cols, out=flat[:, r0 * w : r1 * w])
+    acc = None if pair is None else np.zeros((k, c_in * k, pair.shape[0]))
+    for r0, r1, buf in _im2col_blocks(x, k):
+        n = (r1 - r0) * w
+        o = flat[:, r0 * w : r1 * w]
+        np.matmul(kms[0], buf[:, :n], out=o)
+        for u in range(1, k):
+            o += kms[u] @ buf[:, u * w : u * w + n]
         if pair is not None:
-            part = cols @ pair[:, r0:r1].reshape(pair.shape[0], -1).T
-            if acc is None:
-                acc = part
-            else:
-                acc += part
+            rows = pair[:, r0:r1].reshape(pair.shape[0], -1).T
+            for u in range(k):
+                acc[u] += buf[:, u * w : u * w + n] @ rows
     return out if pair is None else (out, acc)
 
 
 def _corr2d_kernel_grad(x: Array, g: Array, k: int) -> Array:
-    c_out = g.shape[0]
-    dk = None
-    for r0, r1, cols in _im2col_blocks(x, k):
-        part = g[:, r0:r1].reshape(c_out, -1) @ cols.T
-        if dk is None:
-            dk = part
-        else:
-            dk += part
-    return dk.reshape(c_out, x.shape[0], k, k)
+    """Kernel gradient [C_out,C_in,k,k] of the correlation of x with g, from
+    the im2col of x: one GEMM per kernel row and block."""
+    (c_in, _, w), c_out = x.shape, g.shape[0]
+    dk = np.zeros((k, c_out, c_in * k))
+    for r0, r1, buf in _im2col_blocks(x, k):
+        n = (r1 - r0) * w
+        g2 = g[:, r0:r1].reshape(c_out, -1)
+        for u in range(k):
+            dk[u] += g2 @ buf[:, u * w : u * w + n].T
+    return dk.reshape(k, c_out, c_in, k).transpose(1, 2, 0, 3)
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with a [C_out,C_in,k,k] kernel,
     k odd and zero-padded by (k-1)//2, plus a [C_out] bias: y is [C_out,H,W].
 
+    Every pass lowers its input to the row-shift im2col of _im2col_blocks,
+    k shifted copies of the input rather than k*k, and reads kernel row u's
+    im2col as a strided view of it. Blocked results are bit-exact to
+    single-block ones (see _corr2d).
+
     The kernel gradient is always computed (every kernel is a Parameter).
     The input gradient correlates g with the flipped kernel, also
     same-padded, so it builds the im2col of g; the kernel gradient is then
-    read off that same im2col, since
-    dk[co,ci,u,v] = sum_ij cols_g[(co,k-1-u,k-1-v), ij] * x[ci].ravel()[ij];
-    each block of cols_g covers input rows [r0, r1), the rows of x it pairs
+    read off that same im2col, since, with cols_u the im2col view of kernel
+    row u of g's buffer,
+    dk[co,ci,k-1-u,k-1-v] = sum_ij cols_u[(co,v), ij] * x[ci].ravel()[ij];
+    each block of g covers output rows [r0, r1), the rows of x it pairs
     with. A backward pass then builds one im2col instead of two. When only
     the kernel needs a gradient (a first layer over data: the denoiser's
     conv_in and cond_in, RGAN's embed_hsi and embed_rgb), it comes from the
-    im2col of x, which has C_in*k*k rows against C_out*k*k for g (27
-    against 288 for the 3-band embed_rgb). Building the im2col of g there
-    too made the benchmark's train_diffusion about 5% slower. The bias
-    gradient sums g over rows, then columns, as a broadcast add's vjp does.
+    im2col of x, which has C_in*k rows against C_out*k for g (9 against 96
+    for the 3-band embed_rgb). Building the im2col of g there too made the
+    benchmark's train_diffusion about 5% slower. The bias gradient sums g
+    over rows, then columns, as a broadcast add's vjp does.
     """
     t, kernel, bias = as_tensor(t), as_tensor(kernel), as_tensor(bias)
     if t.ndim != 3 or 0 in t.shape[1:] or kernel.ndim != 4:
@@ -620,7 +637,7 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             return ((kernel, _corr2d_kernel_grad(t.data, g, k)), (bias, gb))
         flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
         gx, acc = _corr2d(g, flipped, pair=t.data)
-        gk = acc.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        gk = acc.reshape(k, c_out, k, c_in)[::-1, :, ::-1].transpose(1, 3, 0, 2)
         return ((t, gx), (kernel, gk), (bias, gb))
 
     return _node(data, (t, kernel, bias), vjp)

@@ -12,6 +12,7 @@ conditioning contributes exactly nothing at initialization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -261,8 +262,15 @@ def _float_array(value, what: str) -> np.ndarray:
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 
 
+def _gray(image: np.ndarray) -> np.ndarray:
+    """Channel mean of a [C,H,W] image; ValueError naming `image` otherwise."""
+    if np.ndim(image) != 3 or 0 in np.shape(image):
+        raise ValueError(f"image must be a non-empty [C,H,W] array, got shape {np.shape(image)}")
+    return image.mean(axis=0)
+
+
 def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
-    gray = image.mean(axis=0)
+    gray = _gray(image)
     padded = np.pad(gray, 1, mode="edge")
     gx = np.zeros_like(gray)
     gy = np.zeros_like(gray)
@@ -292,7 +300,9 @@ def sketch_proxy(image: np.ndarray) -> np.ndarray:
 
 def segmentation_proxy(image: np.ndarray, levels: int = 4) -> np.ndarray:
     """Label map from intensity quantization + 4-connected components."""
-    gray = image.mean(axis=0)
+    if not isinstance(levels, numbers.Integral) or levels < 1:
+        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    gray = _gray(image)
     lo, hi = gray.min(), gray.max()
     quant = np.zeros_like(gray, dtype=int) if hi == lo else \
         np.minimum((levels * (gray - lo) / (hi - lo)).astype(int), levels - 1)
@@ -332,6 +342,7 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("need at least one level")
+        _check_time_dim(self.time_dim)
         for tag, ch in self.cond_slots:
             if tag not in CONDITION_TAGS:
                 raise ValueError(f"unknown condition tag {tag!r}")
@@ -346,7 +357,14 @@ class DenoiserConfig:
         return tuple(self.base_channels * 2**i for i in range(self.levels))
 
 
+def _check_time_dim(dim) -> None:
+    # The embedding is a sin half and a cos half.
+    if not isinstance(dim, numbers.Integral) or dim < 2 or dim % 2:
+        raise ValueError(f"time_dim must be an even integer >= 2, got {dim!r}")
+
+
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
+    _check_time_dim(dim)
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     ang = t * freqs

@@ -411,6 +411,8 @@ def extract_rgb(cube: HsiCube) -> RgbBands:
 
 
 def area_downsample(values: np.ndarray, factor: int) -> np.ndarray:
+    if not isinstance(factor, numbers.Integral) or factor < 1:
+        raise DataError(f"factor must be a positive integer, got {factor!r}")
     b, h, w = values.shape
     if h % factor or w % factor:
         raise DataError(f"extents {h}x{w} not divisible by factor {factor}")

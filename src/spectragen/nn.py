@@ -105,6 +105,10 @@ class Adam:
                  betas: tuple[float, float] = (0.9, 0.999),
                  lr_mults: list[float] | None = None):
         self.params = list(params)
+        if not self.params:
+            raise ValueError("Adam needs at least one parameter in params")
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.lr_mults = list(lr_mults) if lr_mults is not None else [1.0] * len(self.params)

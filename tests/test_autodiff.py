@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -110,8 +111,8 @@ def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_bloc
 
     y1, gx1, gk1, gb1 = run()
     # C_in = C_out, so the forward pass, the input gradient and the kernel
-    # gradient all see C*k*k*W elements per output row.
-    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * 3 * k * k * 6)
+    # gradient all see C*k*W buffer elements per output row.
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * 3 * k * 6)
     y, gx, gk, gb = run()
     np.testing.assert_array_equal(y, y1)
     np.testing.assert_array_equal(gx, gx1)
@@ -124,9 +125,9 @@ def test_conv2d_blocked_matches_single_block(monkeypatch, padding, rows_per_bloc
     np.testing.assert_allclose(gk, want_gk, atol=1e-12)
 
 
-# A k = 2*padding+1 kernel over an input of h rows: on a 1-row input, or
-# in 1-row blocks, the edge taps of a k >= 3 kernel read no input row, so
-# their rectangles are empty and skipped.
+# A k = 2*padding+1 kernel over an input of h rows: on a 1-row input
+# (h < k), or in 1-row blocks, a block's k-1 halo rows (2 on each side for
+# k = 5) lie partly or wholly in the padding.
 @pytest.mark.parametrize("h", [1, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("rows_per_block", [1, 2, None])
@@ -135,29 +136,35 @@ def test_im2col_blocks_match_the_padded_copy_oracle(monkeypatch, h, padding, row
     c_in, w, k = 2, 4, 2 * padding + 1
     x = rand(rng, c_in, h, w)
     if rows_per_block is not None:
-        monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * c_in * k * k * w)
-    want = oracles.im2col_reference(x, k, k, padding)
+        monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * c_in * k * w)
+    want = oracles.im2col_reference(x, k, k, padding).reshape(c_in, k, k, h * w)
     blocks = list(ad._im2col_blocks(x, k))
     assert [r0 for r0, _, _ in blocks] == list(range(0, h, rows_per_block or h))
     assert blocks[-1][1] == h
-    for r0, r1, cols in blocks:
-        np.testing.assert_array_equal(cols, want[:, r0 * w : r1 * w])
+    for r0, r1, buf in blocks:
+        n = (r1 - r0) * w
+        assert buf.shape == (c_in * k, (r1 - r0 + k - 1) * w)
+        # Kernel row u's im2col is the view of buf u rows down; together the
+        # views cover every buffer row.
+        for u in range(k):
+            np.testing.assert_array_equal(buf[:, u * w : u * w + n],
+                                          want[:, u, :, r0 * w : r1 * w].reshape(c_in * k, n))
     y = ad.conv2d(Tensor(x), Tensor(rand(rng, 3, c_in, k, k)), Tensor(rand(rng, 3))).data
     assert y.flags.c_contiguous and y.flags.owndata
 
 
 def _record_im2col_blocks(monkeypatch):
-    """Replace ad._im2col_blocks by a wrapper; returns, per call, the row
-    count of each block it yielded."""
+    """Replace ad._im2col_blocks by a wrapper; returns, per call, the
+    (output rows, buffer shape) of each block it yielded."""
     real = ad._im2col_blocks
     calls = []
 
     def recording(x, k):
-        rows = []
-        calls.append(rows)
-        for r0, r1, cols in real(x, k):
-            rows.append(r1 - r0)
-            yield r0, r1, cols
+        blocks = []
+        calls.append(blocks)
+        for r0, r1, buf in real(x, k):
+            blocks.append((r1 - r0, buf.shape))
+            yield r0, r1, buf
 
     monkeypatch.setattr(ad, "_im2col_blocks", recording)
     return calls
@@ -179,19 +186,21 @@ def test_conv2d_kernel_grad_paths_match_the_oracle_and_each_other(monkeypatch, k
     g = rand(rng, c_out, h, w)
     calls = _record_im2col_blocks(monkeypatch)
 
-    def kernel_grad(inp, row_elems):
+    def kernel_grad(inp, channels):
         if rows_per_block is not None:
-            monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * row_elems)
+            monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows_per_block * channels * k * w)
         kt = Parameter(kernel, "kernel")
         ad.backward(ad.tsum(ad.mul(ad.conv2d(inp, kt, Tensor(np.zeros(c_out))), g)))
-        # The last im2col built is the one the kernel gradient came from.
+        # The last im2col built is the one the kernel gradient came from:
+        # [channels*k, (rows+k-1)*W] per block.
         n = rows_per_block or h
-        assert calls[-1] == [min(n, h - r0) for r0 in range(0, h, n)]
+        rows = [min(n, h - r0) for r0 in range(0, h, n)]
+        assert calls[-1] == [(r, (channels * k, (r + k - 1) * w)) for r in rows]
         return kt.grad
 
-    # The im2col of g has C_out*k*k rows, that of x C_in*k*k.
-    from_g = kernel_grad(Parameter(x, "x"), c_out * k * k * w)
-    from_x = kernel_grad(Tensor(x), c_in * k * k * w)
+    # The im2col of g has C_out*k rows, that of x C_in*k.
+    from_g = kernel_grad(Parameter(x, "x"), c_out)
+    from_x = kernel_grad(Tensor(x), c_in)
     _, want = oracles.conv2d_grads_loops(x, kernel, g, (k - 1) // 2)
     np.testing.assert_allclose(from_g, want, atol=1e-12)
     np.testing.assert_allclose(from_x, want, atol=1e-12)
@@ -209,6 +218,33 @@ def test_conv2d_forward_and_backward_build_two_im2cols(monkeypatch, make_input):
     y = ad.conv2d(make_input(x), kt, bt)
     ad.backward(ad.tsum(ad.mul(y, rand(rng, *y.shape))))
     assert len(calls) == 2
+
+
+# The benchmark's largest denoiser conv, 48 -> 16 channels at 64x64: its
+# full [C_in*k*k, H*W] im2col would take 14.2 MB.
+def test_conv2d_peak_memory_is_under_half_the_full_im2col(monkeypatch):
+    rng = RandomSource(22)
+    c_in, c_out, h, w, k = 48, 16, 64, 64, 3
+    x, kernel, bias = rand(rng, c_in, h, w), rand(rng, c_out, c_in, k, k), rand(rng, c_out)
+    calls = _record_im2col_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= c_in * k * k * h * w * x.itemsize / 2
+    # Each block buffer holds at most _CONV_BLOCK_ELEMS elements plus the
+    # k-1 halo rows, here and when the rows split into blocks.
+    limits = [ad._CONV_BLOCK_ELEMS, 10 * c_in * k * w + 1]
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", limits[1])
+    ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
+    assert [len(blocks) for blocks in calls] == [1, 7]
+    halo = c_in * k * (k - 1) * w
+    for limit, blocks in zip(limits, calls):
+        for _, shape in blocks:
+            assert shape[0] * shape[1] <= limit + halo
 
 
 # The bias was once a separate broadcast add of the reshaped bias; the

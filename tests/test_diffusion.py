@@ -283,6 +283,19 @@ def test_segmentation_proxy_labels_connected_regions():
     assert seg[0, 0, 0] != seg[0, 0, 3]
 
 
+@pytest.mark.parametrize("proxy", [df.edge_proxy, df.sketch_proxy, df.segmentation_proxy])
+@pytest.mark.parametrize("shape", [(8, 8), (3, 0, 8)])
+def test_condition_proxies_reject_an_image_that_is_not_a_cube(proxy, shape):
+    with pytest.raises(ValueError, match="image"):
+        proxy(np.zeros(shape))
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_segmentation_proxy_rejects_levels_below_one(levels):
+    with pytest.raises(ValueError, match="levels"):
+        df.segmentation_proxy(synthetic_rgb(7, 8, 8), levels=levels)
+
+
 # ---------------------------------------------------------------------------
 # denoiser + zero-convolution contract
 
@@ -350,6 +363,14 @@ def test_global_embedding_of_the_wrong_length_rejected(length):
     stack = ConditionStack(global_embedding=np.ones(length))
     with pytest.raises(ValueError, match=f"global_embedding has length {length}.*global_dim 5"):
         model.predict(np.zeros((2, 8, 8)), 1, stack)
+
+
+@pytest.mark.parametrize("time_dim", [3, 1, 0])
+def test_time_dim_must_be_even_and_at_least_two(time_dim):
+    with pytest.raises(ValueError, match="time_dim"):
+        df.sinusoidal_embedding(5, time_dim)
+    with pytest.raises(ValueError, match="time_dim"):
+        tiny_config(time_dim=time_dim)
 
 
 def test_denoiser_rejects_bad_extents():

@@ -478,6 +478,12 @@ def test_degrade_factor_must_divide():
         hsi.degrade(cube, DegradationSpec("downsample", factor=2))
 
 
+@pytest.mark.parametrize("factor", [0, -2])
+def test_area_downsample_rejects_a_factor_below_one(factor):
+    with pytest.raises(DataError, match="factor"):
+        hsi.area_downsample(np.zeros((1, 4, 4)), factor)
+
+
 def test_degradation_spec_validation():
     with pytest.raises(DataError):
         DegradationSpec("blur")

@@ -198,6 +198,17 @@ def test_denoiser_parameter_order_is_pinned():
         + block("cond0") + block("cond1") + weight_bias("zero0", "zero1", "zero_out"))
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.inf, np.nan])
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="lr"):
+        nn.Adam([Parameter(np.zeros(2), "p")], lr=lr)
+
+
+def test_adam_rejects_an_empty_parameter_list():
+    with pytest.raises(ValueError, match="params"):
+        nn.Adam([], lr=0.1)
+
+
 # ---------------------------------------------------------------------------
 # fit: the training loop
 
