@@ -12,7 +12,6 @@ conditioning contributes exactly nothing at initialization.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import RandomSource, Tensor
-from .hsi import HsiCube, crop_patches, extract_rgb, iter_patches
+from .hsi import HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter_patches
 from .rgan import RganModel, rgan_forward
 
 CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres", "custom")
@@ -48,7 +47,7 @@ class NoiseSchedule:
         return len(self.alpha)
 
     def alpha_bar_at(self, t: int) -> float:
-        if not 0 <= t <= self.timesteps:
+        if check_int(t, "timestep", low=0) > self.timesteps:
             raise ValueError(f"timestep {t} outside [0, {self.timesteps}]")
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
@@ -56,8 +55,7 @@ class NoiseSchedule:
 def make_schedule(timesteps: int = 1000, beta_start: float = 1e-4,
                   beta_end: float = 2e-2) -> NoiseSchedule:
     """Linear beta schedule; alpha_t = 1 - beta_t, alpha_bar by product."""
-    if timesteps < 1:
-        raise ValueError("need at least one timestep")
+    timesteps = check_int(timesteps, "timesteps")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(f"invalid beta range [{beta_start}, {beta_end}]")
     beta = np.linspace(beta_start, beta_end, timesteps)
@@ -77,17 +75,17 @@ def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray,
 def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
               schedule: NoiseSchedule) -> np.ndarray:
     """Deterministic reverse update from t to t_prev (no stochastic term)."""
-    if not t_prev < t:
-        raise ValueError(f"t_prev {t_prev} must be below t {t}")
     ab_t = schedule.alpha_bar_at(t)
     ab_p = schedule.alpha_bar_at(t_prev)
+    if not t_prev < t:
+        raise ValueError(f"t_prev {t_prev} must be below t {t}")
     z0_hat = (z_t - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
     return np.sqrt(ab_p) * z0_hat + np.sqrt(1.0 - ab_p) * eps_hat
 
 
 def timestep_subsequence(timesteps: int, steps: int) -> np.ndarray:
     """Evenly spaced t values from T down to 0, inclusive (steps+1 points)."""
-    if not 1 <= steps <= timesteps:
+    if check_int(steps, "steps") > check_int(timesteps, "timesteps"):
         raise ValueError(f"steps {steps} outside [1, {timesteps}]")
     ts = np.rint(np.linspace(timesteps, 0, steps + 1)).astype(int)
     if np.any(np.diff(ts) >= 0):
@@ -118,9 +116,7 @@ class SpaceToDepthCodec:
     kind = "space_to_depth"
 
     def __init__(self, factor: int = 2):
-        if factor < 1:
-            raise ValueError("factor must be positive")
-        self.factor = factor
+        self.factor = check_int(factor, "factor")
 
     def encode(self, image: np.ndarray) -> np.ndarray:
         c, h, w = image.shape
@@ -156,8 +152,8 @@ class TinyAutoencoder(nn.Module):
 
     def __init__(self, image_channels: int, latent_channels: int,
                  factor: int = 2, seed: int = 0):
-        self.image_channels = image_channels
-        self.latent_channels = latent_channels
+        self.image_channels = check_int(image_channels, "image_channels")
+        self.latent_channels = check_int(latent_channels, "latent_channels")
         self.factor = factor
         self._s2d = SpaceToDepthCodec(factor)
         rng = RandomSource(seed)
@@ -224,37 +220,27 @@ class ConditionStack:
     def __post_init__(self):
         if not isinstance(self.spatial, dict):
             raise ValueError(f"condition spatial must be a dict, got {type(self.spatial).__name__}")
-        self.spatial = {tag: _float_array(cmap, f"condition {tag}")
+        self.spatial = {tag: chw_array(cmap, f"condition {tag}")
                         for tag, cmap in self.spatial.items()}
         extents = None
         for tag, cmap in self.spatial.items():
             if tag not in CONDITION_TAGS:
                 raise ValueError(f"unknown condition tag {tag!r}")
-            if cmap.ndim != 3 or 0 in cmap.shape:
-                raise ValueError(f"condition {tag} must be a non-empty (channels, H, W) map")
-            if not np.all(np.isfinite(cmap)):
-                raise ValueError(f"condition {tag} contains non-finite values")
             if extents is None:
                 extents = cmap.shape[1:]
             elif cmap.shape[1:] != extents:
                 raise ValueError("all spatial condition maps must share extents")
         if self.global_embedding is not None:
-            g = _float_array(self.global_embedding, "condition global_embedding")
+            what = "condition global_embedding"
+            try:
+                g = np.asarray(self.global_embedding, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{what} is not a numeric array: {err}") from err
             if g.ndim != 1 or g.size == 0:
-                raise ValueError("condition global_embedding must be a non-empty 1-D vector, "
-                                 f"got shape {g.shape}")
+                raise ValueError(f"{what} must be a non-empty 1-D vector, got shape {g.shape}")
             if not np.all(np.isfinite(g)):
-                raise ValueError("condition global_embedding contains non-finite values")
+                raise ValueError(f"{what} contains non-finite values")
             self.global_embedding = g
-
-
-def _float_array(value, what: str) -> np.ndarray:
-    """value as a float64 array; ValueError naming `what` when it is ragged
-    or not numeric."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{what} is not a numeric array: {err}") from err
 
 
 # Built-in proxies so tests need no pretrained extractors.
@@ -264,9 +250,7 @@ _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 
 def _gray(image: np.ndarray) -> np.ndarray:
     """Channel mean of a [C,H,W] image; ValueError naming `image` otherwise."""
-    if np.ndim(image) != 3 or 0 in np.shape(image):
-        raise ValueError(f"image must be a non-empty [C,H,W] array, got shape {np.shape(image)}")
-    return image.mean(axis=0)
+    return chw_array(image, "image").mean(axis=0)
 
 
 def _gradient_magnitude(image: np.ndarray) -> np.ndarray:
@@ -300,8 +284,7 @@ def sketch_proxy(image: np.ndarray) -> np.ndarray:
 
 def segmentation_proxy(image: np.ndarray, levels: int = 4) -> np.ndarray:
     """Label map from intensity quantization + 4-connected components."""
-    if not isinstance(levels, numbers.Integral) or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    levels = check_int(levels, "levels")
     gray = _gray(image)
     lo, hi = gray.min(), gray.max()
     quant = np.zeros_like(gray, dtype=int) if hi == lo else \
@@ -340,14 +323,14 @@ class DenoiserConfig:
     global_dim: int = 0
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("need at least one level")
+        for name in ("latent_channels", "base_channels", "levels"):
+            check_int(getattr(self, name), name)
+        check_int(self.global_dim, "global_dim", low=0)
         _check_time_dim(self.time_dim)
         for tag, ch in self.cond_slots:
             if tag not in CONDITION_TAGS:
                 raise ValueError(f"unknown condition tag {tag!r}")
-            if ch < 1:
-                raise ValueError("condition slot needs at least one channel")
+            check_int(ch, f"condition slot {tag} channels")
         tags = [t for t, _ in self.cond_slots]
         if len(tags) != len(set(tags)):
             raise ValueError("duplicate condition tags")
@@ -359,8 +342,8 @@ class DenoiserConfig:
 
 def _check_time_dim(dim) -> None:
     # The embedding is a sin half and a cos half.
-    if not isinstance(dim, numbers.Integral) or dim < 2 or dim % 2:
-        raise ValueError(f"time_dim must be an even integer >= 2, got {dim!r}")
+    if check_int(dim, "time_dim", low=2) % 2:
+        raise ValueError(f"time_dim must be even, got {dim!r}")
 
 
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
@@ -563,8 +546,7 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
     """
     if len(latents) == 0:
         raise ValueError("empty training set")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    check_int(batch_size, "batch_size")
     if conditions is not None and len(conditions) != len(latents):
         raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} latents; "
                          "need one per latent")
@@ -615,10 +597,7 @@ def dsrnet_super_resolve(lr_rgb: np.ndarray, model: ConditionalDenoiser,
     if scale not in (2, 4):
         raise ValueError("scale must be 2 or 4")
     codec = codec if codec is not None else IdentityCodec()
-    lr_rgb = np.asarray(lr_rgb, dtype=np.float64)
-    if lr_rgb.ndim != 3 or 0 in lr_rgb.shape:
-        raise ValueError("lr_rgb must be a non-empty (channels, H, W) array, "
-                         f"got shape {lr_rgb.shape}")
+    lr_rgb = chw_array(lr_rgb, "lr_rgb")
     _, h, w = lr_rgb.shape
     upsampled = ad.bilinear_resize_array(lr_rgb, h * scale, w * scale)
     cond = ConditionStack({"lowres": upsampled})
@@ -639,7 +618,8 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
     """
     if scale != rgan_model.config.scale:
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
-    stride = stride if stride is not None else patch_size // 2
+    check_int(patch_size, "patch_size")
+    stride = check_int(stride, "stride") if stride is not None else patch_size // 2
     patches: list[HsiCube] = []
     manifest: list[dict] = []
     for ci, cube in enumerate(cubes):

@@ -41,6 +41,30 @@ class DataError(ValueError):
     """Malformed file or inconsistent data."""
 
 
+def check_int(value, name: str, low: int = 1) -> int:
+    """value as an int; DataError naming `name` and the value unless it is
+    an integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def chw_array(value, name: str) -> np.ndarray:
+    """value as a float64 [C,H,W] array; DataError naming `name` when it is
+    ragged or not numeric, not 3-D, has an empty extent or a non-finite
+    value."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"{name} is not a numeric array: {err}") from err
+    if array.ndim != 3 or 0 in array.shape:
+        raise DataError(f"{name} must be a [C,H,W] array with non-empty extents, "
+                        f"got shape {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise DataError(f"{name} contains non-finite values")
+    return array
+
+
 @dataclass
 class HsiCube:
     """Reflectance cube with per-band wavelengths.
@@ -53,12 +77,8 @@ class HsiCube:
     wavelengths: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = chw_array(self.values, "cube values")
         self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise DataError(f"cube values must be (bands, height, width), got {self.values.shape}")
-        if 0 in self.values.shape:
-            raise DataError(f"cube extents must be positive, got {self.values.shape}")
         if self.wavelengths.ndim != 1 or len(self.wavelengths) != self.values.shape[0]:
             raise DataError(
                 f"wavelength count {self.wavelengths.shape} does not match "
@@ -66,8 +86,6 @@ class HsiCube:
             )
         if len(self.wavelengths) > 1 and not np.all(np.diff(self.wavelengths) > 0):
             raise DataError("wavelengths must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("cube contains non-finite values")
 
     @property
     def bands(self) -> int:
@@ -106,7 +124,7 @@ class DegradationSpec:
             raise DataError(f"unknown degradation kind {self.kind!r}")
         if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < math.inf):
             raise DataError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
-        if self.kind == "downsample" and self.factor not in (2, 4):
+        if self.kind == "downsample" and check_int(self.factor, "factor") not in (2, 4):
             raise DataError("downsample factor must be 2 or 4")
 
 
@@ -199,9 +217,7 @@ def _read_hsc(path) -> HsiCube:
         if header["layout"] != "bsq":
             raise DataError(f"{path}: unsupported layout {header['layout']!r}")
         for key in ("height", "width", "bands"):
-            value = header[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-                raise DataError(f"{path}: header {key!r} must be a positive integer, got {value!r}")
+            check_int(header[key], f"{path}: header {key!r}")
         wavelengths = header["wavelengths_nm"]
         if not isinstance(wavelengths, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -240,12 +256,10 @@ def _parse_envi_header(text: str, path) -> dict:
 def _envi_extent(fields: dict, key: str, path) -> int:
     text = fields[key]
     try:
-        value = int(text) if text.isascii() and text.isdigit() else 0
+        value = int(text) if text.isascii() and text.isdigit() else text
     except ValueError:  # more digits than int() converts
-        value = 0
-    if value <= 0:
-        raise DataError(f"{path}: ENVI header {key!r} must be a positive integer, got {text!r}")
-    return value
+        value = text
+    return check_int(value, f"{path}: ENVI header {key!r}")
 
 
 def _envi_wavelengths(fields: dict, path) -> np.ndarray:
@@ -361,12 +375,10 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
 
 def patch_grid(height: int, width: int, size: int, stride: int) -> PatchGrid:
     """Patch origins for a size/stride sliding crop, row-major order."""
-    if size < 1:
-        raise DataError(f"patch size must be positive, got {size}")
+    for name, value in (("height", height), ("width", width), ("size", size), ("stride", stride)):
+        check_int(value, name)
     if size > height or size > width:
         raise DataError(f"patch size {size} exceeds extents {height}x{width}")
-    if stride <= 0:
-        raise DataError("stride must be positive")
     rows = (height - size) // stride + 1
     cols = (width - size) // stride + 1
     origins = [(r * stride, c * stride) for r in range(rows) for c in range(cols)]
@@ -411,8 +423,8 @@ def extract_rgb(cube: HsiCube) -> RgbBands:
 
 
 def area_downsample(values: np.ndarray, factor: int) -> np.ndarray:
-    if not isinstance(factor, numbers.Integral) or factor < 1:
-        raise DataError(f"factor must be a positive integer, got {factor!r}")
+    factor = check_int(factor, "factor")
+    values = chw_array(values, "values")
     b, h, w = values.shape
     if h % factor or w % factor:
         raise DataError(f"extents {h}x{w} not divisible by factor {factor}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, RandomSource, Tensor
-from .hsi import read_container, write_container
+from .hsi import check_int, read_container, write_container
 
 CHECKPOINT_MAGIC = b"SGCKPT\x00\x01"
 CHECKPOINT_FORMAT = "spectragen-checkpoint-v1"
@@ -163,12 +163,11 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     The learning rate is the optimizer's rate at entry times
     `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
     least one step), cosine tail over the last `tail_frac`; with both 0 it
-    stays constant. A negative `steps` raises ValueError; a non-finite part
-    (before its backward) or gradient (before the update) NumericalFailure
-    naming the step.
+    stays constant. A `steps` below 0 or not an int raises ValueError; a
+    non-finite part (before its backward) or gradient (before the update)
+    NumericalFailure naming the step.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    check_int(steps, "steps", low=0)
     base = opt.lr
     warmup = max(int(steps * warmup_frac), 1)
     tail_start = int(steps * (1.0 - tail_frac))
@@ -224,12 +223,11 @@ def _manifest_entry(path, i: int, entry) -> tuple[str, tuple[int, ...]]:
     """(name, shape) of parameter entry i of a checkpoint manifest."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise ValueError(f"{path}: checkpoint parameter entry {i} has no string 'name'")
+    what = f"{path}: checkpoint parameter {entry['name']!r} 'shape'"
     shape = entry.get("shape")
-    if not isinstance(shape, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
-        raise ValueError(f"{path}: checkpoint parameter {entry['name']!r} has 'shape' {shape!r}, "
-                         "expected a list of non-negative integers")
-    return entry["name"], tuple(shape)
+    if not isinstance(shape, list):
+        raise ValueError(f"{what} is {shape!r}, expected a list of non-negative integers")
+    return entry["name"], tuple(check_int(n, f"{what} entry", low=0) for n in shape)
 
 
 def load_checkpoint(path):

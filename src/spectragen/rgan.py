@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, RandomSource, Tensor
-from .hsi import HsiCube
+from .hsi import HsiCube, check_int, chw_array
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,14 @@ class AttentionConfig:
     layers: int = 2
 
     def __post_init__(self):
-        for name, extents in (("channels", (self.channels,)), ("heads", (self.heads,)),
-                              ("window_h", self.window_h), ("window_v", self.window_v)):
-            if min(extents) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("channels", "heads", "layers"):
+            check_int(getattr(self, name), name)
+        for name in ("window_h", "window_v"):
+            window = getattr(self, name)
+            if not (isinstance(window, tuple) and len(window) == 2):
+                raise ValueError(f"{name} must be a pair of integers, got {window!r}")
+            for extent in window:
+                check_int(extent, f"{name} extent")
         if self.channels % 2:
             raise ValueError("channels must be even (spectral split into halves)")
         if self.channels % (2 * self.heads):
@@ -43,8 +47,6 @@ class AttentionConfig:
             raise ValueError(f"horizontal window must be wide, got {self.window_h}")
         if self.window_v[0] < self.window_v[1]:
             raise ValueError(f"vertical window must be tall, got {self.window_v}")
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
 
     @property
     def row_divisor(self) -> int:
@@ -62,6 +64,7 @@ class RganConfig:
     attention: AttentionConfig = field(default_factory=lambda: AttentionConfig(16))
 
     def __post_init__(self):
+        check_int(self.bands, "bands")
         if self.scale not in (2, 4):
             raise ValueError("scale must be 2 or 4")
 
@@ -158,7 +161,8 @@ class Rca(nn.Module):
     inputs are the same tensor (`Rca(z, z)`), the projection and the
     attention run once and the one map is returned for both streams: equal
     inputs give equal streams, so the values are those of the two-stream
-    path.
+    path. With `both=False` only z1_hat is computed, and None stands in for
+    z2_hat.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
@@ -170,7 +174,8 @@ class Rca(nn.Module):
         self.pos_h = Parameter(np.zeros((cfg.heads, th, th)), name=f"{name}.pos_h")
         self.pos_v = Parameter(np.zeros((cfg.heads, tv, tv)), name=f"{name}.pos_v")
 
-    def __call__(self, z1: Tensor, z2: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, z1: Tensor, z2: Tensor, *,
+                 both: bool = True) -> tuple[Tensor, Tensor | None]:
         if z1.shape != z2.shape:
             raise ValueError(f"stream shapes differ: {z1.shape} vs {z2.shape}")
         shared = (self.cfg, self.pos_h, self.pos_v)
@@ -179,7 +184,8 @@ class Rca(nn.Module):
             z_hat = window_attention(q1, k1, v1, *shared)
             return z_hat, z_hat
         q2, k2, v2 = ad.split(self.qkv(z2), 3, axis=0)
-        return window_attention(q2, k1, v1, *shared), window_attention(q1, k2, v2, *shared)
+        z1_hat = window_attention(q2, k1, v1, *shared)
+        return z1_hat, window_attention(q1, k2, v2, *shared) if both else None
 
 
 class SpectralGate(nn.Module):
@@ -215,7 +221,15 @@ class Ffd(nn.Module):
 
 
 class Gal(nn.Module):
-    """Guided attention layer: SAL, CAL, SpecAL, FFD, residual each."""
+    """Guided attention layer: SAL, CAL, SpecAL, FFD, residual each.
+
+    With `rgb_out=False` the RGB stream stops after its SAL, which feeds
+    the CAL queries of the HSI stream, and None is returned in its place:
+    RganModel's last layer, whose RGB output its head never reads. That
+    layer's spec_rgb and ffd_rgb then get no gradient, so Adam leaves them
+    bit-identical; they stay so that every parameter keeps its name, shape
+    and checkpoint order.
+    """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
         self.sal_hsi = Rca(cfg, rng.child(0), f"{name}.sal_hsi")
@@ -226,15 +240,18 @@ class Gal(nn.Module):
         self.ffd_hsi = Ffd(cfg.channels, rng.child(5), f"{name}.ffd_hsi")
         self.ffd_rgb = Ffd(cfg.channels, rng.child(6), f"{name}.ffd_rgb")
 
-    def __call__(self, hsi_feat: Tensor, rgb_feat: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, hsi_feat: Tensor, rgb_feat: Tensor, *,
+                 rgb_out: bool = True) -> tuple[Tensor, Tensor | None]:
         hsi_feat = ad.add(hsi_feat, self.sal_hsi(hsi_feat, hsi_feat)[0])
         rgb_feat = ad.add(rgb_feat, self.sal_rgb(rgb_feat, rgb_feat)[0])
-        d_hsi, d_rgb = self.cal(hsi_feat, rgb_feat)
+        d_hsi, d_rgb = self.cal(hsi_feat, rgb_feat, both=rgb_out)
         hsi_feat = ad.add(hsi_feat, d_hsi)
-        rgb_feat = ad.add(rgb_feat, d_rgb)
         hsi_feat = ad.add(hsi_feat, self.spec_hsi(hsi_feat))
-        rgb_feat = ad.add(rgb_feat, self.spec_rgb(rgb_feat))
         hsi_feat = ad.add(hsi_feat, self.ffd_hsi(hsi_feat))
+        if not rgb_out:
+            return hsi_feat, None
+        rgb_feat = ad.add(rgb_feat, d_rgb)
+        rgb_feat = ad.add(rgb_feat, self.spec_rgb(rgb_feat))
         rgb_feat = ad.add(rgb_feat, self.ffd_rgb(rgb_feat))
         return hsi_feat, rgb_feat
 
@@ -273,8 +290,8 @@ class RganModel(nn.Module):
         upsampled = ad.bilinear_resize(lr, hh, ww)
         hsi_feat = ad.bilinear_resize(self.embed_hsi(lr), hh, ww)
         rgb_feat = self.embed_rgb(rgb)
-        for gal in self.gals:
-            hsi_feat, rgb_feat = gal(hsi_feat, rgb_feat)
+        for i, gal in enumerate(self.gals, 1):
+            hsi_feat, rgb_feat = gal(hsi_feat, rgb_feat, rgb_out=i < len(self.gals))
         return ad.add(self.head(hsi_feat), upsampled)
 
 
@@ -294,7 +311,7 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel) -> HsiC
     behaviour).
     """
     scale = model.config.scale
-    hr_rgb = np.asarray(hr_rgb, dtype=np.float64)
+    hr_rgb = chw_array(hr_rgb, "hr_rgb")
     if hr_rgb.shape != (3, lr_cube.height * scale, lr_cube.width * scale):
         raise ValueError(
             f"guide shape {hr_rgb.shape} does not match cube "
@@ -335,15 +352,16 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     mults = [30.0 if ".pos_" in p.name else 1.0 for p in params]
     opt = nn.Adam(params, lr=lr, betas=(0.9, 0.99), lr_mults=mults)
     tensors = [
-        (Tensor(p[0].values), Tensor(np.asarray(p[1], dtype=np.float64)), Tensor(p[2].values))
+        (Tensor(p[0].values), Tensor(chw_array(p[1], "hr_rgb")), Tensor(p[2].values))
         for p in pairs
     ]
 
     # The previous prediction stays alive until the next forward has made its
     # own. It sits near the top of the heap, so glibc does not trim the
     # memory `backward` frees and the next forward does not fault it back in
-    # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36: 39k minor
-    # faults per 2-step op with it, 67k without).
+    # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36, median of 10
+    # in-process ops: 26.7k minor faults per 2-step op with it, 32.2k
+    # without).
     pred = None
 
     def step_loss(step):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import RandomSource
-from .hsi import HsiCube, default_wavelength_grid
+from .hsi import HsiCube, check_int, default_wavelength_grid
 
 
 def _smooth_field(rng: RandomSource, height: int, width: int) -> np.ndarray:
@@ -44,6 +44,8 @@ def _smooth_signature(rng: RandomSource, wavelengths: np.ndarray) -> np.ndarray:
 def synthetic_cube(seed: int, bands: int = 48, height: int = 64, width: int = 64,
                    wavelengths: np.ndarray | None = None) -> HsiCube:
     """Random smooth cube: abundance-weighted mixture of four smooth spectra."""
+    for name, value in (("bands", bands), ("height", height), ("width", width)):
+        check_int(value, name)
     rng = RandomSource(seed)
     if wavelengths is None:
         if bands == 48:
@@ -62,6 +64,8 @@ def synthetic_cube(seed: int, bands: int = 48, height: int = 64, width: int = 64
 
 def synthetic_rgb(seed: int, height: int = 64, width: int = 64) -> np.ndarray:
     """Smooth (3, H, W) image in [0,1]."""
+    check_int(height, "height")
+    check_int(width, "width")
     rng = RandomSource(seed)
     chans = [_smooth_field(rng.child(i), height, width) for i in range(3)]
     img = np.stack(chans)

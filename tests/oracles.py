@@ -191,6 +191,29 @@ def composed_rectangular_attention(query, key, value, cfg, pos_h, pos_v):
     ], axis=0)
 
 
+def full_gal_stack(model, lr, rgb):
+    """rgan.RganModel.forward with every GAL running both streams to the
+    end: the two-stream loop, in which the last layer also computes the RGB
+    stream its head never reads (CAL's second attention, spec_rgb and
+    ffd_rgb, each with its residual add). lr and rgb are Tensors."""
+    scale = model.config.scale
+    hh, ww = lr.shape[1] * scale, lr.shape[2] * scale
+    upsampled = ad.bilinear_resize(lr, hh, ww)
+    hsi_feat = ad.bilinear_resize(model.embed_hsi(lr), hh, ww)
+    rgb_feat = model.embed_rgb(rgb)
+    for gal in model.gals:
+        hsi_feat = ad.add(hsi_feat, gal.sal_hsi(hsi_feat, hsi_feat)[0])
+        rgb_feat = ad.add(rgb_feat, gal.sal_rgb(rgb_feat, rgb_feat)[0])
+        d_hsi, d_rgb = gal.cal(hsi_feat, rgb_feat)
+        hsi_feat = ad.add(hsi_feat, d_hsi)
+        rgb_feat = ad.add(rgb_feat, d_rgb)
+        hsi_feat = ad.add(hsi_feat, gal.spec_hsi(hsi_feat))
+        rgb_feat = ad.add(rgb_feat, gal.spec_rgb(rgb_feat))
+        hsi_feat = ad.add(hsi_feat, gal.ffd_hsi(hsi_feat))
+        rgb_feat = ad.add(rgb_feat, gal.ffd_rgb(rgb_feat))
+    return ad.add(model.head(hsi_feat), upsampled)
+
+
 def train_diffusion_one_graph(latents, model, schedule, steps: int, batch_size: int,
                               lr: float = 2e-3, seed: int = 0, conditions=None) -> list[float]:
     """train_diffusion with each step's batch in one graph: the per-sample

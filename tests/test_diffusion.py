@@ -528,7 +528,7 @@ def test_train_diffusion_needs_one_condition_stack_per_latent(n_stacks, n_latent
 def test_train_diffusion_rejects_batch_size_below_one(batch_size):
     latents, _ = conditioned_training_set(2, 79)
     model = ConditionalDenoiser(tiny_config(), seed=80)
-    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+    with pytest.raises(ValueError, match=f"batch_size must be an integer >= 1, got {batch_size}"):
         df.train_diffusion(latents, model, make_schedule(10), steps=3, batch_size=batch_size)
 
 
@@ -655,7 +655,7 @@ def test_dsrnet_super_resolve_extents_and_determinism(scale):
 def test_dsrnet_super_resolve_rejects_lr_rgb_that_is_not_a_cube(shape):
     lr = np.zeros(shape)
     with pytest.raises(ValueError, match=re.escape(
-            f"lr_rgb must be a non-empty (channels, H, W) array, got shape {shape}")):
+            f"lr_rgb must be a [C,H,W] array with non-empty extents, got shape {shape}")):
         df.dsrnet_super_resolve(lr, pipeline_denoiser(), make_schedule(10), 3, seed=4, scale=2)
 
 

@@ -379,7 +379,7 @@ def test_patch_reassembly_bit_exact():
 
 @pytest.mark.parametrize("size", [0, -2])
 def test_patch_size_must_be_positive(size):
-    with pytest.raises(DataError, match=f"patch size must be positive, got {size}"):
+    with pytest.raises(DataError, match=f"size must be an integer >= 1, got {size}"):
         hsi.patch_grid(8, 8, size, 2)
 
 

@@ -489,6 +489,63 @@ def test_gal_stack_gradcheck():
     oracles.gradcheck(forward, params, RandomSource(30), n_coords=20)
 
 
+def tail_case(layers):
+    """A model with every parameter randomized, so no gradient is zero by
+    initialization, and one (lr, rgb) input."""
+    model = RganModel(RganConfig(bands=4, attention=small_cfg(layers=layers)), seed=70)
+    init = RandomSource(71)
+    for p in model.parameters():
+        p.data = p.data + init.child(zlib.crc32(p.name.encode())).normal(p.shape) * 0.3
+    rng = RandomSource(72)
+    return model, Tensor(rng.normal((4, 4, 4))), Tensor(rng.normal((3, 8, 8)))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_forward_matches_the_full_two_stream_stack(layers):
+    model, lr, rgb = tail_case(layers)
+    params = model.parameters()
+    weight = RandomSource(73).normal((4, 8, 8))
+
+    def run(forward):
+        for p in params:
+            p.reset_grad()
+        out = forward(lr, rgb)
+        ad.backward(ad.tsum(ad.mul(out, weight)))
+        return out.data, [p.grad.copy() for p in params]
+
+    got, got_grads = run(model.forward)
+    want, want_grads = run(lambda a, b: oracles.full_gal_stack(model, a, b))
+    np.testing.assert_array_equal(got, want)
+    for p, a, b in zip(params, got_grads, want_grads):
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
+    last = model.gals[-1]
+    assert not any(p.grad.any() for p in last.spec_rgb.parameters() + last.ffd_rgb.parameters())
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_last_gal_skips_its_rgb_tail(monkeypatch, layers):
+    model, lr, rgb = tail_case(layers)
+    called, attention = [], []
+    for cls in (rgan.SpectralGate, rgan.Ffd):
+        def spy(self, x, real=cls.__call__):
+            called.append(self)
+            return real(self, x)
+
+        monkeypatch.setattr(cls, "__call__", spy)
+    real_attention = rgan.window_attention
+
+    def count(*args):
+        attention.append(args)
+        return real_attention(*args)
+
+    monkeypatch.setattr(rgan, "window_attention", count)
+    model.forward(lr, rgb)
+    last = model.gals[-1]
+    assert not any(m is last.spec_rgb or m is last.ffd_rgb for m in called)
+    assert len(called) == 4 * layers - 2
+    assert len(attention) == 4 * layers - 1
+
+
 def test_ffd_matches_the_token_layout_oracle():
     ffd = rgan.Ffd(6, RandomSource(61), "ffd")
     init = RandomSource(62)
