@@ -19,6 +19,7 @@ a new graph over the same parameters add on top of the earlier ones.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -31,16 +32,29 @@ Array = np.ndarray
 _CONV_BLOCK_ELEMS = 4_000_000
 
 
+class DataError(ValueError):
+    """Malformed file or inconsistent data."""
+
+
+def check_int(value, name: str, low: int = 1) -> int:
+    """value as an int; DataError naming `name` and the value unless it is
+    an integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 class RandomSource:
     """Deterministic counter-based random stream (Philox).
 
     The same seed yields the same sample stream on every run and thread
     count. `child(*key)` derives an independent stream from (seed, key)
-    only, so work split across threads stays reproducible.
+    only, so work split across threads stays reproducible. A seed that is
+    not an integer >= 0 raises DataError naming `seed`.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = check_int(seed, "seed", low=0)
         self._key = tuple(int(k) for k in _key)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)
         self._gen = np.random.Generator(np.random.Philox(seq))
@@ -429,32 +443,32 @@ def softmax(t: Tensor, axis: int) -> Tensor:
     return _node(data, (t,), vjp)
 
 
-def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize over one axis, then apply learnable scale and shift."""
+def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the leading axis (the channels of a [C,H,W] map, as
+    `linear` maps them) with eps = 1e-5, then apply learnable scale and
+    shift."""
     t, gamma, beta = as_tensor(t), as_tensor(gamma), as_tensor(beta)
-    ax = axis % t.ndim
-    n = t.shape[ax]
+    n = t.shape[0]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError("layer_norm scale/shift must match the normalized extent")
-    shape = [1] * t.ndim
-    shape[ax] = n
+    shape = (n,) + (1,) * (t.ndim - 1)
     gb = gamma.data.reshape(shape)
     bb = beta.data.reshape(shape)
 
-    mu = t.data.mean(axis=ax, keepdims=True)
-    var = t.data.var(axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = t.data.mean(axis=0, keepdims=True)
+    var = t.data.var(axis=0, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (t.data - mu) * inv
     data = gb * xhat + bb
 
-    reduce_axes = tuple(i for i in range(t.ndim) if i != ax)
+    reduce_axes = tuple(range(1, t.ndim))
 
     def vjp(g):
         dgamma = (g * xhat).sum(axis=reduce_axes)
         dbeta = g.sum(axis=reduce_axes)
         gg = g * gb
-        m1 = gg.mean(axis=ax, keepdims=True)
-        m2 = (gg * xhat).mean(axis=ax, keepdims=True)
+        m1 = gg.mean(axis=0, keepdims=True)
+        m2 = (gg * xhat).mean(axis=0, keepdims=True)
         dx = inv * (gg - m1 - xhat * m2)
         return ((t, dx), (gamma, dgamma), (beta, dbeta))
 

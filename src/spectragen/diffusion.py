@@ -8,6 +8,12 @@ conditions pass through a convolutional feature extractor whose per-scale
 outputs go through zero convolutions (zero-initialized channel maps,
 `nn.Linear`) before being added to the matching denoiser scale, so
 conditioning contributes exactly nothing at initialization.
+
+The denoiser is conditioned one way: `condition_features(stack, h, w)`
+turns a stack into everything it adds, the projected global embedding
+and the spatial features. None of it depends on the timestep or the latent,
+so `sample` builds it once per call and `diffusion_loss` once per
+training sample, and `forward` takes only that result.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import RandomSource, Tensor
-from .hsi import HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter_patches
+from .hsi import (HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter_patches,
+                  vector_array)
 from .rgan import RganModel, rgan_forward
 
 CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres", "custom")
@@ -93,6 +100,14 @@ def timestep_subsequence(timesteps: int, steps: int) -> np.ndarray:
     return ts
 
 
+def _chw_shape(shape, name: str) -> tuple[int, int, int]:
+    """shape as (C, H, W); ValueError naming `name` and the shape unless it
+    has three axes."""
+    if len(shape) != 3:
+        raise ValueError(f"{name} must be a [C,H,W] array, got shape {tuple(shape)}")
+    return tuple(shape)
+
+
 # ---------------------------------------------------------------------------
 # latent codecs
 
@@ -119,7 +134,7 @@ class SpaceToDepthCodec:
         self.factor = check_int(factor, "factor")
 
     def encode(self, image: np.ndarray) -> np.ndarray:
-        c, h, w = image.shape
+        c, h, w = _chw_shape(image.shape, "image")
         r = self.factor
         if h % r or w % r:
             raise ValueError(f"extents {h}x{w} not divisible by factor {r}")
@@ -231,16 +246,8 @@ class ConditionStack:
             elif cmap.shape[1:] != extents:
                 raise ValueError("all spatial condition maps must share extents")
         if self.global_embedding is not None:
-            what = "condition global_embedding"
-            try:
-                g = np.asarray(self.global_embedding, dtype=np.float64)
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"{what} is not a numeric array: {err}") from err
-            if g.ndim != 1 or g.size == 0:
-                raise ValueError(f"{what} must be a non-empty 1-D vector, got shape {g.shape}")
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"{what} contains non-finite values")
-            self.global_embedding = g
+            self.global_embedding = vector_array(self.global_embedding,
+                                                 "condition global_embedding")
 
 
 # Built-in proxies so tests need no pretrained extractors.
@@ -362,14 +369,18 @@ class _ConvBlock(nn.Module):
     def __call__(self, x, bias=None, extra=None):
         h = self.conv1(x)
         if bias is not None:
-            h = ad.add(h, ad.reshape(bias, (bias.shape[0], 1, 1)))
+            h = ad.add(h, bias)
         if extra is not None:
             h = ad.add(h, extra)
         return ad.relu(self.conv2(ad.relu(h)))
 
 
 class ConditionalDenoiser(nn.Module):
-    """Noise predictor: 3-level UNet plus a zero-convolution condition branch."""
+    """Noise predictor: 3-level UNet plus a zero-convolution condition branch.
+
+    A stack goes through `condition_features` once; `forward` then runs per
+    step on that result, or on None for no conditions.
+    """
 
     def __init__(self, config: DenoiserConfig, seed: int = 0):
         self.config = config
@@ -418,15 +429,14 @@ class ConditionalDenoiser(nn.Module):
             self.zero_convs = []
             self.zero_out = None
 
-    def _stack_condition_input(self, stack: ConditionStack | None,
-                               h: int, w: int) -> np.ndarray | None:
+    def _stack_condition_input(self, stack: ConditionStack, h: int, w: int) -> np.ndarray | None:
         """Fixed slot layout; absent tags become zero maps, maps of other
         extents are bilinearly resized to h x w.
 
-        None for an absent stack or one without spatial maps. A non-empty
-        stack that fills none of the slots raises ValueError.
+        None for a stack without spatial maps. A non-empty stack that fills
+        none of the slots raises ValueError.
         """
-        if stack is None or not stack.spatial:
+        if not stack.spatial:
             return None
         slots = [tag for tag, _ in self.config.cond_slots]
         if not any(tag in stack.spatial for tag in slots):
@@ -449,15 +459,24 @@ class ConditionalDenoiser(nn.Module):
         return np.concatenate(parts, axis=0)
 
     def condition_features(self, stack: ConditionStack | None, h: int, w: int):
-        """Zero-convolved condition features: (per-encoder-scale, pre-head).
-
-        Returns None when the stack carries no spatial maps; every returned
-        map is exactly zero at initialization. The result depends on the
-        stack and the extents only, not on the timestep or the latent.
-        """
+        """Everything `stack` adds at latent extents h x w, None for no stack:
+        (global, level_feats, top_feat), the projected global embedding as a
+        [time_dim,1,1] term of the time embedding and the zero-convolved
+        spatial maps per encoder scale and pre-head, None where the stack has
+        no such part. All are exactly zero at initialization and independent
+        of the timestep and the latent. ValueError for a global embedding
+        whose length is not global_dim."""
+        if stack is None:
+            return None
+        glob = None
+        if stack.global_embedding is not None:
+            if (n := len(stack.global_embedding)) != self.config.global_dim:
+                raise ValueError(f"condition global_embedding has length {n} but the "
+                                 f"denoiser has global_dim {self.config.global_dim}")
+            glob = self.global_proj(Tensor(stack.global_embedding[:, None, None]))
         cond_input = self._stack_condition_input(stack, h, w)
         if cond_input is None:
-            return None
+            return glob, None, None
         feat = ad.relu(self.cond_in(Tensor(cond_input)))
         outs = []
         top_feat = None
@@ -469,34 +488,28 @@ class ConditionalDenoiser(nn.Module):
             if i + 1 < len(self.cond_blocks):
                 feat = ad.bilinear_resize(feat, max(feat.shape[1] // 2, 1),
                                           max(feat.shape[2] // 2, 1))
-        return outs, self.zero_out(top_feat)
+        return glob, outs, self.zero_out(top_feat)
 
-    def forward(self, z_t, t: int, conditions: ConditionStack | None = None,
-                cond_features=None) -> Tensor:
-        """Predicted noise for latent z_t at timestep t.
+    def forward(self, z_t, t: int, features=None) -> Tensor:
+        """Predicted noise for the [C,H,W] latent z_t at timestep t.
 
-        `cond_features` takes a `condition_features` result for these
-        conditions and extents, computed once for many calls; None computes
-        it here. A stack's global embedding must have length global_dim;
-        otherwise ValueError.
+        `features` is `condition_features(stack, H, W)` of the stack that
+        conditions this call, or None for an unconditional call. A latent
+        that is not 3-D, or whose extents the levels cannot halve, raises
+        ValueError.
         """
         z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
-        _, h, w = z_t.shape
+        _, h, w = _chw_shape(z_t.shape, "latent")
         div = 2 ** (self.config.levels - 1)
         if h % div or w % div:
             raise ValueError(f"latent extents {h}x{w} must be divisible by {div}")
+        glob, level_feats, top_feat = features if features is not None else (None,) * 3
 
-        emb = Tensor(sinusoidal_embedding(t, self.config.time_dim))
-        if conditions is not None and conditions.global_embedding is not None:
-            if (n := len(conditions.global_embedding)) != self.config.global_dim:
-                raise ValueError(f"condition global_embedding has length {n} but the "
-                                 f"denoiser has global_dim {self.config.global_dim}")
-            emb = ad.add(emb, self.global_proj(Tensor(conditions.global_embedding)))
+        # [td,1,1], so each time_proj[i] maps it to a [C,1,1] bias
+        emb = Tensor(sinusoidal_embedding(t, self.config.time_dim)[:, None, None])
+        if glob is not None:
+            emb = ad.add(emb, glob)
         emb = self.time_fc2(ad.relu(self.time_fc1(emb)))
-
-        if cond_features is None:
-            cond_features = self.condition_features(conditions, h, w)
-        level_feats, top_feat = cond_features if cond_features is not None else (None, None)
 
         feat = ad.relu(self.conv_in(z_t))
         skips = []
@@ -513,10 +526,6 @@ class ConditionalDenoiser(nn.Module):
             feat = ad.add(feat, top_feat)
         return self.head(feat)
 
-    def predict(self, z_t: np.ndarray, t: int, conditions: ConditionStack | None = None,
-                cond_features=None) -> np.ndarray:
-        return self.forward(z_t, t, conditions, cond_features).data
-
 
 # ---------------------------------------------------------------------------
 # loss, training, sampling
@@ -526,8 +535,9 @@ def diffusion_loss(model: ConditionalDenoiser, schedule: NoiseSchedule,
                    z0: np.ndarray, t: int, eps: np.ndarray,
                    conditions: ConditionStack | None = None) -> Tensor:
     """Squared error between true and predicted noise (differentiable)."""
+    _, h, w = _chw_shape(np.shape(z0), "latent")
     z_t = forward_noise(z0, t, eps, schedule)
-    eps_hat = model.forward(z_t, t, conditions)
+    eps_hat = model.forward(z_t, t, model.condition_features(conditions, h, w))
     return nn.mse_loss(eps_hat, Tensor(eps))
 
 
@@ -572,9 +582,13 @@ def sample(model: ConditionalDenoiser, schedule: NoiseSchedule, steps: int,
            image_shape) -> np.ndarray:
     """DDIM sampling from seeded Gaussian noise, decoded to an image.
 
-    Records no graph. The condition features are computed once for all
-    steps. Raises NumericalFailure when a step leaves a non-finite latent.
+    Records no graph. The stack's features are built once, for all steps.
+    image_shape is three integers >= 1 (ValueError otherwise). Raises
+    NumericalFailure when a step leaves a non-finite latent.
     """
+    if not isinstance(image_shape, (tuple, list)) or len(image_shape) != 3:
+        raise ValueError(f"image_shape must be three integers, got {image_shape!r}")
+    image_shape = tuple(check_int(n, "image_shape entry") for n in image_shape)
     with ad.no_grad():
         latent_shape = codec.latent_shape(image_shape)
         z = RandomSource(seed).normal(latent_shape)
@@ -582,7 +596,7 @@ def sample(model: ConditionalDenoiser, schedule: NoiseSchedule, steps: int,
         features = model.condition_features(conditions, h, w)
         ts = timestep_subsequence(schedule.timesteps, steps)
         for t, t_prev in zip(ts[:-1], ts[1:]):
-            eps_hat = model.predict(z, int(t), conditions, cond_features=features)
+            eps_hat = model.forward(z, int(t), features).data
             z = ddim_step(z, eps_hat, int(t), int(t_prev), schedule)
             if not np.all(np.isfinite(z)):
                 raise nn.NumericalFailure(f"non-finite latent after DDIM step {t} -> {t_prev}")
@@ -625,7 +639,7 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
     for ci, cube in enumerate(cubes):
         rgb = extract_rgb(cube)
         hr_rgb = dsrnet_super_resolve(rgb.values, dsrnet, schedule, steps,
-                                      seed=RandomSource(seed).child(ci).integers(0, 2**31),
+                                      seed=int(RandomSource(seed).child(ci).integers(0, 2**31)),
                                       scale=scale, codec=codec)
         hr_cube = rgan_forward(cube, hr_rgb, rgan_model)
         grid = crop_patches(hr_cube, patch_size, stride)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import RandomSource
+from .autodiff import DataError, RandomSource, check_int
 
 HSC_MAGIC = b"HSCUBE\x00\x01"
 
@@ -37,29 +37,26 @@ DEFAULT_GRID_BANDS = 48
 RGB_TARGETS_NM = (650.0, 550.0, 450.0)
 
 
-class DataError(ValueError):
-    """Malformed file or inconsistent data."""
-
-
-def check_int(value, name: str, low: int = 1) -> int:
-    """value as an int; DataError naming `name` and the value unless it is
-    an integer (not a bool) of at least `low`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def chw_array(value, name: str) -> np.ndarray:
     """value as a float64 [C,H,W] array; DataError naming `name` when it is
     ragged or not numeric, not 3-D, has an empty extent or a non-finite
     value."""
+    return _finite_array(value, name, 3, "a [C,H,W] array with non-empty extents")
+
+
+def vector_array(value, name: str) -> np.ndarray:
+    """value as a float64 1-D array; DataError naming `name` when it is
+    ragged or not numeric, not 1-D, empty or has a non-finite value."""
+    return _finite_array(value, name, 1, "a non-empty 1-D vector")
+
+
+def _finite_array(value, name: str, ndim: int, what: str) -> np.ndarray:
     try:
         array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise DataError(f"{name} is not a numeric array: {err}") from err
-    if array.ndim != 3 or 0 in array.shape:
-        raise DataError(f"{name} must be a [C,H,W] array with non-empty extents, "
-                        f"got shape {array.shape}")
+    if array.ndim != ndim or 0 in array.shape:
+        raise DataError(f"{name} must be {what}, got shape {array.shape}")
     if not np.all(np.isfinite(array)):
         raise DataError(f"{name} contains non-finite values")
     return array
@@ -126,6 +123,7 @@ class DegradationSpec:
             raise DataError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
         if self.kind == "downsample" and check_int(self.factor, "factor") not in (2, 4):
             raise DataError("downsample factor must be 2 or 4")
+        check_int(self.seed, "seed", low=0)
 
 
 @dataclass
@@ -348,9 +346,7 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
     """
     if target is None:
         target, _ = covered_default_grid(cube)
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 1 or target.size == 0 or not np.isfinite(target).all():
-        raise DataError(f"target grid must be a non-empty 1-D array of finite values, got {target}")
+    target = vector_array(target, "target grid")
     src = cube.wavelengths
     if target[0] < src[0] or target[-1] > src[-1]:
         raise DataError(

@@ -14,6 +14,7 @@ manifest as its header.
 
 from __future__ import annotations
 
+import numbers
 import typing
 
 import numpy as np
@@ -61,6 +62,7 @@ class Conv2d(Module):
 
     def __init__(self, c_in: int, c_out: int, rng: RandomSource, name: str,
                  zero_init: bool = False):
+        c_in, c_out = check_int(c_in, "c_in"), check_int(c_out, "c_out")
         shape = (c_out, c_in, 3, 3)
         w = np.zeros(shape) if zero_init else he_normal(rng, shape, c_in * 9)
         self.weight = Parameter(w, name=f"{name}.weight")
@@ -75,6 +77,7 @@ class Linear(Module):
 
     def __init__(self, d_in: int, d_out: int, rng: RandomSource, name: str,
                  zero_init: bool = False):
+        d_in, d_out = check_int(d_in, "d_in"), check_int(d_out, "d_out")
         w = np.zeros((d_out, d_in)) if zero_init else he_normal(rng, (d_out, d_in), d_in)
         self.weight = Parameter(w, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(d_out), name=f"{name}.bias")
@@ -87,15 +90,16 @@ class LayerNorm(Module):
     """Normalizes the channels of a [C,H,W] map at each pixel."""
 
     def __init__(self, dim: int, name: str):
-        self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
+        self.gamma = Parameter(np.ones(check_int(dim, "dim")), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, axis=0)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class Adam:
-    """Adam with bias correction and eps = 1e-8.
+    """Adam with bias correction and eps = 1e-8. betas must be a pair of
+    numbers in [0, 1) (ValueError otherwise).
 
     lr_mults gives a per-parameter learning-rate multiplier (e.g. to train
     zero-initialized position embeddings faster).
@@ -110,6 +114,10 @@ class Adam:
         if not (np.isfinite(lr) and lr > 0):
             raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         self.lr = lr
+        if not (isinstance(betas, (tuple, list)) and len(betas) == 2 and all(
+                isinstance(b, numbers.Real) and not isinstance(b, bool) and 0 <= b < 1
+                for b in betas)):
+            raise ValueError(f"betas must be a pair of numbers in [0, 1), got {betas!r}")
         self.beta1, self.beta2 = betas
         self.lr_mults = list(lr_mults) if lr_mults is not None else [1.0] * len(self.params)
         if len(self.lr_mults) != len(self.params):

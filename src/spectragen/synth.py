@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import RandomSource
-from .hsi import HsiCube, check_int, default_wavelength_grid
+from .hsi import HsiCube, check_int
 
 
 def _smooth_field(rng: RandomSource, height: int, width: int) -> np.ndarray:
@@ -48,10 +48,7 @@ def synthetic_cube(seed: int, bands: int = 48, height: int = 64, width: int = 64
         check_int(value, name)
     rng = RandomSource(seed)
     if wavelengths is None:
-        if bands == 48:
-            wavelengths = default_wavelength_grid()
-        else:
-            wavelengths = np.linspace(400.0, 1000.0, bands)
+        wavelengths = np.linspace(400.0, 1000.0, bands)
     wavelengths = np.asarray(wavelengths, dtype=np.float64)
     fields = np.stack([_smooth_field(rng.child(i), height, width) for i in range(4)])
     fields = np.exp(fields - fields.max(axis=0))

@@ -1,18 +1,18 @@
-"""Property-based sweep of the two argument contracts of the public API.
+"""Property-based sweep of the argument contracts of the public API.
 
-Every integer argument that counts or sizes something, and every [C,H,W]
-array argument, of the public functions and config dataclasses of `hsi`,
-`nn`, `rgan`, `diffusion` and `synth` is fed generated bad values: a str,
-float, bool, None or list in place of an int, an int below the bound, the
-wrong ndim, an empty extent, NaN and inf, ragged nested lists and strings.
+Every integer argument that counts, sizes or seeds something, every
+[C,H,W] or 1-D array argument and every shape or pair argument, of the
+public functions, layers and config dataclasses of `hsi`, `nn`, `rgan`,
+`diffusion` and `synth` is fed generated bad values: a str, float, bool,
+None or list in place of an int, an int below the bound, the wrong ndim or
+length, an empty extent, NaN and inf, ragged nested lists and strings.
 Every generated value breaks the contract, so each call must raise
 ValueError (DataError is one) or NumericalFailure, with a message that
 names the argument.
 
-Seeds are outside the sweep: `RandomSource` takes any value `int()` takes.
-So are the latents of `train_diffusion` and the images of
-`TinyAutoencoder.train`, whose non-finite values the training loop
-reports as NumericalFailure naming the step.
+The latents of `train_diffusion` and the images of `TinyAutoencoder.train`
+are swept for their rank only: the training loop reports their non-finite
+values as NumericalFailure naming the step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from spectragen import diffusion as df
 from spectragen import hsi, nn, rgan, synth
-from spectragen.autodiff import Parameter
+from spectragen.autodiff import Parameter, RandomSource
 from spectragen.diffusion import ConditionalDenoiser, ConditionStack, DenoiserConfig
 from spectragen.rgan import AttentionConfig, RganConfig, RganModel
 
@@ -45,15 +45,48 @@ def bad_ints(low: int = 1, also=st.nothing()):
     )
 
 
-def _with_bad_value(bad, flat_index):
-    array = np.ones((2, 2, 2))
+def _with_bad_value(bad, flat_index, shape=(2, 2, 2)):
+    array = np.ones(shape)
     array.flat[flat_index] = bad
     return array
 
 
+def wrong_ndim(ndims):
+    return st.sampled_from(ndims).flatmap(
+        lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n)).map(np.ones)
+
+
+def tuples_with_one_bad(bad, good, n):
+    """n-tuples of `good` values with one `bad` value among them."""
+    return st.integers(0, n - 1).flatmap(lambda i: st.tuples(
+        *[bad if j == i else good for j in range(n)]))
+
+
+BAD_SHAPE = st.one_of(
+    tuples_with_one_bad(bad_ints(), st.integers(1, 4), 3),
+    st.lists(st.integers(1, 4), max_size=5).filter(lambda s: len(s) != 3).map(tuple),
+    st.none(), st.integers(1, 4), st.text(max_size=3),
+)
+
+BAD_BETA = st.one_of(st.floats(1.0, 64.0), st.floats(-64.0, 0.0, exclude_max=True),
+                     st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+                     st.none(), st.text(max_size=2))
+BAD_BETAS = st.one_of(
+    tuples_with_one_bad(BAD_BETA, st.floats(0.0, 0.99), 2),
+    st.lists(st.floats(0.0, 0.99), max_size=4).filter(lambda b: len(b) != 2),
+    st.none(), st.floats(0.0, 0.99), st.text(max_size=3),
+)
+
+BAD_VECTOR = st.one_of(
+    wrong_ndim([0, 2, 3]), st.just(np.zeros(0)),
+    st.builds(_with_bad_value, st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2),
+              st.just((3,))),
+    st.sampled_from([[[500.0, 600.0], [700.0]], [500.0, [600.0]], ["a", 600.0]]),
+    st.text(max_size=3),
+)
+
 BAD_CHW = st.one_of(
-    st.sampled_from([0, 1, 2, 4]).flatmap(
-        lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n)).map(np.ones),
+    wrong_ndim([0, 1, 2, 4]),
     st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(lambda s: 0 in s).map(np.zeros),
     st.builds(_with_bad_value, st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 7)),
     st.sampled_from([[[[0.0, 1.0], [1.0]]], [[[0.0]], [[0.0, 1.0]]], [[[0.0], 1.0]]]),
@@ -72,6 +105,10 @@ KINDS = {
         st.tuples(*[st.integers(1, 8)] * 3), bad_ints(),
     ),
     "chw": BAD_CHW,
+    "latent": wrong_ndim([0, 1, 2, 4]),
+    "vector": BAD_VECTOR,
+    "shape": BAD_SHAPE,
+    "betas": BAD_BETAS,
 }
 
 # ---------------------------------------------------------------------------
@@ -98,8 +135,12 @@ def augment(**kwargs):
     return df.augment_two_stage([CUBE], DENOISER, SCHEDULE, RGAN, **args)
 
 
-def dsrnet(lr_rgb=GUIDE[:, :4, :4], steps=2, scale=2):
-    return df.dsrnet_super_resolve(lr_rgb, DENOISER, SCHEDULE, steps, seed=0, scale=scale)
+def dsrnet(lr_rgb=GUIDE[:, :4, :4], steps=2, scale=2, seed=0):
+    return df.dsrnet_super_resolve(lr_rgb, DENOISER, SCHEDULE, steps, seed=seed, scale=scale)
+
+
+def sample(steps=2, seed=0, image_shape=(3, 4, 4)):
+    return df.sample(DENOISER, SCHEDULE, steps, None, df.IdentityCodec(), seed, image_shape)
 
 
 # (id, call with the bad value, text the message must contain, kind)
@@ -116,14 +157,27 @@ CASES = [
     ("area_downsample.factor", lambda v: hsi.area_downsample(CUBE.values, v), "factor", "int"),
     ("DegradationSpec.factor", lambda v: hsi.DegradationSpec("downsample", factor=v), "factor",
      "scale"),
+    ("DegradationSpec.seed", lambda v: hsi.DegradationSpec("gaussian_noise", 0.1, seed=v), "seed",
+     "int0"),
+    ("align_wavelengths.target", lambda v: hsi.align_wavelengths(CUBE, v), "target", "vector"),
     # synth
     ("synthetic_cube.bands", lambda v: synth.synthetic_cube(0, bands=v), "bands", "int"),
     ("synthetic_cube.height", lambda v: synth.synthetic_cube(0, 2, v, 4), "height", "int"),
     ("synthetic_cube.width", lambda v: synth.synthetic_cube(0, 2, 4, v), "width", "int"),
     ("synthetic_rgb.height", lambda v: synth.synthetic_rgb(0, v, 4), "height", "int"),
     ("synthetic_rgb.width", lambda v: synth.synthetic_rgb(0, 4, v), "width", "int"),
+    ("synthetic_cube.seed", lambda v: synth.synthetic_cube(v, 2, 4, 4), "seed", "int0"),
+    ("synthetic_rgb.seed", lambda v: synth.synthetic_rgb(v, 4, 4), "seed", "int0"),
+    # autodiff
+    ("RandomSource.seed", RandomSource, "seed", "int0"),
     # nn
     ("fit.steps", fit, "steps", "int0"),
+    ("Linear.d_in", lambda v: nn.Linear(v, 3, RandomSource(0), "l"), "d_in", "int"),
+    ("Linear.d_out", lambda v: nn.Linear(3, v, RandomSource(0), "l"), "d_out", "int"),
+    ("Conv2d.c_in", lambda v: nn.Conv2d(v, 3, RandomSource(0), "c"), "c_in", "int"),
+    ("Conv2d.c_out", lambda v: nn.Conv2d(3, v, RandomSource(0), "c"), "c_out", "int"),
+    ("LayerNorm.dim", lambda v: nn.LayerNorm(v, "n"), "dim", "int"),
+    ("Adam.betas", lambda v: nn.Adam([Parameter(np.zeros(2), "p")], betas=v), "betas", "betas"),
     # rgan
     ("AttentionConfig.channels", lambda v: AttentionConfig(v), "channels", "int"),
     ("AttentionConfig.heads", lambda v: AttentionConfig(8, heads=v), "heads", "int"),
@@ -132,11 +186,15 @@ CASES = [
     ("AttentionConfig.window_v", lambda v: AttentionConfig(8, window_v=v), "window_v", "window"),
     ("RganConfig.bands", lambda v: RganConfig(bands=v), "bands", "int"),
     ("RganConfig.scale", lambda v: RganConfig(bands=4, scale=v), "scale", "scale"),
+    ("RganModel.seed", lambda v: RganModel(RganConfig(bands=4, attention=ATTENTION), seed=v),
+     "seed", "int0"),
     ("rgan_forward.hr_rgb", lambda v: rgan.rgan_forward(LR_CUBE, v, RGAN), "hr_rgb", "chw"),
     ("train_rgan.steps", lambda v: rgan.train_rgan([(LR_CUBE, GUIDE, CUBE)], RGAN, v), "steps",
      "int0"),
     ("train_rgan.hr_rgb", lambda v: rgan.train_rgan([(LR_CUBE, v, CUBE)], RGAN, 1), "hr_rgb",
      "chw"),
+    ("train_rgan.seed", lambda v: rgan.train_rgan([(LR_CUBE, GUIDE, CUBE)], RGAN, 1, seed=v),
+     "seed", "int0"),
     # diffusion
     ("make_schedule.timesteps", lambda v: df.make_schedule(v), "timesteps", "int"),
     ("timestep_subsequence.timesteps", lambda v: df.timestep_subsequence(v, 1), "timesteps",
@@ -154,8 +212,13 @@ CASES = [
     ("TinyAutoencoder.latent_channels", lambda v: df.TinyAutoencoder(3, v), "latent_channels",
      "int"),
     ("TinyAutoencoder.factor", lambda v: df.TinyAutoencoder(3, 4, factor=v), "factor", "int"),
+    ("TinyAutoencoder.seed", lambda v: df.TinyAutoencoder(3, 4, seed=v), "seed", "int0"),
     ("TinyAutoencoder.train.steps", lambda v: df.TinyAutoencoder(3, 4).train([GUIDE], steps=v),
      "steps", "int0"),
+    ("TinyAutoencoder.train.seed",
+     lambda v: df.TinyAutoencoder(3, 4).train([GUIDE], steps=1, seed=v), "seed", "int0"),
+    ("TinyAutoencoder.train.images", lambda v: df.TinyAutoencoder(3, 4).train([v], steps=1),
+     "image", "latent"),
     ("ConditionStack.spatial", lambda v: ConditionStack({"hed": v}), "hed", "chw"),
     ("edge_proxy.image", df.edge_proxy, "image", "chw"),
     ("sketch_proxy.image", df.sketch_proxy, "image", "chw"),
@@ -171,25 +234,35 @@ CASES = [
     ("DenoiserConfig.cond_slots", lambda v: DenoiserConfig(3, cond_slots=(("hed", v),)),
      "condition slot hed", "int"),
     ("sinusoidal_embedding.dim", lambda v: df.sinusoidal_embedding(5, v), "dim", "time_dim"),
+    ("ConditionalDenoiser.seed", lambda v: ConditionalDenoiser(DenoiserConfig(3), seed=v), "seed",
+     "int0"),
+    ("ConditionalDenoiser.forward.z_t", lambda v: DENOISER.forward(v, 1), "latent", "latent"),
     ("train_diffusion.steps", lambda v: df.train_diffusion([LATENT], DENOISER, SCHEDULE, v),
      "steps", "int0"),
     ("train_diffusion.batch_size",
      lambda v: df.train_diffusion([LATENT], DENOISER, SCHEDULE, 1, batch_size=v), "batch_size",
      "int"),
-    ("sample.steps", lambda v: df.sample(DENOISER, SCHEDULE, v, None, df.IdentityCodec(), 0,
-                                         (3, 4, 4)), "steps", "int"),
+    ("train_diffusion.seed", lambda v: df.train_diffusion([LATENT], DENOISER, SCHEDULE, 1, seed=v),
+     "seed", "int0"),
+    ("train_diffusion.latents", lambda v: df.train_diffusion([v], DENOISER, SCHEDULE, 1),
+     "latent", "latent"),
+    ("sample.steps", lambda v: sample(steps=v), "steps", "int"),
+    ("sample.seed", lambda v: sample(seed=v), "seed", "int0"),
+    ("sample.image_shape", lambda v: sample(image_shape=v), "image_shape", "shape"),
     ("dsrnet_super_resolve.lr_rgb", lambda v: dsrnet(lr_rgb=v), "lr_rgb", "chw"),
     ("dsrnet_super_resolve.steps", lambda v: dsrnet(steps=v), "steps", "int"),
     ("dsrnet_super_resolve.scale", lambda v: dsrnet(scale=v), "scale", "scale"),
+    ("dsrnet_super_resolve.seed", lambda v: dsrnet(seed=v), "seed", "int0"),
     ("augment_two_stage.scale", lambda v: augment(scale=v), "scale", "scale"),
     ("augment_two_stage.patch_size", lambda v: augment(patch_size=v), "patch_size", "int"),
     ("augment_two_stage.stride", lambda v: augment(stride=v), "stride", "optional_int"),
     ("augment_two_stage.steps", lambda v: augment(steps=v), "steps", "int"),
+    ("augment_two_stage.seed", lambda v: augment(seed=v), "seed", "int0"),
 ]
 
 
 @pytest.mark.parametrize("call, name, kind", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_a_bad_argument_raises_naming_it(call, name, kind, data):
     value = data.draw(KINDS[kind], label="value")
@@ -223,6 +296,19 @@ STRAY = [
     ("synthetic_rgb(0, 0, 8)", lambda: synth.synthetic_rgb(0, 0, 8), "height"),
     ("SpaceToDepthCodec(0.5)", lambda: df.SpaceToDepthCodec(0.5),
      "factor must be an integer >= 1, got 0.5"),
+    ("RandomSource(1.5)", lambda: RandomSource(1.5), "seed"),
+    ("RandomSource(True)", lambda: RandomSource(True), "seed"),
+    ("sample(image_shape=(3, 4.5, 4))", lambda: sample(image_shape=(3, 4.5, 4)), "image_shape"),
+    ("sample(image_shape=(3, 4))", lambda: sample(image_shape=(3, 4)), "image_shape"),
+    ("train_diffusion(2-D latent)",
+     lambda: df.train_diffusion([np.zeros((4, 4))], DENOISER, SCHEDULE, 1), r"latent.*\(4, 4\)"),
+    ("Linear(0, 3)", lambda: nn.Linear(0, 3, RandomSource(0), "l"), "d_in"),
+    ("Conv2d(0, 3)", lambda: nn.Conv2d(0, 3, RandomSource(0), "c"), "c_in"),
+    ("Adam(betas=(1.5, 0.9))",
+     lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas=(1.5, 0.9)), "betas"),
+    ("Adam(betas='ab')", lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas="ab"), "betas"),
+    ("align_wavelengths(ragged target)",
+     lambda: hsi.align_wavelengths(CUBE, [[500.0, 600.0], [700.0]]), "target"),
 ]
 
 

@@ -28,6 +28,11 @@ def tiny_config(**kw):
     return DenoiserConfig(**base)
 
 
+def predict(model, z, t, stack=None):
+    """The model's noise prediction for latent z under `stack`, as an array."""
+    return model.forward(z, t, model.condition_features(stack, *z.shape[1:])).data
+
+
 def randomize(params, seed, scale=0.3):
     """Noise on every weight, so zero-init heads and zero-convs are live."""
     rng = RandomSource(seed)
@@ -308,8 +313,8 @@ def test_zero_conv_conditional_equals_unconditional_at_init():
         {"hed": np.abs(synthetic_rgb(10, 8, 8))[:1], "lowres": synthetic_rgb(11, 8, 8)},
         global_embedding=RandomSource(12).normal((5,)),
     )
-    uncond = model.predict(z, 3, None)
-    cond = model.predict(z, 3, stack)
+    uncond = predict(model, z, 3)
+    cond = predict(model, z, 3, stack)
     np.testing.assert_array_equal(cond, uncond)
 
 
@@ -317,7 +322,7 @@ def test_condition_features_exactly_zero_at_init():
     cfg = tiny_config(cond_slots=(("seg", 1),))
     model = ConditionalDenoiser(cfg, seed=13)
     stack = ConditionStack({"seg": np.ones((1, 8, 8))})
-    level_feats, top = model.condition_features(stack, 8, 8)
+    _, level_feats, top = model.condition_features(stack, 8, 8)
     for f in list(level_feats) + [top]:
         np.testing.assert_array_equal(f.data, np.zeros_like(f.data))
 
@@ -326,8 +331,8 @@ def test_empty_condition_stack_runs_unconditionally():
     cfg = tiny_config(cond_slots=(("hed", 1),))
     model = ConditionalDenoiser(cfg, seed=14)
     z = RandomSource(15).normal((2, 8, 8))
-    a = model.predict(z, 2, None)
-    b = model.predict(z, 2, ConditionStack())
+    a = predict(model, z, 2)
+    b = predict(model, z, 2, ConditionStack())
     np.testing.assert_array_equal(a, b)
 
 
@@ -336,7 +341,7 @@ def test_condition_channel_mismatch_rejected():
     model = ConditionalDenoiser(cfg, seed=16)
     stack = ConditionStack({"hed": np.zeros((2, 8, 8))})
     with pytest.raises(ValueError):
-        model.predict(np.zeros((2, 8, 8)), 1, stack)
+        predict(model, np.zeros((2, 8, 8)), 1, stack)
 
 
 def test_condition_stack_matching_no_slot_rejected():
@@ -344,9 +349,9 @@ def test_condition_stack_matching_no_slot_rejected():
     stack = ConditionStack({"seg": np.zeros((1, 8, 8)), "lowres": np.zeros((3, 8, 8))})
     hed_only = ConditionalDenoiser(tiny_config(cond_slots=(("hed", 1),)), seed=16)
     with pytest.raises(ValueError, match=r"\['lowres', 'seg'\].*\['hed'\]"):
-        hed_only.predict(z, 1, stack)
+        predict(hed_only, z, 1, stack)
     with pytest.raises(ValueError, match="match none"):
-        ConditionalDenoiser(tiny_config(), seed=16).predict(z, 1, stack)
+        predict(ConditionalDenoiser(tiny_config(), seed=16), z, 1, stack)
 
 
 @pytest.mark.parametrize("cond_slots", [(), (("hed", 1),)])
@@ -354,7 +359,7 @@ def test_global_embedding_without_global_dim_rejected(cond_slots):
     model = ConditionalDenoiser(tiny_config(cond_slots=cond_slots), seed=16)
     stack = ConditionStack(global_embedding=np.ones(5))
     with pytest.raises(ValueError, match="global_dim"):
-        model.predict(np.zeros((2, 8, 8)), 1, stack)
+        predict(model, np.zeros((2, 8, 8)), 1, stack)
 
 
 @pytest.mark.parametrize("length", [3, 6])
@@ -362,7 +367,7 @@ def test_global_embedding_of_the_wrong_length_rejected(length):
     model = ConditionalDenoiser(tiny_config(global_dim=5), seed=16)
     stack = ConditionStack(global_embedding=np.ones(length))
     with pytest.raises(ValueError, match=f"global_embedding has length {length}.*global_dim 5"):
-        model.predict(np.zeros((2, 8, 8)), 1, stack)
+        predict(model, np.zeros((2, 8, 8)), 1, stack)
 
 
 @pytest.mark.parametrize("time_dim", [3, 1, 0])
@@ -376,7 +381,7 @@ def test_time_dim_must_be_even_and_at_least_two(time_dim):
 def test_denoiser_rejects_bad_extents():
     model = ConditionalDenoiser(tiny_config(), seed=17)
     with pytest.raises(ValueError):
-        model.predict(np.zeros((2, 7, 8)), 1, None)
+        predict(model, np.zeros((2, 7, 8)), 1)
 
 
 def test_diffusion_loss_zero_for_perfect_model():
@@ -388,7 +393,10 @@ def test_diffusion_loss_zero_for_perfect_model():
     eps = rng.normal((2, 8, 8))
 
     class Exact:
-        def forward(self, z_t, t, conditions=None):
+        def condition_features(self, stack, h, w):
+            return None
+
+        def forward(self, z_t, t, features=None):
             return Tensor(eps)
 
     loss = df.diffusion_loss(Exact(), s, z0, 4, eps)
@@ -402,7 +410,10 @@ def test_diffusion_loss_zero_model_gives_mean_square():
     eps = rng.normal((2, 8, 8))
 
     class Zero:
-        def forward(self, z_t, t, conditions=None):
+        def condition_features(self, stack, h, w):
+            return None
+
+        def forward(self, z_t, t, features=None):
             return Tensor(np.zeros_like(eps))
 
     loss = df.diffusion_loss(Zero(), s, z0, 4, eps)
@@ -559,7 +570,7 @@ def test_sample_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_sample_matches_reference_loop_and_computes_features_once():
+def test_sample_matches_reference_loop_and_computes_features_once(monkeypatch):
     cfg = tiny_config(latent_channels=3, cond_slots=(("lowres", 3),), global_dim=4)
     model = ConditionalDenoiser(cfg, seed=60)
     randomize(model.parameters(), 61)
@@ -573,15 +584,25 @@ def test_sample_matches_reference_loop_and_computes_features_once():
         calls.append((h, w))
         return original(stack, h, w)
 
+    projections = []
+    linear = nn.Linear.__call__
+
+    def counting_linear(layer, x):
+        if layer is model.global_proj:
+            projections.append(x.shape)
+        return linear(layer, x)
+
     model.condition_features = counting
+    monkeypatch.setattr(nn.Linear, "__call__", counting_linear)
     out = df.sample(model, s, 4, stack, IdentityCodec(), seed=64, image_shape=(3, 8, 8))
     assert calls == [(8, 8)]
+    assert len(projections) == 1
     del model.condition_features
 
     z = RandomSource(64).normal((3, 8, 8))
     ts = timestep_subsequence(12, 4)
     for t, t_prev in zip(ts[:-1], ts[1:]):
-        z = ddim_step(z, model.predict(z, int(t), stack), int(t), int(t_prev), s)
+        z = ddim_step(z, predict(model, z, int(t), stack), int(t), int(t_prev), s)
     np.testing.assert_array_equal(out, z)
     # the conditioning is live, so dropping it would change the samples
     uncond = df.sample(model, s, 4, None, IdentityCodec(), seed=64, image_shape=(3, 8, 8))
@@ -601,13 +622,13 @@ def test_sample_dense_schedule_runs_every_step():
     model = ConditionalDenoiser(cfg, seed=27)
     s = make_schedule(6)
     calls = []
-    original = model.predict
+    original = model.forward
 
-    def spy(z, t, conditions=None, **kwargs):
+    def spy(z, t, features=None):
         calls.append(t)
-        return original(z, t, conditions, **kwargs)
+        return original(z, t, features)
 
-    model.predict = spy
+    model.forward = spy
     df.sample(model, s, 6, None, IdentityCodec(), seed=1, image_shape=(2, 8, 8))
     assert calls == [6, 5, 4, 3, 2, 1]
 
@@ -801,5 +822,5 @@ def test_diffusion_checkpoint_round_trip(tmp_path):
     assert s2.timesteps == 16
     assert codec.kind == "space_to_depth" and codec.factor == 2
     z = RandomSource(29).normal((2, 8, 8))
-    a = df.load_diffusion(path)[0].predict(z, 3)
-    np.testing.assert_array_equal(back.predict(z, 3), a)
+    a = predict(df.load_diffusion(path)[0], z, 3)
+    np.testing.assert_array_equal(predict(back, z, 3), a)
