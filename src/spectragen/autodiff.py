@@ -8,9 +8,17 @@ is the same-padded spatial kernel, in the cross-correlation convention of
 mainstream deep-learning frameworks (no kernel flip); each adds its bias in
 place, as one graph node. Only a `Parameter` gets a grad.
 
-Inside `with no_grad():` ops record no parents or vjp closures, so
-inference holds no intermediates alive and `backward` has nothing to
-follow; values are the same as with the graph recorded.
+The graph is made of nodes, not tensors. A `Tensor` holds its array and,
+when an op recorded it, a `Node`: the parents' nodes, the vjp and the
+output shape, but no array. A vjp returns the gradients of its parents in
+their order and closes over only the arrays and shapes it reads, never
+over a Tensor. So an intermediate array lives only while Python or a vjp
+holds it: an output that no vjp reads is freed as soon as the caller drops
+its Tensor, while the graph behind it still back-propagates.
+
+Inside `with no_grad():` ops record no nodes, so inference holds no
+intermediates alive and `backward` has nothing to follow; values are the
+same as with the graph recorded.
 
 `backward` releases the graph as it walks it, so one graph supports one
 backward pass: a second pass through it raises ValueError. Gradients from
@@ -72,16 +80,29 @@ class RandomSource:
         return self._gen.integers(low, high, size=shape)
 
 
-class Tensor:
-    """Node of the computation graph holding a float64 array."""
+class Node:
+    """A recorded op: its parents' nodes in order (None where a parent has
+    no graph), its vjp, and the shape of its output."""
 
-    __slots__ = ("data", "_parents", "_vjp", "_needs")
+    __slots__ = ("parents", "vjp", "shape")
+
+    def __init__(self, parents: tuple, vjp, shape: tuple[int, ...]):
+        self.parents = parents
+        self.vjp = vjp
+        self.shape = shape
+
+    def __repr__(self):
+        return f"Node(shape={self.shape})"
+
+
+class Tensor:
+    """A float64 array and, when an op recorded it, its graph node."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self._needs = False
+        self.node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,13 +121,21 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf, the only gradient leaf: value, name and grad buffer."""
+    """Trainable leaf, the only gradient leaf: value, name and grad buffer.
+
+    A Parameter is its own graph node, with no parents and no vjp, into
+    whose grad `backward` sums. `node` returns the Parameter itself rather
+    than storing it, so a Parameter forms no reference cycle and is freed
+    with its model, without waiting for the cycle collector.
+    """
 
     __slots__ = ("grad", "name")
+    parents = ()
+    vjp = None
+    node = property(lambda self: self)
 
     def __init__(self, value, name: str):
-        super().__init__(value)
-        self._needs = True
+        self.data = np.asarray(value, dtype=np.float64)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -135,14 +164,16 @@ def no_grad():
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Tensor of `data`, with a node over the parents' nodes when grad mode
+    is on and some parent has a graph. vjp(g) returns one entry per parent,
+    in order: its gradient, None, or (grad, index) when grad covers only
+    parent[index]."""
     out = Tensor(data)
     if not _GRAD_ENABLED.get():
         return out
-    needing = tuple(p for p in parents if p._needs)
-    if needing:
-        out._parents = needing
-        out._vjp = vjp
-        out._needs = True
+    nodes = tuple(p.node for p in parents)
+    if any(n is not None for n in nodes):
+        out.node = Node(nodes, vjp, out.data.shape)
     return out
 
 
@@ -159,70 +190,72 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(p) into the grad of every reachable Parameter p.
 
-    The walk releases the graph behind it: each node drops its vjp and
-    parents once its gradient has been passed on, so intermediates are
-    freed during the walk and not held after it. A second backward through
-    a released node raises ValueError. Gradients of a new graph over the
-    same parameters add on top of the first, until they are reset.
+    The walk releases the graph behind it: each node drops its vjp, with
+    the arrays the vjp saved, and its parents once its gradient has been
+    passed on, so nothing of the graph is held after the walk. A second
+    backward through a released node raises ValueError. Gradients of a new
+    graph over the same parameters add on top of the first, until they are
+    reset.
 
-    A vjp returns (parent, grad) pairs, or (parent, grad, index) when grad
-    covers only parent[index]. backward owns the buffer a gradient sums
-    into: the first contribution is kept as returned, and the buffer is
-    written in place only once backward has allocated it, since a vjp may
-    hand one array to two parents.
+    Gradients are buffered per node. backward owns the buffer a gradient
+    sums into: the first contribution is kept as returned, and the buffer
+    is written in place only once backward has allocated it, since a vjp
+    may hand one array to two parents.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss.node is None:
+        return
     # Iterative post-order topo sort; graphs can be deep.
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    topo: list[Node] = []
+    seen: set[Node] = set()
+    stack: list[tuple[Node, bool]] = [(loss.node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
 
-    # Every parent a vjp names is still in topo, hence alive, so ids are unique.
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()
+    grads: dict[Node, Array] = {loss.node: np.ones_like(loss.data)}
+    owned: set[Node] = set()
     while topo:
         node = topo.pop()
-        vjp, node._vjp, node._parents = node._vjp, None, ()
-        g = grads.pop(id(node), None)
+        vjp, parents = node.vjp, node.parents
+        if vjp is not None:
+            node.vjp, node.parents = None, ()
+        g = grads.pop(node, None)
         if g is None:
             continue
         if vjp is None:
-            if isinstance(node, Parameter):
-                node.grad += g
-            elif node._needs:
+            if not isinstance(node, Parameter):
                 raise ValueError(f"backward reached {node!r}, whose graph an earlier backward released")
+            node.grad += g
             continue
-        for parent, pg, *index in vjp(g):
-            if not parent._needs:
+        for parent, pg in zip(parents, vjp(g)):
+            if parent is None or pg is None:
                 continue
-            key = id(parent)
-            acc = grads.get(key)
-            if index:
-                if key not in owned:
-                    acc = np.zeros_like(parent.data) if acc is None else acc.copy()
-                    owned.add(key)
-                acc[index[0]] += pg
+            acc = grads.get(parent)
+            if isinstance(pg, tuple):
+                pg, index = pg
+                if parent not in owned:
+                    acc = np.zeros(parent.shape) if acc is None else acc.copy()
+                    owned.add(parent)
+                acc[index] += pg
             elif acc is None:
                 acc = pg
-            elif key in owned:
+            elif parent in owned:
                 acc += pg  # a numpy scalar rebinds here, so acc is stored below
             else:
                 acc = acc + pg
-                owned.add(key)
-            grads[key] = acc
+                owned.add(parent)
+            grads[parent] = acc
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +265,10 @@ def backward(loss: Tensor) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(data, (a, b), vjp)
 
@@ -242,22 +276,21 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _node(data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
 
     def vjp(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _node(data, (a, b), vjp)
 
@@ -268,7 +301,7 @@ def reshape(t: Tensor, shape) -> Tensor:
     data = t.data.reshape(shape)
 
     def vjp(g):
-        return ((t, g.reshape(old)),)
+        return (g.reshape(old),)
 
     return _node(data, (t,), vjp)
 
@@ -280,7 +313,7 @@ def transpose(t: Tensor, axes) -> Tensor:
     data = t.data.transpose(axes)
 
     def vjp(g):
-        return ((t, g.transpose(inverse)),)
+        return (g.transpose(inverse),)
 
     return _node(data, (t,), vjp)
 
@@ -293,10 +326,10 @@ def concat(tensors, axis: int) -> Tensor:
 
     def vjp(g):
         out = []
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            out.append((t, g[tuple(idx)]))
+            out.append(g[tuple(idx)])
         return out
 
     return _node(data, tuple(ts), vjp)
@@ -315,7 +348,7 @@ def split(t: Tensor, sections: int, axis: int) -> list[Tensor]:
         idx = tuple(idx)
 
         def vjp(g, idx=idx):
-            return ((t, g, idx),)
+            return ((g, idx),)
 
         parts.append(_node(t.data[idx], (t,), vjp))
     return parts
@@ -328,7 +361,7 @@ def crop2d(t: Tensor, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     data = t.data[idx]
 
     def vjp(g):
-        return ((t, g, idx),)
+        return ((g, idx),)
 
     return _node(data, (t,), vjp)
 
@@ -340,17 +373,17 @@ def _reflect_index(n: int, before: int, after: int) -> Array:
 def pad_reflect2d(t: Tensor, pad_h: tuple[int, int], pad_w: tuple[int, int]) -> Tensor:
     """Reflect-pad the spatial axes of a [C,H,W] tensor."""
     t = as_tensor(t)
-    _, h, w = t.shape
+    c, h, w = t.shape
     rows = _reflect_index(h, *pad_h)
     cols = _reflect_index(w, *pad_w)
     data = t.data[:, rows][:, :, cols]
 
     def vjp(g):
-        tmp = np.zeros((t.shape[0], h, g.shape[2]))
+        tmp = np.zeros((c, h, g.shape[2]))
         np.add.at(tmp, (slice(None), rows), g)
-        gx = np.zeros_like(t.data)
+        gx = np.zeros((c, h, w))
         np.add.at(gx, (slice(None), slice(None), cols), tmp)
-        return ((t, gx),)
+        return (gx,)
 
     return _node(data, (t,), vjp)
 
@@ -361,14 +394,15 @@ def pad_reflect2d(t: Tensor, pad_h: tuple[int, int], pad_w: tuple[int, int]) -> 
 
 def tsum(t: Tensor, axis=None) -> Tensor:
     t = as_tensor(t)
+    shape = t.shape
     data = t.data.sum(axis=axis)
 
     def vjp(g):
         if axis is None:
-            return ((t, np.broadcast_to(g, t.shape).copy()),)
+            return (np.broadcast_to(g, shape).copy(),)
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        ge = np.expand_dims(g, tuple(a % t.ndim for a in axes))
-        return ((t, np.broadcast_to(ge, t.shape).copy()),)
+        ge = np.expand_dims(g, tuple(a % len(shape) for a in axes))
+        return (np.broadcast_to(ge, shape).copy(),)
 
     return _node(data, (t,), vjp)
 
@@ -388,6 +422,8 @@ def mean(t: Tensor, axis=None) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
+    """max(t, 0), with NaN mapped to 0. The vjp masks by the output, which
+    is > 0 exactly where the input is, so the input need not be kept."""
     t = as_tensor(t)
     # fmax maps NaN to 0 like the mask does; the in-place += 0.0 turns the
     # -0.0 that fmax can leave (numpy's scalar tail and strided loops) into
@@ -396,7 +432,7 @@ def relu(t: Tensor) -> Tensor:
     data += 0.0
 
     def vjp(g):
-        return ((t, g * (t.data > 0)),)
+        return (g * (data > 0),)
 
     return _node(data, (t,), vjp)
 
@@ -408,17 +444,18 @@ def sigmoid(t: Tensor) -> Tensor:
     data = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
-        return ((t, g * data * (1.0 - data)),)
+        return (g * data * (1.0 - data),)
 
     return _node(data, (t,), vjp)
 
 
 def absolute(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    data = np.abs(t.data)
+    x = t.data
+    data = np.abs(x)
 
     def vjp(g):
-        return ((t, g * np.sign(t.data)),)
+        return (g * np.sign(x),)
 
     return _node(data, (t,), vjp)
 
@@ -438,7 +475,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
 
     def vjp(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        return ((t, data * (g - dot)),)
+        return (data * (g - dot),)
 
     return _node(data, (t,), vjp)
 
@@ -470,7 +507,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         m1 = gg.mean(axis=0, keepdims=True)
         m2 = (gg * xhat).mean(axis=0, keepdims=True)
         dx = inv * (gg - m1 - xhat * m2)
-        return ((t, dx), (gamma, dgamma), (beta, dbeta))
+        return dx, dgamma, dbeta
 
     return _node(data, (t, gamma, beta), vjp)
 
@@ -488,16 +525,16 @@ def linear(t: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"linear: input shape {t.shape} does not lead with weight D_in {d_in}")
     if bias.shape != (d_out,):
         raise ValueError(f"linear: bias shape {bias.shape} != ({d_out},)")
+    shape, w = t.shape, weight.data
     x2 = t.data.reshape(d_in, -1)
-    data = np.empty((d_out,) + t.shape[1:])
+    data = np.empty((d_out,) + shape[1:])
     y2 = data.reshape(d_out, -1)
-    np.matmul(weight.data, x2, out=y2)
+    np.matmul(w, x2, out=y2)
     y2 += bias.data[:, None]
 
     def vjp(g):
         g2 = g.reshape(d_out, -1)
-        return ((t, (weight.data.T @ g2).reshape(t.shape)), (weight, g2 @ x2.T),
-                (bias, g2.sum(axis=1)))
+        return (w.T @ g2).reshape(shape), g2 @ x2.T, g2.sum(axis=1)
 
     return _node(data, (t, weight, bias), vjp)
 
@@ -507,13 +544,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"matmul: leading dims differ {a.shape} vs {b.shape}")
-    data = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
+    data = np.matmul(x, y)
 
     def vjp(g):
-        return (
-            (a, np.matmul(g, np.swapaxes(b.data, -1, -2))),
-            (b, np.matmul(np.swapaxes(a.data, -1, -2), g)),
-        )
+        return np.matmul(g, np.swapaxes(y, -1, -2)), np.matmul(np.swapaxes(x, -1, -2), g)
 
     return _node(data, (a, b), vjp)
 
@@ -627,7 +662,8 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     dk[co,ci,k-1-u,k-1-v] = sum_ij cols_u[(co,v), ij] * x[ci].ravel()[ij];
     each block of g covers output rows [r0, r1), the rows of x it pairs
     with. A backward pass then builds one im2col instead of two. When only
-    the kernel needs a gradient (a first layer over data: the denoiser's
+    the kernel needs a gradient, which the forward knows from the input
+    having no graph (a first layer over data: the denoiser's
     conv_in and cond_in, RGAN's embed_hsi and embed_rgb), it comes from the
     im2col of x, which has C_in*k rows against C_out*k for g (9 against 96
     for the 3-band embed_rgb). Building the im2col of g there too made the
@@ -642,17 +678,19 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError("conv2d kernel must be square with odd extent")
     if bias.shape != (c_out,):
         raise ValueError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-    data = _corr2d(t.data, kernel.data)
+    x, w = t.data, kernel.data
+    x_needs_grad = t.node is not None
+    data = _corr2d(x, w)
     data += bias.data[:, None, None]
 
     def vjp(g):
         gb = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True).reshape(c_out)
-        if not t._needs:
-            return ((kernel, _corr2d_kernel_grad(t.data, g, k)), (bias, gb))
-        flipped = np.flip(kernel.data, axis=(2, 3)).transpose(1, 0, 2, 3)
-        gx, acc = _corr2d(g, flipped, pair=t.data)
+        if not x_needs_grad:
+            return None, _corr2d_kernel_grad(x, g, k), gb
+        flipped = np.flip(w, axis=(2, 3)).transpose(1, 0, 2, 3)
+        gx, acc = _corr2d(g, flipped, pair=x)
         gk = acc.reshape(k, c_out, k, c_in)[::-1, :, ::-1].transpose(1, 3, 0, 2)
-        return ((t, gx), (kernel, gk), (bias, gb))
+        return gx, gk, gb
 
     return _node(data, (t, kernel, bias), vjp)
 
@@ -688,7 +726,7 @@ def bilinear_resize(t: Tensor, out_h: int, out_w: int) -> Tensor:
     data = np.matmul(np.matmul(rmat, t.data), cmat.T)
 
     def vjp(g):
-        return ((t, np.matmul(np.matmul(rmat.T, g), cmat)),)
+        return (np.matmul(np.matmul(rmat.T, g), cmat),)
 
     return _node(data, (t,), vjp)
 

@@ -108,6 +108,15 @@ def _chw_shape(shape, name: str) -> tuple[int, int, int]:
     return tuple(shape)
 
 
+def _packed_shape(shape, factor: int, name: str) -> tuple[int, int, int]:
+    """(C, H/factor, W/factor) of a [C,H,W] shape; ValueError naming `name`
+    and the factor unless the factor divides both extents."""
+    c, h, w = _chw_shape(shape, name)
+    if h % factor or w % factor:
+        raise ValueError(f"{name} extents {h}x{w} not divisible by factor {factor}")
+    return c, h // factor, w // factor
+
+
 # ---------------------------------------------------------------------------
 # latent codecs
 
@@ -134,19 +143,19 @@ class SpaceToDepthCodec:
         self.factor = check_int(factor, "factor")
 
     def encode(self, image: np.ndarray) -> np.ndarray:
-        c, h, w = _chw_shape(image.shape, "image")
         r = self.factor
-        if h % r or w % r:
-            raise ValueError(f"extents {h}x{w} not divisible by factor {r}")
+        c, h, w = _packed_shape(image.shape, r, "image")
         return (
-            image.reshape(c, h // r, r, w // r, r)
+            image.reshape(c, h, r, w, r)
             .transpose(0, 2, 4, 1, 3)
-            .reshape(c * r * r, h // r, w // r)
+            .reshape(c * r * r, h, w)
         )
 
     def decode(self, latent: np.ndarray) -> np.ndarray:
-        cr, h, w = latent.shape
+        cr, h, w = _chw_shape(latent.shape, "latent")
         r = self.factor
+        if cr % (r * r):
+            raise ValueError(f"latent has {cr} channels, not a multiple of factor**2 = {r * r}")
         c = cr // (r * r)
         return (
             latent.reshape(c, r, r, h, w)
@@ -155,9 +164,8 @@ class SpaceToDepthCodec:
         )
 
     def latent_shape(self, image_shape):
-        c, h, w = image_shape
-        r = self.factor
-        return (c * r * r, h // r, w // r)
+        c, h, w = _packed_shape(image_shape, self.factor, "image_shape")
+        return (c * self.factor**2, h, w)
 
 
 class TinyAutoencoder(nn.Module):
@@ -185,9 +193,8 @@ class TinyAutoencoder(nn.Module):
             return self._s2d.decode(self.dec(Tensor(latent)).data)
 
     def latent_shape(self, image_shape):
-        c, h, w = image_shape
-        r = self.factor
-        return (self.latent_channels, h // r, w // r)
+        _, h, w = _packed_shape(image_shape, self.factor, "image_shape")
+        return (self.latent_channels, h, w)
 
     def train(self, images, steps: int = 200, lr: float = 1e-2, seed: int = 0) -> list[float]:
         """Fit the channel maps to reconstruct `images` (mean squared error) at a

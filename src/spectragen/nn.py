@@ -98,8 +98,9 @@ class LayerNorm(Module):
 
 
 class Adam:
-    """Adam with bias correction and eps = 1e-8. betas must be a pair of
-    numbers in [0, 1) (ValueError otherwise).
+    """Adam with bias correction and eps = 1e-8. lr must be a finite
+    positive number and betas a pair of numbers in [0, 1) (ValueError
+    otherwise).
 
     lr_mults gives a per-parameter learning-rate multiplier (e.g. to train
     zero-initialized position embeddings faster).
@@ -111,7 +112,8 @@ class Adam:
         self.params = list(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter in params")
-        if not (np.isfinite(lr) and lr > 0):
+        if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+                and np.isfinite(lr) and lr > 0):
             raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         self.lr = lr
         if not (isinstance(betas, (tuple, list)) and len(betas) == 2 and all(

@@ -106,19 +106,22 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionCo
     half, the forward keeps the op order of the composed chain (windows,
     heads, q k^T, scale, + pos, softmax, @ v, merge) and the closed-form vjp
     keeps that chain's matmul operand order, so values and gradients are
-    bit-exact to it. The vjp keeps both attention maps and re-windows q, k,
-    v from the parents, which must not change before backward.
+    bit-exact to it. The vjp saves both attention maps and the query, key
+    and value arrays, which it re-windows; it holds no Tensor, so the output
+    is freed once the caller drops it. The saved arrays must not change
+    before backward.
     """
     c, height, width = query.shape
-    halves = ((slice(0, c // 2), cfg.window_h, pos_h), (slice(c // 2, c), cfg.window_v, pos_v))
+    arrays = (query.data, key.data, value.data)
+    halves = ((slice(0, c // 2), cfg.window_h), (slice(c // 2, c), cfg.window_v))
     scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
     out = np.empty(query.shape)
     maps = []  # for the vjp; none is kept when no graph is recorded
-    for rows, window, pos in halves:
-        q, k, v = (window_heads(t.data[rows], window, cfg.heads) for t in (query, key, value))
+    for (rows, window), pos in zip(halves, (pos_h.data, pos_v.data)):
+        q, k, v = (window_heads(x[rows], window, cfg.heads) for x in arrays)
         logits = np.matmul(q, k.transpose(0, 1, 3, 2))
         logits *= scale
-        logits += pos.data
+        logits += pos
         attn = ad.softmax_array(logits, axis=-1)
         out[rows] = merge_window_heads(np.matmul(attn, v), window, height, width)
         if ad._GRAD_ENABLED.get():
@@ -126,10 +129,10 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionCo
         del q, k, v, logits, attn  # free this half's arrays before the next runs
 
     def vjp(g):
-        grads = [np.empty(query.shape) for _ in range(3)]  # query, key, value
+        grads = [np.empty(g.shape) for _ in range(3)]  # query, key, value
         dpos = []
-        for (rows, window, _), attn in zip(halves, maps):
-            q, k, v = (window_heads(t.data[rows], window, cfg.heads) for t in (query, key, value))
+        for (rows, window), attn in zip(halves, maps):
+            q, k, v = (window_heads(x[rows], window, cfg.heads) for x in arrays)
             dout = window_heads(g[rows], window, cfg.heads)
             dattn = np.matmul(dout, np.swapaxes(v, -1, -2))
             dv = np.matmul(np.swapaxes(attn, -1, -2), dout)
@@ -140,7 +143,7 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionCo
             dk = np.matmul(np.swapaxes(q, -1, -2), dattn).transpose(0, 1, 3, 2)
             for grad, part in zip(grads, (np.matmul(dattn, k), dk, dv)):
                 grad[rows] = merge_window_heads(part, window, height, width)
-        return (*zip((query, key, value), grads), (pos_h, dpos[0]), (pos_v, dpos[1]))
+        return (*grads, *dpos)
 
     return ad._node(out, (query, key, value, pos_h, pos_v), vjp)
 
@@ -359,9 +362,9 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     # The previous prediction stays alive until the next forward has made its
     # own. It sits near the top of the heap, so glibc does not trim the
     # memory `backward` frees and the next forward does not fault it back in
-    # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36, median of 10
-    # in-process ops: 26.7k minor faults per 2-step op with it, 32.2k
-    # without).
+    # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36 and numpy 2.4.6,
+    # median of 12 in-process ops: about 20k minor faults per 2-step op with
+    # it, 43k without).
     pred = None
 
     def step_loss(step):

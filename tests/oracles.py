@@ -132,6 +132,21 @@ def gradcheck(f, params, rng, n_coords: int = 20, step: float = 1e-5,
         )
 
 
+def tensors_held_by_vjp(node) -> list:
+    """Every Tensor that a graph node's vjp holds: in its closure cells and
+    default arguments, and in the lists and tuples among them, at any
+    depth."""
+    def held(value):
+        yield value
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from held(item)
+
+    vjp = node.vjp
+    values = [c.cell_contents for c in vjp.__closure__ or ()] + list(vjp.__defaults__ or ())
+    return [v for value in values for v in held(value) if isinstance(v, ad.Tensor)]
+
+
 def dense_window_attention(q, k, v, pos, scale):
     """Per-window attention with explicit loop-built matrices.
 

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import weakref
 
@@ -436,15 +437,83 @@ def test_backward_releases_intermediates():
     x = np.array([1.0, -2.0, 3.0])
     p = Parameter(np.array([1.0, 2.0, 3.0]), name="p")
     y = ad.layer_norm(Tensor(x), p, Tensor(np.zeros(3)))
-    cells = dict(zip(y._vjp.__code__.co_freevars, y._vjp.__closure__))
+    cells = dict(zip(y.node.vjp.__code__.co_freevars, y.node.vjp.__closure__))
     ref = weakref.ref(cells.pop("xhat").cell_contents)
     del cells
     loss = ad.tsum(ad.mul(y, y))
     ad.backward(loss)
     assert ref() is None
-    assert y._vjp is None and y._parents == () and loss._parents == ()
+    assert y.node.vjp is None and y.node.parents == () and loss.node.parents == ()
     xhat = (x - x.mean()) / np.sqrt(x.var() + 1e-5)
     np.testing.assert_allclose(p.grad, 2.0 * p.data * xhat**2, rtol=1e-12)
+
+
+def test_an_output_no_vjp_reads_is_freed_while_its_graph_backpropagates():
+    p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
+    h = ad.mul(p, 2.0)
+    ref = weakref.ref(h.data)
+    y = ad.add(h, p)  # add's vjp reads only the shapes of its operands
+    del h
+    assert ref() is None
+    ad.backward(ad.tsum(ad.mul(y, y)))
+    np.testing.assert_array_equal(p.grad, 18.0 * p.data)
+
+
+def test_mul_keeps_both_operands_until_backward():
+    p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
+    a, b = ad.mul(p, 2.0), ad.mul(p, 3.0)
+    refs = [weakref.ref(a.data), weakref.ref(b.data)]
+    y = ad.mul(a, b)
+    del a, b
+    assert all(ref() is not None for ref in refs)
+    ad.backward(ad.tsum(y))
+    assert all(ref() is None for ref in refs)
+    np.testing.assert_array_equal(p.grad, 12.0 * p.data)
+
+
+_rng = RandomSource(40)
+_MAP = Parameter(rand(_rng, 2, 4, 6), name="map")  # [C,H,W]
+_MAT = Parameter(rand(_rng, 3, 2), name="mat")
+_VEC = Parameter(rand(_rng, 2), name="vec")
+_KERNEL = Parameter(rand(_rng, 3, 2, 3, 3), name="kernel")
+_BIAS = Parameter(rand(_rng, 3), name="bias")
+OP_CASES = {  # one recorded node of each public op
+    "add": lambda: ad.add(_MAP, 1.0),
+    "sub": lambda: ad.sub(_MAP, _MAP),
+    "mul": lambda: ad.mul(_MAP, _MAP),
+    "reshape": lambda: ad.reshape(_MAP, (2, 24)),
+    "transpose": lambda: ad.transpose(_MAP, (1, 2, 0)),
+    "concat": lambda: ad.concat([_MAP, _MAP], axis=0),
+    "split": lambda: ad.split(_MAP, 2, axis=0)[1],
+    "crop2d": lambda: ad.crop2d(_MAP, 1, 3, 2, 5),
+    "pad_reflect2d": lambda: ad.pad_reflect2d(_MAP, (1, 1), (2, 0)),
+    "tsum": lambda: ad.tsum(_MAP, axis=(1, 2)),
+    "mean": lambda: ad.mean(_MAP, axis=0),
+    "relu": lambda: ad.relu(_MAP),
+    "sigmoid": lambda: ad.sigmoid(_MAP),
+    "absolute": lambda: ad.absolute(_MAP),
+    "softmax": lambda: ad.softmax(_MAP, axis=-1),
+    "layer_norm": lambda: ad.layer_norm(_MAP, _VEC, _VEC),
+    "linear": lambda: ad.linear(_MAP, _MAT, _BIAS),
+    "matmul": lambda: ad.matmul(_MAP, ad.transpose(_MAP, (0, 2, 1))),
+    "conv2d": lambda: ad.conv2d(_MAP, _KERNEL, _BIAS),
+    "bilinear_resize": lambda: ad.bilinear_resize(_MAP, 8, 3),
+}
+
+
+def test_op_cases_cover_every_public_op():
+    helpers = {"as_tensor", "backward", "bilinear_resize_array", "check_int", "no_grad",
+               "softmax_array"}
+    public = {name for name, f in vars(ad).items() if inspect.isfunction(f)
+              and f.__module__ == ad.__name__ and not name.startswith("_")}
+    assert public - helpers == set(OP_CASES)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_no_vjp_holds_a_tensor(op):
+    out = OP_CASES[op]()
+    assert out.node is not None
+    assert oracles.tensors_held_by_vjp(out.node) == []
 
 
 @pytest.mark.parametrize("uses", [2, 3, 4])
@@ -510,7 +579,7 @@ def test_no_grad_records_no_graph():
     p = Parameter(np.array([1.0, -2.0]), name="p")
     with ad.no_grad():
         y = ad.tsum(ad.mul(ad.relu(p), p))
-    assert y._parents == () and y._vjp is None and not y._needs
+    assert y.node is None
     assert float(y.data) == 1.0
 
 
@@ -520,10 +589,10 @@ def test_no_grad_restores_mode_after_exception():
         with ad.no_grad():
             with ad.no_grad():
                 pass
-            assert ad.mul(p, p)._parents == ()
+            assert ad.mul(p, p).node is None
             raise RuntimeError("boom")
     loss = ad.tsum(ad.mul(p, p))
-    assert loss._parents
+    assert loss.node.parents
     ad.backward(loss)
     np.testing.assert_array_equal(p.grad, [6.0])
 
@@ -657,6 +726,18 @@ def test_relu_edge_values_and_gradient():
     ad.backward(ad.tsum(ad.mul(ad.relu(p), np.ones_like(x))))
     # Zero at NaN, -0.0 and 0.0.
     np.testing.assert_array_equal(p.grad, x > 0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_relu_grad_at_signed_zeros_and_nan_is_the_input_mask(stride):
+    # The vjp masks by the output; that mask must be the input's x > 0.
+    x = np.full(17, -0.0)
+    x[:8] = [np.nan, -0.0, 0.0, -np.nan, 1e-300, -1e-300, 2.0, -2.0]
+    x = x[::stride]
+    g = RandomSource(41).normal(x.shape)
+    p = Parameter(x, name="p")
+    ad.backward(ad.tsum(ad.mul(ad.relu(p), g)))
+    np.testing.assert_array_equal(p.grad, g * (x > 0))
 
 
 def test_layer_norm_normalizes():

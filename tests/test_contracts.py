@@ -109,6 +109,9 @@ KINDS = {
     "vector": BAD_VECTOR,
     "shape": BAD_SHAPE,
     "betas": BAD_BETAS,
+    "lr": st.one_of(st.floats(-64.0, 0.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                    st.booleans(), st.none(), st.text(max_size=3),
+                    st.lists(st.floats(0.1, 1.0), max_size=2)),
 }
 
 # ---------------------------------------------------------------------------
@@ -139,8 +142,8 @@ def dsrnet(lr_rgb=GUIDE[:, :4, :4], steps=2, scale=2, seed=0):
     return df.dsrnet_super_resolve(lr_rgb, DENOISER, SCHEDULE, steps, seed=seed, scale=scale)
 
 
-def sample(steps=2, seed=0, image_shape=(3, 4, 4)):
-    return df.sample(DENOISER, SCHEDULE, steps, None, df.IdentityCodec(), seed, image_shape)
+def sample(steps=2, seed=0, image_shape=(3, 4, 4), codec=df.IdentityCodec()):
+    return df.sample(DENOISER, SCHEDULE, steps, None, codec, seed, image_shape)
 
 
 # (id, call with the bad value, text the message must contain, kind)
@@ -178,6 +181,7 @@ CASES = [
     ("Conv2d.c_out", lambda v: nn.Conv2d(3, v, RandomSource(0), "c"), "c_out", "int"),
     ("LayerNorm.dim", lambda v: nn.LayerNorm(v, "n"), "dim", "int"),
     ("Adam.betas", lambda v: nn.Adam([Parameter(np.zeros(2), "p")], betas=v), "betas", "betas"),
+    ("Adam.lr", lambda v: nn.Adam([Parameter(np.zeros(2), "p")], lr=v), "lr", "lr"),
     # rgan
     ("AttentionConfig.channels", lambda v: AttentionConfig(v), "channels", "int"),
     ("AttentionConfig.heads", lambda v: AttentionConfig(8, heads=v), "heads", "int"),
@@ -206,6 +210,8 @@ CASES = [
     ("ddim_step.t_prev", lambda v: df.ddim_step(LATENT, LATENT, 5, v, SCHEDULE), "timestep",
      "int0"),
     ("SpaceToDepthCodec.factor", lambda v: df.SpaceToDepthCodec(v), "factor", "int"),
+    ("SpaceToDepthCodec.decode.latent", lambda v: df.SpaceToDepthCodec(2).decode(v), "latent",
+     "latent"),
     ("make_codec.factor", lambda v: df.make_codec("space_to_depth", factor=v), "factor", "int"),
     ("TinyAutoencoder.image_channels", lambda v: df.TinyAutoencoder(v, 4), "image_channels",
      "int"),
@@ -307,6 +313,18 @@ STRAY = [
     ("Adam(betas=(1.5, 0.9))",
      lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas=(1.5, 0.9)), "betas"),
     ("Adam(betas='ab')", lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas="ab"), "betas"),
+    ("Adam(lr='a')", lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr="a"), "lr"),
+    ("SpaceToDepthCodec(2).latent_shape((3, 5, 5))",
+     lambda: df.SpaceToDepthCodec(2).latent_shape((3, 5, 5)), r"image_shape.*factor 2"),
+    ("TinyAutoencoder(factor=2).latent_shape((3, 4, 5))",
+     lambda: df.TinyAutoencoder(3, 4).latent_shape((3, 4, 5)), r"image_shape.*factor 2"),
+    ("sample(TinyAutoencoder(factor=2), image_shape=(3, 5, 5))",
+     lambda: sample(image_shape=(3, 5, 5), codec=df.TinyAutoencoder(3, 3)),
+     r"image_shape.*factor 2"),
+    ("SpaceToDepthCodec.decode(2-D latent)",
+     lambda: df.SpaceToDepthCodec(2).decode(np.zeros((4, 4))), r"latent.*\(4, 4\)"),
+    ("SpaceToDepthCodec(2).decode(6 channels)",
+     lambda: df.SpaceToDepthCodec(2).decode(np.zeros((6, 2, 2))), "latent has 6 channels"),
     ("align_wavelengths(ragged target)",
      lambda: hsi.align_wavelengths(CUBE, [[500.0, 600.0], [700.0]]), "target"),
 ]

@@ -759,12 +759,12 @@ def test_inference_entry_points_record_no_graph(monkeypatch):
     assert sum(isinstance(layer, nn.Conv2d) for layer in layers) > 10
     assert any(layer is codec.enc for layer in layers)
     assert any(layer is codec.dec for layer in layers)
-    assert all(not out._parents for _, out in outputs)
+    assert all(out.node is None for _, out in outputs)
     # outside those entry points the same layers do record their graph
     model.conv_in(Tensor(np.zeros((4, 4, 4))))
-    assert outputs[-1][1]._parents
+    assert outputs[-1][1].node.parents
     codec.enc(Tensor(np.zeros((12, 4, 4))))
-    assert outputs[-1][1]._parents
+    assert outputs[-1][1].node.parents
 
 
 # ---------------------------------------------------------------------------

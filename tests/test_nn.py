@@ -156,8 +156,8 @@ def test_conv2d_layer_records_one_graph_node():
     conv = nn.Conv2d(2, 3, ad.RandomSource(3), "conv")
     x = Parameter(ad.RandomSource(4).normal((2, 5, 4)), "x")
     y = conv(x)
-    assert len(y._parents) == 3
-    assert all(a is b for a, b in zip(y._parents, (x, conv.weight, conv.bias)))
+    assert len(y.node.parents) == 3
+    assert all(a is b.node for a, b in zip(y.node.parents, (x, conv.weight, conv.bias)))
     np.testing.assert_array_equal(y.data, ad.conv2d(x, conv.weight, conv.bias).data)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 import weakref
@@ -126,13 +127,13 @@ def test_window_attention_matches_composed_ops(heads, window, extents):
         for p in params:
             p.reset_grad()
         out = attend(*params[:3], cfg, *params[3:])
-        parents = out._parents
+        parents = out.node.parents
         ad.backward(ad.tsum(ad.mul(out, weight)))
         return out, parents, [p.grad.copy() for p in params]
 
     fused, parents, fused_grads = run(rgan.window_attention)
     composed, _, composed_grads = run(oracles.composed_rectangular_attention)
-    assert parents == tuple(params)  # one node over query, key, value, pos_h, pos_v
+    assert parents == tuple(p.node for p in params)  # one node over q, k, v, pos_h, pos_v
     np.testing.assert_array_equal(fused.data, composed.data)
     for p, a, b in zip(params, fused_grads, composed_grads):
         np.testing.assert_array_equal(a, b, err_msg=p.name)
@@ -156,14 +157,53 @@ def test_window_attention_gradcheck(heads, window, extents):
 def test_window_attention_backward_releases_saved_arrays():
     cfg, params, weight = attention_inputs(63, 2, ((2, 4), (4, 2)), (4, 8))
     out = rgan.window_attention(*params[:3], cfg, *params[3:])
-    maps, = (c.cell_contents for c in out._vjp.__closure__
+    maps, = (c.cell_contents for c in out.node.vjp.__closure__
              if isinstance(c.cell_contents, list))
     assert [m.shape for m in maps] == [(4, 2, 8, 8), (4, 2, 8, 8)]
     refs = [weakref.ref(m) for m in maps]
     del maps
     ad.backward(ad.tsum(ad.mul(out, weight)))
     assert all(ref() is None for ref in refs)
-    assert out._vjp is None and out._parents == ()
+    assert out.node.vjp is None and out.node.parents == ()
+
+
+def test_window_attention_vjp_holds_no_tensor():
+    cfg, params, _ = attention_inputs(64, 2, ((2, 4), (4, 2)), (4, 8))
+    out = rgan.window_attention(*params[:3], cfg, *params[3:])
+    assert oracles.tensors_held_by_vjp(out.node) == []
+
+
+def test_window_attention_output_is_freed_once_dropped():
+    cfg, params, weight = attention_inputs(65, 2, ((2, 4), (4, 2)), (4, 8))
+
+    def grads(keep_output):
+        for p in params:
+            p.reset_grad()
+        out = rgan.window_attention(*params[:3], cfg, *params[3:])
+        ref = weakref.ref(out.data)
+        y = ad.add(out, params[0])  # a residual, as around each attention sub-layer
+        if not keep_output:
+            del out
+            assert ref() is None
+        ad.backward(ad.tsum(ad.mul(y, weight)))
+        return [p.grad.copy() for p in params]
+
+    for p, a, b in zip(params, grads(False), grads(True)):
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
+
+
+def test_deleted_model_frees_its_parameters_without_the_cycle_collector():
+    model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=66)
+    rng = RandomSource(67)
+    lr, rgb = Tensor(rng.uniform((3, 4, 4))), Tensor(rng.uniform((3, 8, 8)))
+    gc.disable()
+    try:
+        ad.backward(ad.tsum(model.forward(lr, rgb)))
+        refs = [weakref.ref(model)] + [weakref.ref(p.data) for p in model.parameters()]
+        del model
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
