@@ -460,11 +460,31 @@ def absolute(t: Tensor) -> Tensor:
     return _node(data, (t,), vjp)
 
 
-def softmax_array(x: Array, axis: int) -> Array:
-    """Max-stabilized softmax of a plain array along `axis`; rows sum to 1."""
-    e = x - x.max(axis=axis, keepdims=True)
+def _sum_in_order(x: Array, axis: int) -> Array:
+    """Sum of x along `axis`, kept as an extent-1 axis, added in index order.
+
+    numpy's own `sum` pairs the terms of a contiguous axis (differently below
+    8, from 8 to 15 and from 16 terms) but adds those of a strided axis one
+    by one, so its bits depend on memory layout; these do not.
+    """
+    terms = np.moveaxis(x, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return np.expand_dims(total, axis)
+
+
+def softmax_array(x: Array, axis: int, out: Array | None = None) -> Array:
+    """Max-stabilized softmax of a plain array along `axis`; rows sum to 1.
+
+    The sum runs in index order along `axis`, so the result does not depend
+    on memory layout: a softmax over a leading axis is bit-identical to the
+    same softmax over a trailing one. Reducing a leading axis is the fast
+    case in numpy. `out` may be x itself, for a softmax in place.
+    """
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= _sum_in_order(e, axis)
     return e
 
 
@@ -474,7 +494,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
     data = softmax_array(t.data, axis)
 
     def vjp(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = _sum_in_order(g * data, axis)
         return (data * (g - dot),)
 
     return _node(data, (t,), vjp)

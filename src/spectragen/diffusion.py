@@ -108,6 +108,13 @@ def _chw_shape(shape, name: str) -> tuple[int, int, int]:
     return tuple(shape)
 
 
+def _check_channels(array: np.ndarray, channels: int, name: str) -> None:
+    """ValueError naming `name` unless array is [C,H,W] with C == channels."""
+    c, _, _ = _chw_shape(np.shape(array), name)
+    if c != channels:
+        raise ValueError(f"{name} has {c} channels, the codec expects {channels}")
+
+
 def _packed_shape(shape, factor: int, name: str) -> tuple[int, int, int]:
     """(C, H/factor, W/factor) of a [C,H,W] shape; ValueError naming `name`
     and the factor unless the factor divides both extents."""
@@ -185,10 +192,12 @@ class TinyAutoencoder(nn.Module):
         self.dec = nn.Linear(latent_channels, packed, rng.child(1), "codec.dec")
 
     def encode(self, image: np.ndarray) -> np.ndarray:
+        _check_channels(image, self.image_channels, "image")
         with ad.no_grad():
             return self.enc(Tensor(self._s2d.encode(image))).data
 
     def decode(self, latent: np.ndarray) -> np.ndarray:
+        _check_channels(latent, self.latent_channels, "latent")
         with ad.no_grad():
             return self._s2d.decode(self.dec(Tensor(latent)).data)
 

@@ -74,23 +74,43 @@ class RganConfig:
 
 
 def window_heads(x: np.ndarray, window: tuple[int, int], heads: int) -> np.ndarray:
-    """[C,H,W] -> [n_windows, heads, h*w, C/heads]: non-overlapping h x w
-    windows in row-major order, tokens row-major inside each window."""
+    """[C,H,W] -> contiguous [n_windows, heads, h*w, C/heads], in one copy:
+    non-overlapping h x w windows in row-major order, tokens row-major
+    inside each window."""
     c, height, width = x.shape
     h, w = window
     if height % h or width % w:
         raise ValueError(f"extents {height}x{width} not divisible by window {window}")
-    g = x.reshape(c, height // h, h, width // w, w).transpose(1, 3, 2, 4, 0)
-    return g.reshape(-1, h * w, c).reshape(-1, h * w, heads, c // heads).transpose(0, 2, 1, 3)
+    g = x.reshape(heads, c // heads, height // h, h, width // w, w).transpose(2, 4, 0, 3, 5, 1)
+    return np.ascontiguousarray(g).reshape(-1, heads, h * w, c // heads)
 
 
-def merge_window_heads(x: np.ndarray, window: tuple[int, int], height: int,
-                       width: int) -> np.ndarray:
-    """Inverse of window_heads: [n_windows, heads, h*w, d] -> [heads*d, H, W]."""
+def merge_window_heads(x: np.ndarray, window: tuple[int, int], out: np.ndarray) -> np.ndarray:
+    """Inverse of window_heads: writes [n_windows, heads, h*w, d] into the
+    C-contiguous [heads*d, H, W] array `out`, in one copy, and returns it."""
+    if not out.flags.c_contiguous:
+        raise ValueError("merge_window_heads writes into a C-contiguous array")
     _, heads, _, d = x.shape
     h, w = window
+    _, height, width = out.shape
     g = x.reshape(height // h, width // w, heads, h, w, d).transpose(2, 5, 0, 3, 1, 4)
-    return g.reshape(heads * d, height, width)
+    out.reshape(heads, d, height // h, h, width // w, w)[...] = g
+    return out
+
+
+def _key_major_attention(q: np.ndarray, k: np.ndarray, pos: np.ndarray,
+                         scale: float) -> np.ndarray:
+    """Attention map of windowed q and k ([n_windows, heads, t, d]) under the
+    per-head bias pos [heads, t, t], laid out key-major: [t_j, n_windows*heads,
+    t_i], softmaxed over its leading (key) axis."""
+    n, heads, t, d = q.shape
+    logits = np.empty((t, n * heads, t))
+    np.matmul(k.reshape(-1, t, d), q.reshape(-1, t, d).transpose(0, 2, 1),
+              out=logits.transpose(1, 0, 2))
+    logits *= scale
+    biased = logits.reshape(t, n, heads, t)
+    biased += pos.transpose(2, 0, 1)[:, None]
+    return ad.softmax_array(logits, axis=0, out=logits)
 
 
 def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionConfig,
@@ -102,47 +122,55 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionCo
     bias a per-head [heads, h*w, h*w] map shared across windows; both
     halves are written into one [C,H,W] output.
 
-    One graph node with parents (query, key, value, pos_h, pos_v). Per
-    half, the forward keeps the op order of the composed chain (windows,
-    heads, q k^T, scale, + pos, softmax, @ v, merge) and the closed-form vjp
-    keeps that chain's matmul operand order, so values and gradients are
-    bit-exact to it. The vjp saves both attention maps and the query, key
-    and value arrays, which it re-windows; it holds no Tensor, so the output
-    is freed once the caller drops it. The saved arrays must not change
-    before backward.
+    Each half's attention map is laid out key-major, [t_j, windows*heads,
+    t_i]: k q^T is written into it through a transposed view, so the
+    softmax max and sum reduce its leading axis (the fast case in numpy),
+    and the product with v reads it as a column-major view. Every element
+    still sees the op order of the composed chain (windows, heads, q k^T,
+    scale, + pos, softmax, @ v, merge), the softmax sums in index order,
+    and the closed-form vjp keeps that chain's matmul operand order, so
+    values and gradients are bit-exact to it.
+
+    One graph node with parents (query, key, value, pos_h, pos_v). The vjp
+    saves no attention map: it closes over the query, key and value arrays
+    and the two biases only, and recomputes each half's map through the
+    forward's helper, bit-identical to the forward's. It holds no Tensor,
+    so the output is freed once the caller drops it. The saved arrays must
+    not change before backward.
     """
     c, height, width = query.shape
     arrays = (query.data, key.data, value.data)
-    halves = ((slice(0, c // 2), cfg.window_h), (slice(c // 2, c), cfg.window_v))
+    halves = ((slice(0, c // 2), cfg.window_h, pos_h.data),
+              (slice(c // 2, c), cfg.window_v, pos_v.data))
     scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
     out = np.empty(query.shape)
-    maps = []  # for the vjp; none is kept when no graph is recorded
-    for (rows, window), pos in zip(halves, (pos_h.data, pos_v.data)):
+    for rows, window, pos in halves:
         q, k, v = (window_heads(x[rows], window, cfg.heads) for x in arrays)
-        logits = np.matmul(q, k.transpose(0, 1, 3, 2))
-        logits *= scale
-        logits += pos
-        attn = ad.softmax_array(logits, axis=-1)
-        out[rows] = merge_window_heads(np.matmul(attn, v), window, height, width)
-        if ad._GRAD_ENABLED.get():
-            maps.append(attn)
-        del q, k, v, logits, attn  # free this half's arrays before the next runs
+        n, heads, t, d = v.shape
+        attn = _key_major_attention(q, k, pos, scale)
+        mixed = np.matmul(attn.transpose(1, 2, 0), v.reshape(-1, t, d))
+        merge_window_heads(mixed.reshape(n, heads, t, d), window, out[rows])
+        del q, k, v, attn, mixed  # free this half's arrays before the next runs
 
     def vjp(g):
         grads = [np.empty(g.shape) for _ in range(3)]  # query, key, value
         dpos = []
-        for (rows, window), attn in zip(halves, maps):
-            q, k, v = (window_heads(x[rows], window, cfg.heads) for x in arrays)
-            dout = window_heads(g[rows], window, cfg.heads)
-            dattn = np.matmul(dout, np.swapaxes(v, -1, -2))
-            dv = np.matmul(np.swapaxes(attn, -1, -2), dout)
-            dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+        for rows, window, pos in halves:
+            q, k, v, dout = (window_heads(x[rows], window, cfg.heads) for x in (*arrays, g))
+            attn = _key_major_attention(q, k, pos, scale)
+            n, heads, t, d = q.shape
+            q, k, v, dout = (x.reshape(-1, t, d) for x in (q, k, v, dout))
+            dattn = np.empty_like(attn)  # key-major, as attn
+            np.matmul(v, dout.transpose(0, 2, 1), out=dattn.transpose(1, 0, 2))
+            dv = np.matmul(attn.transpose(1, 0, 2), dout)
+            dattn -= ad._sum_in_order(dattn * attn, axis=0)
             dattn *= attn
-            dpos.append(dattn.sum(axis=0))
+            dpos.append(dattn.reshape(t, n, heads, t).sum(axis=1).transpose(1, 2, 0))
             dattn *= scale
-            dk = np.matmul(np.swapaxes(q, -1, -2), dattn).transpose(0, 1, 3, 2)
-            for grad, part in zip(grads, (np.matmul(dattn, k), dk, dv)):
-                grad[rows] = merge_window_heads(part, window, height, width)
+            dlogits = dattn.transpose(1, 2, 0)
+            dk = np.matmul(q.transpose(0, 2, 1), dlogits).transpose(0, 2, 1)
+            for grad, part in zip(grads, (np.matmul(dlogits, k), dk, dv)):
+                merge_window_heads(part.reshape(n, heads, t, d), window, grad[rows])
         return (*grads, *dpos)
 
     return ad._node(out, (query, key, value, pos_h, pos_v), vjp)
@@ -363,8 +391,8 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     # own. It sits near the top of the heap, so glibc does not trim the
     # memory `backward` frees and the next forward does not fault it back in
     # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36 and numpy 2.4.6,
-    # median of 12 in-process ops: about 20k minor faults per 2-step op with
-    # it, 43k without).
+    # median of 12 in-process ops: about 16.6k minor faults per 2-step op
+    # with it, 34.2k without).
     pred = None
 
     def step_loss(step):

@@ -132,10 +132,10 @@ def gradcheck(f, params, rng, n_coords: int = 20, step: float = 1e-5,
         )
 
 
-def tensors_held_by_vjp(node) -> list:
-    """Every Tensor that a graph node's vjp holds: in its closure cells and
-    default arguments, and in the lists and tuples among them, at any
-    depth."""
+def held_by_vjp(node, kind=ad.Tensor) -> list:
+    """Every object of `kind` that a graph node's vjp holds: in its closure
+    cells and default arguments, and in the lists and tuples among them, at
+    any depth."""
     def held(value):
         yield value
         if isinstance(value, (list, tuple)):
@@ -144,7 +144,7 @@ def tensors_held_by_vjp(node) -> list:
 
     vjp = node.vjp
     values = [c.cell_contents for c in vjp.__closure__ or ()] + list(vjp.__defaults__ or ())
-    return [v for value in values for v in held(value) if isinstance(v, ad.Tensor)]
+    return [v for value in values for v in held(value) if isinstance(v, kind)]
 
 
 def dense_window_attention(q, k, v, pos, scale):

@@ -325,6 +325,12 @@ STRAY = [
      lambda: df.SpaceToDepthCodec(2).decode(np.zeros((4, 4))), r"latent.*\(4, 4\)"),
     ("SpaceToDepthCodec(2).decode(6 channels)",
      lambda: df.SpaceToDepthCodec(2).decode(np.zeros((6, 2, 2))), "latent has 6 channels"),
+    ("TinyAutoencoder.decode(2-D latent)",
+     lambda: df.TinyAutoencoder(3, 4).decode(np.zeros((4, 4))), r"latent.*\(4, 4\)"),
+    ("TinyAutoencoder(latent_channels=4).decode(5 channels)",
+     lambda: df.TinyAutoencoder(3, 4).decode(np.zeros((5, 2, 2))), "latent has 5 channels"),
+    ("TinyAutoencoder(image_channels=3).encode(2 channels)",
+     lambda: df.TinyAutoencoder(3, 4).encode(np.zeros((2, 4, 4))), "image has 2 channels"),
     ("align_wavelengths(ragged target)",
      lambda: hsi.align_wavelengths(CUBE, [[500.0, 600.0], [700.0]]), "target"),
 ]

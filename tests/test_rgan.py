@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import tracemalloc
@@ -35,7 +36,7 @@ def partition(x, window):
 
 
 def reverse(windows, window, shape):
-    return rgan.merge_window_heads(windows[:, None], window, *shape[1:])
+    return rgan.merge_window_heads(windows[:, None], window, np.empty(shape))
 
 
 def test_partition_counts():
@@ -93,7 +94,7 @@ def test_window_heads_split_channels_into_heads():
     assert heads.shape == (4, 2, 8, 3)
     for head in range(2):
         np.testing.assert_array_equal(heads[:, head], partition(x[3 * head : 3 * head + 3], (2, 4)))
-    np.testing.assert_array_equal(rgan.merge_window_heads(heads, (2, 4), 4, 8), x)
+    np.testing.assert_array_equal(rgan.merge_window_heads(heads, (2, 4), np.empty(x.shape)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +157,44 @@ def test_window_attention_gradcheck(heads, window, extents):
 
 def test_window_attention_backward_releases_saved_arrays():
     cfg, params, weight = attention_inputs(63, 2, ((2, 4), (4, 2)), (4, 8))
-    out = rgan.window_attention(*params[:3], cfg, *params[3:])
-    maps, = (c.cell_contents for c in out.node.vjp.__closure__
-             if isinstance(c.cell_contents, list))
-    assert [m.shape for m in maps] == [(4, 2, 8, 8), (4, 2, 8, 8)]
-    refs = [weakref.ref(m) for m in maps]
-    del maps
+    qkv = [ad.mul(p, 1.0) for p in params[:3]]  # arrays that only the graph keeps
+    refs = [weakref.ref(t.data) for t in qkv]
+    out = rgan.window_attention(*qkv, cfg, *params[3:])
+    del qkv
+    map_size = 4 * 2 * 8 * 8  # windows * heads * tokens^2 of either half
+    assert map_size not in {a.size for a in oracles.held_by_vjp(out.node, np.ndarray)}
+    assert all(ref() is not None for ref in refs)
     ad.backward(ad.tsum(ad.mul(out, weight)))
     assert all(ref() is None for ref in refs)
     assert out.node.vjp is None and out.node.parents == ()
 
 
+def test_window_attention_graph_keeps_no_attention_map():
+    # at C=32, 2 heads, 64x64 each half's map is 1 MB; the vjp recomputes it
+    rng = RandomSource(68)
+    cfg = AttentionConfig(32, heads=2)
+    qkv = [Parameter(rng.normal((32, 64, 64)), name=n) for n in "qkv"]
+    pos = [Parameter(rng.normal((2, 16, 16)), name=n) for n in ("pos_h", "pos_v")]
+
+    def retained(grad):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                out = rgan.window_attention(*qkv, cfg, *pos)
+            current = tracemalloc.get_traced_memory()[0]
+            del out  # kept until measured
+            return current
+        finally:
+            tracemalloc.stop()
+
+    recorded, plain = retained(True), retained(False)
+    assert recorded - plain <= 4096, (recorded, plain)
+
+
 def test_window_attention_vjp_holds_no_tensor():
     cfg, params, _ = attention_inputs(64, 2, ((2, 4), (4, 2)), (4, 8))
     out = rgan.window_attention(*params[:3], cfg, *params[3:])
-    assert oracles.tensors_held_by_vjp(out.node) == []
+    assert oracles.held_by_vjp(out.node) == []
 
 
 def test_window_attention_output_is_freed_once_dropped():
@@ -435,16 +459,16 @@ def test_rca_attention_rows_sum_to_one(monkeypatch):
     probe: list = []
     softmax = ad.softmax_array
 
-    def capture(x, axis):
-        out = softmax(x, axis=axis)
-        probe.append(out)
+    def capture(x, axis, **kwargs):
+        out = softmax(x, axis=axis, **kwargs)
+        probe.append((out, axis))
         return out
 
     monkeypatch.setattr(ad, "softmax_array", capture)
     rca(z1, z2)
     assert probe
-    for attn in probe:
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+    for attn, axis in probe:
+        np.testing.assert_allclose(attn.sum(axis=axis), 1.0, atol=1e-9)
 
 
 def test_rca_rejects_shape_mismatch():
@@ -807,3 +831,18 @@ def test_train_rgan_peak_memory_does_not_grow_with_steps():
 
     one, three = peak(1), peak(3)
     assert three <= 1.1 * one, (one, three)
+
+
+def test_train_rgan_step_peak_memory_at_benchmark_size():
+    # 48 bands, 32x32 -> 64x64, C=32, 2 heads, 2 layers. The graph keeps no
+    # attention map; with its 14 maps of 1 MB each, the step peaked at 80 MB.
+    config = RganConfig(bands=48, scale=2, attention=AttentionConfig(32, heads=2, layers=2))
+    model = RganModel(config, seed=69)
+    pair = make_pair(70, bands=48, hr_size=64)
+    tracemalloc.start()
+    try:
+        rgan.train_rgan([pair], model, steps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70e6, peak
