@@ -20,7 +20,7 @@ import typing
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, RandomSource, Tensor
+from .autodiff import DataError, Parameter, RandomSource, Tensor
 from .hsi import check_int, read_container, write_container
 
 CHECKPOINT_MAGIC = b"SGCKPT\x00\x01"
@@ -246,7 +246,7 @@ def load_checkpoint(path):
     The framing checks are `hsi.read_container`'s. Raises ValueError on a
     manifest with another format or without kind, config or parameters,
     and on a parameter entry without a name or a shape of non-negative
-    integers.
+    integers; DataError naming the parameter on a non-finite value.
     """
     def shapes(manifest):
         fmt = manifest.get("format")
@@ -260,6 +260,9 @@ def load_checkpoint(path):
         return [_manifest_entry(path, i, e) for i, e in enumerate(manifest["parameters"])]
 
     manifest, values = read_container(path, CHECKPOINT_MAGIC, "checkpoint manifest", shapes)
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"{path}: checkpoint parameter {name!r} has non-finite values")
     return manifest["kind"], manifest["config"], values
 
 

@@ -6,7 +6,9 @@ cross-attention between streams, a channel gate, and a feed-forward block,
 with a residual around every sub-layer. Attention is computed inside
 non-overlapping rectangular windows: the first half of the channels uses
 wide (horizontal) windows, the second half tall (vertical) windows, and one
-node writes both halves into one output.
+node projects the queries, keys and values and writes both halves into one
+output. The graph keeps each attention's input streams, never their q/k/v
+projections or attention maps: backward recomputes those from the streams.
 """
 
 from __future__ import annotations
@@ -113,9 +115,71 @@ def _key_major_attention(q: np.ndarray, k: np.ndarray, pos: np.ndarray,
     return ad.softmax_array(logits, axis=0, out=logits)
 
 
-def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionConfig,
-                     pos_h: Tensor, pos_v: Tensor) -> Tensor:
-    """Rectangular windowed multi-head attention on [C,H,W] feature maps.
+def _project(segments, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The [3C,H,W] q|k|v array: for each (rows, z) in segments, rows
+    `rows` of weight and bias map the [C,H,W] stream array z as `ad.linear`
+    does."""
+    c, height, width = segments[0][1].shape
+    qkv = np.empty((3 * c, height, width))
+    for rows, z in segments:
+        y = qkv[rows].reshape(rows.stop - rows.start, -1)
+        np.matmul(weight[rows], z.reshape(c, -1), out=y)
+        y += bias[rows, None]
+    return qkv
+
+
+def _attend(qkv: np.ndarray, halves, heads: int, scale: float) -> np.ndarray:
+    """Both halves of the attention of a [3C,H,W] q|k|v array, into one
+    [C,H,W] output."""
+    arrays = np.split(qkv, 3)  # query, key, value
+    out = np.empty(arrays[0].shape)
+    for rows, window, pos in halves:
+        q, k, v = (window_heads(x[rows], window, heads) for x in arrays)
+        n, _, t, d = v.shape
+        attn = _key_major_attention(q, k, pos, scale)
+        mixed = np.matmul(attn.transpose(1, 2, 0), v.reshape(-1, t, d))
+        merge_window_heads(mixed.reshape(n, heads, t, d), window, out[rows])
+        del q, k, v, attn, mixed  # free this half's arrays before the next runs
+    return out
+
+
+def _attend_vjp(qkv: np.ndarray, g: np.ndarray, halves, heads: int,
+                scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(d qkv, [d pos of each half]) of `_attend` at output gradient g. Each
+    half's map is rebuilt through the forward's helper, bit-identical to
+    the forward's."""
+    arrays = (*np.split(qkv, 3), g)
+    dqkv = np.empty(qkv.shape)
+    grads = np.split(dqkv, 3)  # query, key, value
+    dpos = []
+    for rows, window, pos in halves:
+        q, k, v, dout = (window_heads(x[rows], window, heads) for x in arrays)
+        attn = _key_major_attention(q, k, pos, scale)
+        n, _, t, d = q.shape
+        q, k, v, dout = (x.reshape(-1, t, d) for x in (q, k, v, dout))
+        dattn = np.empty_like(attn)  # key-major, as attn
+        np.matmul(v, dout.transpose(0, 2, 1), out=dattn.transpose(1, 0, 2))
+        dv = np.matmul(attn.transpose(1, 0, 2), dout)
+        dattn -= ad._sum_in_order(dattn * attn, axis=0)
+        dattn *= attn
+        dpos.append(dattn.reshape(t, n, heads, t).sum(axis=1).transpose(1, 2, 0))
+        dattn *= scale
+        dlogits = dattn.transpose(1, 2, 0)
+        dk = np.matmul(q.transpose(0, 2, 1), dlogits).transpose(0, 2, 1)
+        for grad, part in zip(grads, (np.matmul(dlogits, k), dk, dv)):
+            merge_window_heads(part.reshape(n, heads, t, d), window, grad[rows])
+    return dqkv, dpos
+
+
+def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
+                     cfg: AttentionConfig, pos_h: Tensor, pos_v: Tensor) -> Tensor:
+    """Rectangular windowed multi-head attention of two [C,H,W] streams,
+    with its q/k/v projection.
+
+    The queries are rows [0,C) of `weight @ zq + bias`, and the keys and
+    values rows [C,3C) of `weight @ zkv + bias` (weight [3C,C], bias [3C],
+    mapping channels per pixel as `ad.linear` does). When zq is zkv, one
+    product over all 3C rows projects the one stream, as `nn.Linear` would.
 
     Channels [:C/2] attend inside wide cfg.window_h windows with bias pos_h
     and channels [C/2:] inside tall cfg.window_v windows with pos_v, each
@@ -126,54 +190,49 @@ def window_attention(query: Tensor, key: Tensor, value: Tensor, cfg: AttentionCo
     t_i]: k q^T is written into it through a transposed view, so the
     softmax max and sum reduce its leading axis (the fast case in numpy),
     and the product with v reads it as a column-major view. Every element
-    still sees the op order of the composed chain (windows, heads, q k^T,
-    scale, + pos, softmax, @ v, merge), the softmax sums in index order,
-    and the closed-form vjp keeps that chain's matmul operand order, so
-    values and gradients are bit-exact to it.
+    still sees the op order of the composed chain (projection, split,
+    windows, heads, q k^T, scale, + pos, softmax, @ v, merge), the softmax
+    sums in index order, and the closed-form vjp keeps that chain's matmul
+    operand order. So values are bit-exact to it, and with zq is zkv so
+    are gradients; with two streams, a stream's gradient sums its query
+    part from one node and its key/value part from another, which moves it
+    by rounding.
 
-    One graph node with parents (query, key, value, pos_h, pos_v). The vjp
-    saves no attention map: it closes over the query, key and value arrays
-    and the two biases only, and recomputes each half's map through the
-    forward's helper, bit-identical to the forward's. It holds no Tensor,
-    so the output is freed once the caller drops it. The saved arrays must
-    not change before backward.
+    One graph node with parents (zq, zkv, weight, bias, pos_h, pos_v), or
+    (zq, weight, bias, pos_h, pos_v) when zq is zkv. The forward drops the
+    [3C,H,W] projection once the output exists. The vjp saves no projection
+    and no attention map: it closes over the arrays of the streams, weight,
+    bias, pos_h and pos_v only. It recomputes the projection and, through
+    the forward's helper, each half's map, bit-identical to the forward's;
+    runs the attention's vjp into one [3C,H,W] q/k/v gradient; and applies
+    the projection's vjp to that (d stream, d weight, d bias). It holds no
+    Tensor, so the output is freed once the caller drops it. The saved
+    arrays must not change before backward.
     """
-    c, height, width = query.shape
-    arrays = (query.data, key.data, value.data)
+    if zkv.shape != zq.shape:
+        raise ValueError(f"stream shapes differ: {zq.shape} vs {zkv.shape}")
+    c = zq.shape[0]
+    if zq is zkv:
+        streams, segments = (zq,), [(slice(0, 3 * c), zq.data)]
+    else:
+        streams, segments = (zq, zkv), [(slice(0, c), zq.data), (slice(c, 3 * c), zkv.data)]
+    w, b = weight.data, bias.data
     halves = ((slice(0, c // 2), cfg.window_h, pos_h.data),
               (slice(c // 2, c), cfg.window_v, pos_v.data))
     scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
-    out = np.empty(query.shape)
-    for rows, window, pos in halves:
-        q, k, v = (window_heads(x[rows], window, cfg.heads) for x in arrays)
-        n, heads, t, d = v.shape
-        attn = _key_major_attention(q, k, pos, scale)
-        mixed = np.matmul(attn.transpose(1, 2, 0), v.reshape(-1, t, d))
-        merge_window_heads(mixed.reshape(n, heads, t, d), window, out[rows])
-        del q, k, v, attn, mixed  # free this half's arrays before the next runs
+    out = _attend(_project(segments, w, b), halves, cfg.heads, scale)
 
     def vjp(g):
-        grads = [np.empty(g.shape) for _ in range(3)]  # query, key, value
-        dpos = []
-        for rows, window, pos in halves:
-            q, k, v, dout = (window_heads(x[rows], window, cfg.heads) for x in (*arrays, g))
-            attn = _key_major_attention(q, k, pos, scale)
-            n, heads, t, d = q.shape
-            q, k, v, dout = (x.reshape(-1, t, d) for x in (q, k, v, dout))
-            dattn = np.empty_like(attn)  # key-major, as attn
-            np.matmul(v, dout.transpose(0, 2, 1), out=dattn.transpose(1, 0, 2))
-            dv = np.matmul(attn.transpose(1, 0, 2), dout)
-            dattn -= ad._sum_in_order(dattn * attn, axis=0)
-            dattn *= attn
-            dpos.append(dattn.reshape(t, n, heads, t).sum(axis=1).transpose(1, 2, 0))
-            dattn *= scale
-            dlogits = dattn.transpose(1, 2, 0)
-            dk = np.matmul(q.transpose(0, 2, 1), dlogits).transpose(0, 2, 1)
-            for grad, part in zip(grads, (np.matmul(dlogits, k), dk, dv)):
-                merge_window_heads(part.reshape(n, heads, t, d), window, grad[rows])
-        return (*grads, *dpos)
+        dqkv, dpos = _attend_vjp(_project(segments, w, b), g, halves, cfg.heads, scale)
+        d2 = dqkv.reshape(3 * c, -1)
+        dw = np.empty(w.shape)
+        dz = []
+        for rows, z in segments:
+            dz.append((w[rows].T @ d2[rows]).reshape(z.shape))
+            np.matmul(d2[rows], z.reshape(c, -1).T, out=dw[rows])
+        return (*dz, dw, d2.sum(axis=1), *dpos)
 
-    return ad._node(out, (query, key, value, pos_h, pos_v), vjp)
+    return ad._node(out, (*streams, weight, bias, pos_h, pos_v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +244,16 @@ class Rca(nn.Module):
 
     Returns (z1_hat, z2_hat): z1_hat attends stream-2 queries against
     stream-1 keys/values (so it carries stream-1 content), and vice versa.
-    Each stream's [q|k|v] projection is split once, and each output is one
-    `window_attention` node. The projection is shared by both streams,
-    which makes the module exactly equivariant to swapping its inputs; with
-    both inputs equal it degenerates to windowed self-attention. When both
-    inputs are the same tensor (`Rca(z, z)`), the projection and the
-    attention run once and the one map is returned for both streams: equal
-    inputs give equal streams, so the values are those of the two-stream
-    path. With `both=False` only z1_hat is computed, and None stands in for
-    z2_hat.
+    Each output is one `window_attention` node, which projects its own
+    queries, keys and values through the `qkv` weights; `qkv` is shared by
+    both streams, which makes the module exactly equivariant to swapping
+    its inputs, and with both inputs equal it degenerates to windowed
+    self-attention. When both inputs are the same tensor (`Rca(z, z)`),
+    the attention runs once and the one map is returned for both streams:
+    equal inputs give equal streams, so the values are those of the
+    two-stream path. With `both=False` only z1_hat is computed, projecting
+    only the queries of z2 and the keys and values of z1, and None stands
+    in for z2_hat.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
@@ -207,16 +267,11 @@ class Rca(nn.Module):
 
     def __call__(self, z1: Tensor, z2: Tensor, *,
                  both: bool = True) -> tuple[Tensor, Tensor | None]:
-        if z1.shape != z2.shape:
-            raise ValueError(f"stream shapes differ: {z1.shape} vs {z2.shape}")
-        shared = (self.cfg, self.pos_h, self.pos_v)
-        q1, k1, v1 = ad.split(self.qkv(z1), 3, axis=0)
+        shared = (self.qkv.weight, self.qkv.bias, self.cfg, self.pos_h, self.pos_v)
+        z1_hat = window_attention(z2, z1, *shared)
         if z1 is z2:
-            z_hat = window_attention(q1, k1, v1, *shared)
-            return z_hat, z_hat
-        q2, k2, v2 = ad.split(self.qkv(z2), 3, axis=0)
-        z1_hat = window_attention(q2, k1, v1, *shared)
-        return z1_hat, window_attention(q1, k2, v2, *shared) if both else None
+            return z1_hat, z1_hat
+        return z1_hat, window_attention(z1, z2, *shared) if both else None
 
 
 class SpectralGate(nn.Module):
@@ -339,7 +394,7 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel) -> HsiC
 
     Pads reflectively to window-divisible extents, runs the model without
     recording the graph, crops back, and clamps to [0,1] (inference
-    behaviour).
+    behaviour). A non-finite model output raises NumericalFailure.
     """
     scale = model.config.scale
     hr_rgb = chw_array(hr_rgb, "hr_rgb")
@@ -362,6 +417,8 @@ def rgan_forward(lr_cube: HsiCube, hr_rgb: np.ndarray, model: RganModel) -> HsiC
         out = model.forward(lr_t, rgb_t)
     if ph or pw:
         out = ad.crop2d(out, 0, lr_cube.height * scale, 0, lr_cube.width * scale)
+    if not np.all(np.isfinite(out.data)):
+        raise nn.NumericalFailure("rgan_forward: the RGAN model produced non-finite values")
     return HsiCube(np.clip(out.data, 0.0, 1.0), lr_cube.wavelengths)
 
 
@@ -391,8 +448,9 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     # own. It sits near the top of the heap, so glibc does not trim the
     # memory `backward` frees and the next forward does not fault it back in
     # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36 and numpy 2.4.6,
-    # median of 12 in-process ops: about 16.6k minor faults per 2-step op
-    # with it, 34.2k without).
+    # median of 12 in-process ops, two copies of the tree at paths of one
+    # length: about 10.1-10.6k minor faults per 2-step op with it, 28.6k
+    # without).
     pred = None
 
     def step_loss(step):

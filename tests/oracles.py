@@ -206,6 +206,17 @@ def composed_rectangular_attention(query, key, value, cfg, pos_h, pos_v):
     ], axis=0)
 
 
+def projected_rectangular_attention(zq, zkv, weight, bias, cfg, pos_h, pos_v):
+    """rgan.window_attention as composed ops: each stream's [q|k|v]
+    projection by ad.linear, cut into thirds by ad.split (one projection
+    when zq is zkv), then composed_rectangular_attention of zq's queries
+    against zkv's keys and values."""
+    q, k, v = ad.split(ad.linear(zq, weight, bias), 3, axis=0)
+    if zkv is not zq:
+        _, k, v = ad.split(ad.linear(zkv, weight, bias), 3, axis=0)
+    return composed_rectangular_attention(q, k, v, cfg, pos_h, pos_v)
+
+
 def full_gal_stack(model, lr, rgb):
     """rgan.RganModel.forward with every GAL running both streams to the
     end: the two-stream loop, in which the last layer also computes the RGB

@@ -102,13 +102,40 @@ def test_window_heads_split_channels_into_heads():
 
 
 def attention_inputs(seed, heads, windows, extents, channels=8):
+    """(cfg, [zq, zkv, qkv weight, qkv bias, pos_h, pos_v], output probe)."""
     rng = RandomSource(seed)
     cfg = small_cfg(channels, heads, *windows)
-    qkv = [Parameter(rng.normal((channels,) + extents), name=n) for n in "qkv"]
+    streams = [Parameter(rng.normal((channels,) + extents), name=n) for n in ("zq", "zkv")]
+    weight = Parameter(rng.normal((3 * channels, channels)) / np.sqrt(channels), name="weight")
+    bias = Parameter(rng.normal(3 * channels) * 0.3, name="bias")
     pos = [Parameter(rng.normal((heads, h * w, h * w)) * 0.3, name=f"pos_{n}")
            for n, (h, w) in zip("hv", windows)]
-    weight = rng.normal((channels,) + extents)
-    return cfg, qkv + pos, weight
+    probe = rng.normal((channels,) + extents)
+    return cfg, streams + [weight, bias] + pos, probe
+
+
+def attend(op, cfg, params, two_streams=True):
+    """op(zq, zkv, weight, bias, cfg, pos_h, pos_v) on attention_inputs'
+    params; with two_streams=False zq stands in for zkv."""
+    zq, zkv, weight, bias, pos_h, pos_v = params
+    return op(zq, zkv if two_streams else zq, weight, bias, cfg, pos_h, pos_v)
+
+
+def graph_overhead(call) -> int:
+    """Bytes that call() still holds, output kept, with the graph recorded
+    beyond without it (tracemalloc, current memory)."""
+    def retained(grad):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                out = call()
+            current = tracemalloc.get_traced_memory()[0]
+            del out  # kept until measured
+            return current
+        finally:
+            tracemalloc.stop()
+
+    return retained(True) - retained(False)
 
 
 ATTENTION_CASES = [  # heads, (wide window, tall window), extents
@@ -122,94 +149,102 @@ ATTENTION_CASES = [  # heads, (wide window, tall window), extents
 
 @pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES)
 def test_window_attention_matches_composed_ops(heads, window, extents):
-    cfg, params, weight = attention_inputs(60, heads, window, extents)
+    # One stream is bit-exact to linear -> split -> composed attention,
+    # gradients included. With two, each stream's gradient is W_q^T dq or
+    # W_kv^T dkv, where the chain takes W^T [dq|0|0] and W^T [0|dk|dv]: the
+    # same terms with exact zeros added, which BLAS may group otherwise, so
+    # those gradients are held to rounding: 1e-14 of the largest entry.
+    cfg, params, probe = attention_inputs(60, heads, window, extents)
 
-    def run(attend):
+    def run(op, two_streams):
         for p in params:
             p.reset_grad()
-        out = attend(*params[:3], cfg, *params[3:])
+        out = attend(op, cfg, params, two_streams)
         parents = out.node.parents
-        ad.backward(ad.tsum(ad.mul(out, weight)))
+        ad.backward(ad.tsum(ad.mul(out, probe)))
         return out, parents, [p.grad.copy() for p in params]
 
-    fused, parents, fused_grads = run(rgan.window_attention)
-    composed, _, composed_grads = run(oracles.composed_rectangular_attention)
-    assert parents == tuple(p.node for p in params)  # one node over q, k, v, pos_h, pos_v
-    np.testing.assert_array_equal(fused.data, composed.data)
-    for p, a, b in zip(params, fused_grads, composed_grads):
-        np.testing.assert_array_equal(a, b, err_msg=p.name)
-    with ad.no_grad():  # the path that keeps no attention maps
-        plain = rgan.window_attention(*params[:3], cfg, *params[3:])
-    np.testing.assert_array_equal(plain.data, fused.data)
+    for two_streams in (False, True):
+        fused, parents, fused_grads = run(rgan.window_attention, two_streams)
+        composed, _, composed_grads = run(oracles.projected_rectangular_attention, two_streams)
+        # one node over the streams, the qkv weight and bias, pos_h and pos_v
+        assert parents == tuple(p.node for p in params if two_streams or p is not params[1])
+        np.testing.assert_array_equal(fused.data, composed.data)
+        for p, a, b in zip(params, fused_grads, composed_grads):
+            if two_streams:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max(),
+                                           err_msg=p.name)
+            else:
+                np.testing.assert_array_equal(a, b, err_msg=p.name)
+        with ad.no_grad():  # the path that keeps no attention maps
+            plain = attend(rgan.window_attention, cfg, params, two_streams)
+        np.testing.assert_array_equal(plain.data, fused.data)
 
 
 @pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES[1:4])
 def test_window_attention_gradcheck(heads, window, extents):
-    cfg, params, weight = attention_inputs(61, heads, window, extents)
+    cfg, params, probe = attention_inputs(61, heads, window, extents)
+    for two_streams in (False, True):
+        def forward():
+            return ad.mean(ad.mul(attend(rgan.window_attention, cfg, params, two_streams), probe))
 
-    def forward():
-        out = rgan.window_attention(*params[:3], cfg, *params[3:])
-        return ad.mean(ad.mul(out, weight))
-
-    ad.backward(forward())
-    oracles.gradcheck(forward, params, RandomSource(62), n_coords=20)
+        for p in params:
+            p.reset_grad()
+        ad.backward(forward())
+        used = params if two_streams else [params[0]] + params[2:]
+        oracles.gradcheck(forward, used, RandomSource(62), n_coords=20)
 
 
 def test_window_attention_backward_releases_saved_arrays():
-    cfg, params, weight = attention_inputs(63, 2, ((2, 4), (4, 2)), (4, 8))
-    qkv = [ad.mul(p, 1.0) for p in params[:3]]  # arrays that only the graph keeps
-    refs = [weakref.ref(t.data) for t in qkv]
-    out = rgan.window_attention(*qkv, cfg, *params[3:])
-    del qkv
+    cfg, params, probe = attention_inputs(63, 2, ((2, 4), (4, 2)), (4, 8))
+    streams = [ad.mul(p, 1.0) for p in params[:2]]  # arrays that only the graph keeps
+    refs = [weakref.ref(t.data) for t in streams]
+    out = attend(rgan.window_attention, cfg, streams + params[2:])
+    del streams
     map_size = 4 * 2 * 8 * 8  # windows * heads * tokens^2 of either half
-    assert map_size not in {a.size for a in oracles.held_by_vjp(out.node, np.ndarray)}
+    projection_size = 3 * 8 * 4 * 8  # [3C,H,W]
+    held = {a.size for a in oracles.held_by_vjp(out.node, np.ndarray)}
+    assert map_size not in held and projection_size not in held
     assert all(ref() is not None for ref in refs)
-    ad.backward(ad.tsum(ad.mul(out, weight)))
+    ad.backward(ad.tsum(ad.mul(out, probe)))
     assert all(ref() is None for ref in refs)
     assert out.node.vjp is None and out.node.parents == ()
 
 
 def test_window_attention_graph_keeps_no_attention_map():
-    # at C=32, 2 heads, 64x64 each half's map is 1 MB; the vjp recomputes it
+    # at C=32, 2 heads, 64x64 each half's map is 1 MB and the projection
+    # 3 MB; the vjp recomputes both
     rng = RandomSource(68)
     cfg = AttentionConfig(32, heads=2)
-    qkv = [Parameter(rng.normal((32, 64, 64)), name=n) for n in "qkv"]
+    streams = [Parameter(rng.normal((32, 64, 64)), name=n) for n in ("zq", "zkv")]
+    weight = Parameter(rng.normal((96, 32)) / np.sqrt(32), name="weight")
+    bias = Parameter(rng.normal(96), name="bias")
     pos = [Parameter(rng.normal((2, 16, 16)), name=n) for n in ("pos_h", "pos_v")]
-
-    def retained(grad):
-        tracemalloc.start()
-        try:
-            with contextlib.nullcontext() if grad else ad.no_grad():
-                out = rgan.window_attention(*qkv, cfg, *pos)
-            current = tracemalloc.get_traced_memory()[0]
-            del out  # kept until measured
-            return current
-        finally:
-            tracemalloc.stop()
-
-    recorded, plain = retained(True), retained(False)
-    assert recorded - plain <= 4096, (recorded, plain)
+    params = streams + [weight, bias] + pos
+    overhead = graph_overhead(lambda: attend(rgan.window_attention, cfg, params))
+    assert overhead <= 4096, overhead
 
 
 def test_window_attention_vjp_holds_no_tensor():
     cfg, params, _ = attention_inputs(64, 2, ((2, 4), (4, 2)), (4, 8))
-    out = rgan.window_attention(*params[:3], cfg, *params[3:])
-    assert oracles.held_by_vjp(out.node) == []
+    for two_streams in (False, True):
+        out = attend(rgan.window_attention, cfg, params, two_streams)
+        assert oracles.held_by_vjp(out.node) == []
 
 
 def test_window_attention_output_is_freed_once_dropped():
-    cfg, params, weight = attention_inputs(65, 2, ((2, 4), (4, 2)), (4, 8))
+    cfg, params, probe = attention_inputs(65, 2, ((2, 4), (4, 2)), (4, 8))
 
     def grads(keep_output):
         for p in params:
             p.reset_grad()
-        out = rgan.window_attention(*params[:3], cfg, *params[3:])
+        out = attend(rgan.window_attention, cfg, params)
         ref = weakref.ref(out.data)
         y = ad.add(out, params[0])  # a residual, as around each attention sub-layer
         if not keep_output:
             del out
             assert ref() is None
-        ad.backward(ad.tsum(ad.mul(y, weight)))
+        ad.backward(ad.tsum(ad.mul(y, probe)))
         return [p.grad.copy() for p in params]
 
     for p, a, b in zip(params, grads(False), grads(True)):
@@ -235,15 +270,16 @@ def test_deleted_model_frees_its_parameters_without_the_cycle_collector():
 
 
 def attention_operands(monkeypatch, rca, z1, z2):
-    """(query, key, value) arrays of each window_attention call of rca(z1, z2)."""
+    """(query, key, value) arrays that each window_attention call of
+    rca(z1, z2) projects and attends with."""
     calls = []
-    attend = rgan.window_attention
+    attend_qkv = rgan._attend
 
-    def capture(query, key, value, *rest):
-        calls.append((query.data, key.data, value.data))
-        return attend(query, key, value, *rest)
+    def capture(qkv, *rest):
+        calls.append(tuple(np.split(qkv, 3)))
+        return attend_qkv(qkv, *rest)
 
-    monkeypatch.setattr(rgan, "window_attention", capture)
+    monkeypatch.setattr(rgan, "_attend", capture)
     rca(z1, z2)
     return calls
 
@@ -429,25 +465,46 @@ def test_rca_same_tensor_matches_two_stream_path():
 
 
 def test_rca_splits_each_projection_once(monkeypatch):
-    # The qkv conv output is cut into query, key and value in one split;
-    # Rca(z, z) projects once, Rca(z1, z2) once per stream.
+    # Each window_attention node projects the rows it reads, once and with
+    # no split node: Rca(z, z) all 3C rows of z in one product; Rca(z1, z2)
+    # per output the query rows of the other stream and the key/value rows
+    # of its own; with both=False only the first output's.
     rca = Rca(small_cfg(), RandomSource(55), "rca")
     rng = RandomSource(56)
     z1 = Tensor(rng.normal((8, 4, 4)))
     z2 = Tensor(rng.normal((8, 4, 4)))
     calls = []
-    split = ad.split
+    project = rgan._project
 
-    def count(t, sections, axis):
-        calls.append(sections)
-        return split(t, sections, axis)
+    def count(segments, *rest):
+        calls.append([(rows.start, rows.stop, 1 if z is z1.data else 2) for rows, z in segments])
+        return project(segments, *rest)
 
-    monkeypatch.setattr(ad, "split", count)
+    def split(*args):
+        raise AssertionError("Rca made a split node")
+
+    monkeypatch.setattr(rgan, "_project", count)
+    monkeypatch.setattr(ad, "split", split)
     rca(z1, z1)
-    assert calls == [3]
+    assert calls == [[(0, 24, 1)]]
     calls.clear()
     rca(z1, z2)
-    assert calls == [3, 3]
+    assert calls == [[(0, 8, 2), (8, 24, 1)], [(0, 8, 1), (8, 24, 2)]]
+    calls.clear()
+    rca(z1, z2, both=False)
+    assert calls == [[(0, 8, 2), (8, 24, 1)]]
+
+
+def test_rca_graph_keeps_no_projection():
+    # at C=32, 2 heads, 64x64 a stream's [q|k|v] projection is 3 MB; the
+    # graph keeps only the streams, which their caller holds anyway
+    rca = Rca(AttentionConfig(32, heads=2), RandomSource(74), "rca")
+    rng = RandomSource(75)
+    z1 = Tensor(rng.normal((32, 64, 64)))
+    z2 = Tensor(rng.normal((32, 64, 64)))
+    for streams in ((z1, z1), (z1, z2)):
+        overhead = graph_overhead(lambda: rca(*streams))
+        assert overhead <= 4096, overhead
 
 
 def test_rca_attention_rows_sum_to_one(monkeypatch):
@@ -736,6 +793,16 @@ def test_load_rgan_rejects_a_1x1_conv_qkv_weight(tmp_path):
     assert str((3 * c, c, 1, 1)) in message and str((3 * c, c)) in message
 
 
+def test_load_rgan_rejects_a_non_finite_parameter(tmp_path):
+    model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=39)
+    model.gals[0].cal.qkv.weight.data[1, 2] = np.nan
+    path = tmp_path / "model.ckpt"
+    rgan.save_rgan(model, path)
+    with pytest.raises(ad.DataError, match="'gal0.cal.qkv.weight' has non-finite values") as err:
+        rgan.load_rgan(path)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -791,6 +858,16 @@ def test_rgan_forward_names_a_band_count_mismatch():
         model.forward(Tensor(np.zeros((5, 8, 8))), Tensor(np.zeros((3, 16, 16))))
 
 
+def test_rgan_forward_blames_the_model_for_non_finite_values():
+    # a NaN weight makes a NaN output; the cube built from it would blame
+    # the cube's values instead
+    model = RganModel(RganConfig(bands=4, scale=2, attention=small_cfg()), seed=55)
+    model.gals[0].sal_hsi.qkv.weight.data[0, 0] = np.nan
+    cube = synthetic_cube(56, bands=4, height=8, width=8)
+    with pytest.raises(nn.NumericalFailure, match="RGAN model produced non-finite values"):
+        rgan.rgan_forward(cube, np.zeros((3, 16, 16)), model)
+
+
 def test_train_rgan_nan_aborts():
     config = RganConfig(bands=4, scale=2, attention=small_cfg())
     model = RganModel(config, seed=46)
@@ -835,7 +912,8 @@ def test_train_rgan_peak_memory_does_not_grow_with_steps():
 
 def test_train_rgan_step_peak_memory_at_benchmark_size():
     # 48 bands, 32x32 -> 64x64, C=32, 2 heads, 2 layers. The graph keeps no
-    # attention map; with its 14 maps of 1 MB each, the step peaked at 80 MB.
+    # attention map and no q/k/v projection; with its 14 maps of 1 MB each
+    # the step peaked at 80 MB, and with its 8 projections of 3 MB at 65 MB.
     config = RganConfig(bands=48, scale=2, attention=AttentionConfig(32, heads=2, layers=2))
     model = RganModel(config, seed=69)
     pair = make_pair(70, bands=48, hr_size=64)
@@ -845,4 +923,4 @@ def test_train_rgan_step_peak_memory_at_benchmark_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 70e6, peak
+    assert peak <= 48e6, peak
