@@ -3,7 +3,9 @@
 Cubes and `nn` checkpoints share one container (`write_container`,
 `read_container`): an 8-byte magic, a 4-byte little-endian header length,
 a UTF-8 JSON object header with sorted keys, then the payloads in header
-order as float32 little-endian values, and nothing after them. Cubes are:
+order, and nothing after them. The header's ``dtype`` names the payload
+values: ``f32le`` (float32 little-endian, also read when a header has no
+``dtype``) or ``f64le`` (float64 little-endian). Cubes are:
 
 * HSC (canonical): the container with magic ``HSCUBE\\x00\\x01``, header
   ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq"}``
@@ -27,6 +29,7 @@ import numpy as np
 from .autodiff import DataError, RandomSource, check_int
 
 HSC_MAGIC = b"HSCUBE\x00\x01"
+PAYLOAD_DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
 
 # Default alignment grid: 48 equally spaced bands spanning 400-1000 nm.
 DEFAULT_GRID_START = 400.0
@@ -140,14 +143,16 @@ class RgbBands:
 
 
 def write_container(path, magic: bytes, header: dict, arrays) -> None:
-    """Write the container: magic, header length, JSON header, each array as <f4."""
+    """Write the container: magic, header length, JSON header, each array
+    in the header's dtype."""
+    dtype = PAYLOAD_DTYPES[header["dtype"]]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
 def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
@@ -155,7 +160,8 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
 
     `shapes(header)` checks the format's fields and returns a (name, shape)
     per payload in file order; `what` names the header in messages. A name
-    given to two payloads raises DataError naming it.
+    given to two payloads raises DataError naming it, and so does a dtype
+    other than those of PAYLOAD_DTYPES.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -172,14 +178,19 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
             raise DataError(f"{path}: {what} is a JSON {type(header).__name__}, expected an object")
         payload = fh.read()
     arrays, pos = {}, 0
-    for name, shape in shapes(header):
+    payloads = shapes(header)
+    kind = header.get("dtype", "f32le")
+    if not isinstance(kind, str) or kind not in PAYLOAD_DTYPES:
+        raise DataError(f"{path}: unsupported dtype {kind!r}")
+    dtype = PAYLOAD_DTYPES[kind]
+    for name, shape in payloads:
         if name in arrays:
             raise DataError(f"{path}: payload name {name!r} appears twice")
         count = math.prod(shape)
-        if 4 * count > len(payload) - pos:
+        if dtype.itemsize * count > len(payload) - pos:
             raise DataError(f"{path}: truncated payload for {name}")
-        arrays[name] = np.frombuffer(payload, "<f4", count, pos).astype(np.float64).reshape(shape)
-        pos += 4 * count
+        arrays[name] = np.frombuffer(payload, dtype, count, pos).astype(np.float64).reshape(shape)
+        pos += dtype.itemsize * count
     if pos != len(payload):
         raise DataError(f"{path}: {len(payload) - pos} trailing bytes after the last payload")
     return header, arrays

@@ -9,7 +9,9 @@ optimizer step around a caller's per-step losses. A step's loss comes in
 micro-batch parts, each checked and back-propagated as soon as it exists,
 so one part's graph is alive at a time while the gradients accumulate
 across the parts. Checkpoints use the container of `hsi`, with a JSON
-manifest as its header.
+manifest as its header, and store float64 values (`dtype` f64le), so a
+reloaded model computes exactly what the saved one did. Checkpoints from
+before the manifest had a `dtype` hold float32 values, and still load.
 """
 
 from __future__ import annotations
@@ -133,7 +135,13 @@ class Adam:
             p.reset_grad()
 
     def step(self) -> None:
-        """One update; a non-finite gradient raises before any parameter moves."""
+        """One update. A non-finite parameter value, then a non-finite
+        gradient, raises NumericalFailure naming the parameter before any
+        parameter moves: a NaN weight that `relu` hides in the forward
+        would otherwise first show as the gradient of another parameter."""
+        for p in self.params:
+            if not np.all(np.isfinite(p.data)):
+                raise NumericalFailure(f"non-finite value in parameter {p.name}")
         for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericalFailure(f"non-finite gradient in {p.name}")
@@ -174,8 +182,8 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
     least one step), cosine tail over the last `tail_frac`; with both 0 it
     stays constant. A `steps` below 0 or not an int raises ValueError; a
-    non-finite part (before its backward) or gradient (before the update)
-    NumericalFailure naming the step.
+    non-finite part (before its backward), parameter or gradient (before
+    the update) NumericalFailure naming the step.
     """
     check_int(steps, "steps", low=0)
     base = opt.lr
@@ -222,6 +230,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 def save_checkpoint(path, kind: str, config: dict, params: list[Parameter]) -> None:
     manifest = {
         "format": CHECKPOINT_FORMAT,
+        "dtype": "f64le",
         "kind": kind,
         "config": config,
         "parameters": [{"name": p.name, "shape": list(p.shape)} for p in params],

@@ -7,8 +7,10 @@ with a residual around every sub-layer. Attention is computed inside
 non-overlapping rectangular windows: the first half of the channels uses
 wide (horizontal) windows, the second half tall (vertical) windows, and one
 node projects the queries, keys and values and writes both halves into one
-output. The graph keeps each attention's input streams, never their q/k/v
-projections or attention maps: backward recomputes those from the streams.
+output. The halves run one after the other, each projecting only its own
+q, k and v rows, so only one half's q/k/v is alive at a time. The graph
+keeps each attention's input streams, never their q/k/v projections or
+attention maps: backward rebuilds each half's from the streams.
 """
 
 from __future__ import annotations
@@ -115,26 +117,31 @@ def _key_major_attention(q: np.ndarray, k: np.ndarray, pos: np.ndarray,
     return ad.softmax_array(logits, axis=0, out=logits)
 
 
-def _project(segments, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The [3C,H,W] q|k|v array: for each (rows, z) in segments, rows
-    `rows` of weight and bias map the [C,H,W] stream array z as `ad.linear`
-    does."""
+def _half_qkv(segments, weight: np.ndarray, bias: np.ndarray, rows: slice) -> np.ndarray:
+    """One half's query, key and value rows `rows`, as [3, len(rows), H, W],
+    of the q|k|v projection `weight @ z + bias` (weight [3C,C], bias [3C],
+    mapping channels per pixel as `ad.linear` does). Each (span, z) of
+    segments names the stream array z that projects q|k|v rows `span`; the
+    half's rows among them are projected in one product."""
     c, height, width = segments[0][1].shape
-    qkv = np.empty((3 * c, height, width))
-    for rows, z in segments:
-        y = qkv[rows].reshape(rows.stop - rows.start, -1)
-        np.matmul(weight[rows], z.reshape(c, -1), out=y)
-        y += bias[rows, None]
+    w3, b3 = weight.reshape(3, c, c)[:, rows], bias.reshape(3, c)[:, rows]
+    qkv = np.empty((3, rows.stop - rows.start, height, width))
+    for span, z in segments:
+        thirds = slice(span.start // c, span.stop // c)
+        y = qkv[thirds].reshape(-1, height * width)
+        np.matmul(w3[thirds].reshape(-1, c), z.reshape(c, -1), out=y)
+        y += b3[thirds].reshape(-1, 1)
     return qkv
 
 
-def _attend(qkv: np.ndarray, halves, heads: int, scale: float) -> np.ndarray:
-    """Both halves of the attention of a [3C,H,W] q|k|v array, into one
-    [C,H,W] output."""
-    arrays = np.split(qkv, 3)  # query, key, value
-    out = np.empty(arrays[0].shape)
+def _attend(segments, weight: np.ndarray, bias: np.ndarray, halves, heads: int,
+            scale: float) -> np.ndarray:
+    """Both halves of the attention, into one [C,H,W] output; each half is
+    projected, windowed, attended and merged before the next one starts."""
+    out = np.empty(segments[0][1].shape)
     for rows, window, pos in halves:
-        q, k, v = (window_heads(x[rows], window, heads) for x in arrays)
+        q, k, v = (window_heads(x, window, heads)
+                   for x in _half_qkv(segments, weight, bias, rows))
         n, _, t, d = v.shape
         attn = _key_major_attention(q, k, pos, scale)
         mixed = np.matmul(attn.transpose(1, 2, 0), v.reshape(-1, t, d))
@@ -143,17 +150,16 @@ def _attend(qkv: np.ndarray, halves, heads: int, scale: float) -> np.ndarray:
     return out
 
 
-def _attend_vjp(qkv: np.ndarray, g: np.ndarray, halves, heads: int,
-                scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(d qkv, [d pos of each half]) of `_attend` at output gradient g. Each
-    half's map is rebuilt through the forward's helper, bit-identical to
-    the forward's."""
-    arrays = (*np.split(qkv, 3), g)
-    dqkv = np.empty(qkv.shape)
-    grads = np.split(dqkv, 3)  # query, key, value
+def _attend_vjp(segments, weight: np.ndarray, bias: np.ndarray, g: np.ndarray, halves,
+                heads: int, scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(d q|k|v as [3, C, H, W], [d pos of each half]) of `_attend` at output
+    gradient g. Each half's q, k, v and map are rebuilt through the
+    forward's helpers, bit-identical to the forward's."""
+    dqkv = np.empty((3,) + g.shape)  # query, key, value
     dpos = []
     for rows, window, pos in halves:
-        q, k, v, dout = (window_heads(x[rows], window, heads) for x in arrays)
+        q, k, v, dout = (window_heads(x, window, heads)
+                         for x in (*_half_qkv(segments, weight, bias, rows), g[rows]))
         attn = _key_major_attention(q, k, pos, scale)
         n, _, t, d = q.shape
         q, k, v, dout = (x.reshape(-1, t, d) for x in (q, k, v, dout))
@@ -166,7 +172,7 @@ def _attend_vjp(qkv: np.ndarray, g: np.ndarray, halves, heads: int,
         dattn *= scale
         dlogits = dattn.transpose(1, 2, 0)
         dk = np.matmul(q.transpose(0, 2, 1), dlogits).transpose(0, 2, 1)
-        for grad, part in zip(grads, (np.matmul(dlogits, k), dk, dv)):
+        for grad, part in zip(dqkv, (np.matmul(dlogits, k), dk, dv)):
             merge_window_heads(part.reshape(n, heads, t, d), window, grad[rows])
     return dqkv, dpos
 
@@ -179,12 +185,16 @@ def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
     The queries are rows [0,C) of `weight @ zq + bias`, and the keys and
     values rows [C,3C) of `weight @ zkv + bias` (weight [3C,C], bias [3C],
     mapping channels per pixel as `ad.linear` does). When zq is zkv, one
-    product over all 3C rows projects the one stream, as `nn.Linear` would.
+    product per half projects that half's q, k and v rows of the one stream.
 
     Channels [:C/2] attend inside wide cfg.window_h windows with bias pos_h
     and channels [C/2:] inside tall cfg.window_v windows with pos_v, each
     bias a per-head [heads, h*w, h*w] map shared across windows; both
-    halves are written into one [C,H,W] output.
+    halves are written into one [C,H,W] output. Each half runs from start
+    to finish before the next: one helper projects only that half's q, k
+    and v rows (one product per stream), which are windowed, attended and
+    merged into the output. So only one half's q/k/v is alive at a time,
+    and no [3C,H,W] array is ever built.
 
     Each half's attention map is laid out key-major, [t_j, windows*heads,
     t_i]: k q^T is written into it through a transposed view, so the
@@ -199,15 +209,16 @@ def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
     by rounding.
 
     One graph node with parents (zq, zkv, weight, bias, pos_h, pos_v), or
-    (zq, weight, bias, pos_h, pos_v) when zq is zkv. The forward drops the
-    [3C,H,W] projection once the output exists. The vjp saves no projection
-    and no attention map: it closes over the arrays of the streams, weight,
-    bias, pos_h and pos_v only. It recomputes the projection and, through
-    the forward's helper, each half's map, bit-identical to the forward's;
-    runs the attention's vjp into one [3C,H,W] q/k/v gradient; and applies
-    the projection's vjp to that (d stream, d weight, d bias). It holds no
-    Tensor, so the output is freed once the caller drops it. The saved
-    arrays must not change before backward.
+    (zq, weight, bias, pos_h, pos_v) when zq is zkv. The vjp saves no
+    projection and no attention map: it closes over the arrays of the
+    streams, weight, bias, pos_h and pos_v only. Half by half, it rebuilds
+    that half's q, k and v and its map through the forward's helpers,
+    bit-identical to the forward's, and runs the attention's vjp into that
+    half's rows of one [3C,H,W] q/k/v gradient. It then applies the
+    projection's vjp to the whole gradient, one product per stream (d
+    stream, d weight, d bias). It holds no Tensor, so the output is freed
+    once the caller drops it. The saved arrays must not change before
+    backward.
     """
     if zkv.shape != zq.shape:
         raise ValueError(f"stream shapes differ: {zq.shape} vs {zkv.shape}")
@@ -220,10 +231,10 @@ def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
     halves = ((slice(0, c // 2), cfg.window_h, pos_h.data),
               (slice(c // 2, c), cfg.window_v, pos_v.data))
     scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
-    out = _attend(_project(segments, w, b), halves, cfg.heads, scale)
+    out = _attend(segments, w, b, halves, cfg.heads, scale)
 
     def vjp(g):
-        dqkv, dpos = _attend_vjp(_project(segments, w, b), g, halves, cfg.heads, scale)
+        dqkv, dpos = _attend_vjp(segments, w, b, g, halves, cfg.heads, scale)
         d2 = dqkv.reshape(3 * c, -1)
         dw = np.empty(w.shape)
         dz = []
@@ -373,12 +384,13 @@ class RganModel(nn.Module):
                 f"output extents {hh}x{ww} not divisible by windows "
                 f"({att.row_divisor}x{att.col_divisor}); pad before the model"
             )
-        upsampled = ad.bilinear_resize(lr, hh, ww)
         hsi_feat = ad.bilinear_resize(self.embed_hsi(lr), hh, ww)
         rgb_feat = self.embed_rgb(rgb)
         for i, gal in enumerate(self.gals, 1):
             hsi_feat, rgb_feat = gal(hsi_feat, rgb_feat, rgb_out=i < len(self.gals))
-        return ad.add(self.head(hsi_feat), upsampled)
+        # the residual is made last: held through the GALs it would raise
+        # the inference peak by its [bands,H,W] size
+        return ad.add(self.head(hsi_feat), ad.bilinear_resize(lr, hh, ww))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +10,7 @@ from spectragen import autodiff as ad
 from spectragen.autodiff import Parameter, RandomSource, Tensor
 
 import oracles
+from memory import traced_bytes
 
 
 def rand(rng, *shape):
@@ -228,13 +228,11 @@ def test_conv2d_peak_memory_is_under_half_the_full_im2col(monkeypatch):
     c_in, c_out, h, w, k = 48, 16, 64, 64, 3
     x, kernel, bias = rand(rng, c_in, h, w), rand(rng, c_out, c_in, k, k), rand(rng, c_out)
     calls = _record_im2col_blocks(monkeypatch)
-    tracemalloc.start()
-    try:
+    def conv():
         with ad.no_grad():
-            ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            return ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
+
+    _, peak = traced_bytes(conv)
     assert peak <= c_in * k * k * h * w * x.itemsize / 2
     # Each block buffer holds at most _CONV_BLOCK_ELEMS elements plus the
     # k-1 halo rows, here and when the rows split into blocks.

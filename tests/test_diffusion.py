@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,11 +14,12 @@ from spectragen.diffusion import (ConditionalDenoiser, ConditionStack, DenoiserC
                                   IdentityCodec, SpaceToDepthCodec, TinyAutoencoder,
                                   ddim_step, forward_noise, make_schedule,
                                   timestep_subsequence)
-from spectragen.hsi import patch_grid
+from spectragen.hsi import extract_rgb, iter_patches, patch_grid
 from spectragen.rgan import AttentionConfig, RganConfig, RganModel, rgan_forward
 from spectragen.synth import synthetic_cube, synthetic_rgb
 
 import oracles
+from memory import traced_bytes
 
 
 def tiny_config(**kw):
@@ -493,13 +493,9 @@ def test_train_diffusion_peak_memory_does_not_grow_with_the_batch():
     def peak(batch_size):
         model = ConditionalDenoiser(tiny_config(base_channels=8, cond_slots=(("hed", 1),)),
                                     seed=86)
-        tracemalloc.start()
-        try:
-            df.train_diffusion(latents, model, make_schedule(20), steps=1,
-                               batch_size=batch_size, seed=87, conditions=stacks)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_bytes(lambda: df.train_diffusion(
+            latents, model, make_schedule(20), steps=1, batch_size=batch_size, seed=87,
+            conditions=stacks))[1]
 
     assert peak(4) <= 1.1 * peak(1)
 
@@ -739,6 +735,36 @@ def test_augment_two_stage_zero_rgan_patches_are_bilinear_crops():
         np.testing.assert_array_equal(p.values, upsampled[:, r : r + 8, c : c + 8])
 
 
+def test_augment_two_stage_is_its_stages_composed():
+    # Oracle: DSRNet on each cube's RGB bands, with the seed the pipeline
+    # derives for that cube; RGAN guided by the result; the patch grid of
+    # the upscaled cube.
+    model, rgan_model, cubes = pipeline_denoiser(), pipeline_rgan(2), pipeline_cubes()
+    s = make_schedule(10)
+
+    def run():
+        return df.augment_two_stage(cubes, model, s, rgan_model, scale=2, patch_size=8,
+                                    stride=4, steps=2, seed=5)
+
+    want, want_rows = [], []
+    for ci, cube in enumerate(cubes):
+        seed = int(RandomSource(5).child(ci).integers(0, 2**31))
+        hr_rgb = df.dsrnet_super_resolve(extract_rgb(cube).values, model, s, 2, seed=seed,
+                                         scale=2)
+        hr_cube = rgan_forward(cube, hr_rgb, rgan_model)
+        grid = patch_grid(hr_cube.height, hr_cube.width, 8, 4)
+        want += [p.values for p in iter_patches(hr_cube, grid)]
+        want_rows += [{"source": ci, "patch": pi, "origin": [r, c], "scale": 2,
+                       "patch_size": 8, "stride": 4} for pi, (r, c) in enumerate(grid.origins)]
+    patches, manifest = run()
+    again, manifest_again = run()
+    assert manifest == manifest_again == want_rows
+    assert len(patches) == len(again) == len(want) == 9 + 15
+    for p, q, w in zip(patches, again, want):
+        np.testing.assert_array_equal(p.values, w)
+        np.testing.assert_array_equal(q.values, w)
+
+
 def test_inference_entry_points_record_no_graph(monkeypatch):
     outputs = []  # (layer, output) of every Conv2d and Linear call
 
@@ -824,3 +850,22 @@ def test_diffusion_checkpoint_round_trip(tmp_path):
     z = RandomSource(29).normal((2, 8, 8))
     a = predict(df.load_diffusion(path)[0], z, 3)
     np.testing.assert_array_equal(predict(back, z, 3), a)
+
+
+def test_diffusion_checkpoint_reproduces_a_trained_model(tmp_path):
+    # every weight live (zero-convs would hide the condition branch), a
+    # trained codec's parameters too, and values that float32 cannot hold
+    model = ConditionalDenoiser(tiny_config(latent_channels=4, cond_slots=(("lowres", 3),)),
+                                seed=28)
+    codec = TinyAutoencoder(3, 4, factor=2, seed=30)
+    randomize(model.parameters() + codec.parameters(), 31, scale=0.1)
+    path = tmp_path / "diff.ckpt"
+    df.save_diffusion(path, model, make_schedule(16), codec)
+    back, schedule, back_codec = df.load_diffusion(path)
+    for p, q in zip(model.parameters() + codec.parameters(),
+                    back.parameters() + back_codec.parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
+    cond = ConditionStack({"lowres": synthetic_rgb(32, 8, 8)})
+    np.testing.assert_array_equal(
+        df.sample(back, schedule, 3, cond, back_codec, seed=1, image_shape=(3, 8, 8)),
+        df.sample(model, make_schedule(16), 3, cond, codec, seed=1, image_shape=(3, 8, 8)))

@@ -39,12 +39,42 @@ def rewrite_manifest(path, drop=(), **fields):
 
 
 def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
-    manifest = (b'{"config": {"width": 3}, "format": "spectragen-checkpoint-v1", "kind": "toy", '
-                b'"parameters": [{"name": "a.weight", "shape": [2, 3]}, '
+    manifest = (b'{"config": {"width": 3}, "dtype": "f64le", "format": "spectragen-checkpoint-v1", '
+                b'"kind": "toy", "parameters": [{"name": "a.weight", "shape": [2, 3]}, '
                 b'{"name": "a.bias", "shape": [2]}]}')
-    payload = struct.pack("<8f", 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, -1.0)
+    payload = struct.pack("<8d", 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, -1.0)
     want = b"SGCKPT\x00\x01" + struct.pack("<I", len(manifest)) + manifest + payload
     assert saved(tmp_path).read_bytes() == want
+
+
+def test_checkpoint_round_trip_keeps_float64_values(tmp_path):
+    # 0.1 and 1/3 are not float32 values: a float32 payload would move them
+    values = np.array([0.1, 1.0 / 3.0, -2.0 ** -30, 1e300])
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, "toy", {}, [Parameter(values, "a.weight")])
+    _, _, back = nn.load_checkpoint(path)
+    np.testing.assert_array_equal(back["a.weight"], values)
+    assert back["a.weight"].dtype == np.float64
+
+
+def test_checkpoint_without_a_dtype_loads_its_float32_payload(tmp_path):
+    # checkpoints written before the manifest named a dtype hold float32
+    manifest = (b'{"config": {}, "format": "spectragen-checkpoint-v1", "kind": "toy", '
+                b'"parameters": [{"name": "a.weight", "shape": [3]}]}')
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest
+                     + struct.pack("<3f", 0.1, -1.0, 2.5))
+    kind, config, values = nn.load_checkpoint(path)
+    assert (kind, config) == ("toy", {})
+    np.testing.assert_array_equal(values["a.weight"], np.array([0.1, -1.0, 2.5], dtype="<f4"))
+
+
+@pytest.mark.parametrize("dtype", ["f16le", "<f8", ["f64le"], None])
+def test_load_checkpoint_rejects_an_unknown_dtype(tmp_path, dtype):
+    path = saved(tmp_path)
+    rewrite_manifest(path, dtype=dtype)
+    with pytest.raises(DataError, match=re.escape(f"model.ckpt: unsupported dtype {dtype!r}")):
+        nn.load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_short_length_field(tmp_path):
@@ -207,6 +237,18 @@ def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
 def test_adam_rejects_an_empty_parameter_list():
     with pytest.raises(ValueError, match="params"):
         nn.Adam([], lr=0.1)
+
+
+def test_adam_names_a_non_finite_parameter_before_any_gradient():
+    # b's NaN value is checked before a's NaN gradient, and nothing moves
+    a = Parameter(np.zeros(2), "a")
+    b = Parameter(np.array([1.0, np.nan]), "b")
+    a.grad[:] = np.nan
+    opt = nn.Adam([a, b], lr=0.1)
+    with pytest.raises(nn.NumericalFailure, match="non-finite value in parameter b"):
+        opt.step()
+    assert opt.t == 0
+    np.testing.assert_array_equal(a.data, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

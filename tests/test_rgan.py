@@ -1,7 +1,6 @@
 import contextlib
 import gc
 import json
-import tracemalloc
 import weakref
 import zlib
 from dataclasses import asdict
@@ -19,6 +18,7 @@ from spectragen.rgan import AttentionConfig, Gal, Rca, RganConfig, RganModel
 from spectragen.synth import synthetic_cube
 
 import oracles
+from memory import largest_traced_block, traced_bytes
 
 
 def small_cfg(channels=8, heads=1, wh=(2, 4), wv=(4, 2), layers=1):
@@ -123,17 +123,13 @@ def attend(op, cfg, params, two_streams=True):
 
 def graph_overhead(call) -> int:
     """Bytes that call() still holds, output kept, with the graph recorded
-    beyond without it (tracemalloc, current memory)."""
+    beyond without it."""
     def retained(grad):
-        tracemalloc.start()
-        try:
+        def run():
             with contextlib.nullcontext() if grad else ad.no_grad():
-                out = call()
-            current = tracemalloc.get_traced_memory()[0]
-            del out  # kept until measured
-            return current
-        finally:
-            tracemalloc.stop()
+                return call()
+
+        return traced_bytes(run)[0]
 
     return retained(True) - retained(False)
 
@@ -270,18 +266,24 @@ def test_deleted_model_frees_its_parameters_without_the_cycle_collector():
 
 
 def attention_operands(monkeypatch, rca, z1, z2):
-    """(query, key, value) arrays that each window_attention call of
-    rca(z1, z2) projects and attends with."""
+    """(rows, (query, key, value)) of each half that the window_attention
+    calls of rca(z1, z2) project and attend with, in call order."""
     calls = []
-    attend_qkv = rgan._attend
+    half_qkv = rgan._half_qkv
 
-    def capture(qkv, *rest):
-        calls.append(tuple(np.split(qkv, 3)))
-        return attend_qkv(qkv, *rest)
+    def capture(segments, weight, bias, rows):
+        qkv = half_qkv(segments, weight, bias, rows)
+        calls.append((rows, tuple(qkv)))
+        return qkv
 
-    monkeypatch.setattr(rgan, "_attend", capture)
+    monkeypatch.setattr(rgan, "_half_qkv", capture)
     rca(z1, z2)
     return calls
+
+
+def halves_of(cfg):
+    c = cfg.channels
+    return [slice(0, c // 2), slice(c // 2, c)]
 
 
 def test_project_qkv_zero_weights(monkeypatch):
@@ -290,9 +292,10 @@ def test_project_qkv_zero_weights(monkeypatch):
     rca.qkv.weight.data[:] = 0.0
     z = Tensor(RandomSource(4).normal((8, 4, 4)))
     calls = attention_operands(monkeypatch, rca, z, z)
-    assert len(calls) == 1
-    for part in calls[0]:
-        np.testing.assert_array_equal(part, np.zeros((8, 4, 4)))
+    assert [rows for rows, _ in calls] == halves_of(cfg)
+    for _, parts in calls:
+        for part in parts:
+            np.testing.assert_array_equal(part, np.zeros((4, 4, 4)))
 
 
 def test_project_qkv_identity_kernel(monkeypatch):
@@ -307,14 +310,17 @@ def test_project_qkv_identity_kernel(monkeypatch):
     rca.qkv.weight.data = w
     rca.qkv.bias.data[:] = 0.0
     z = Tensor(RandomSource(6).normal((c, 4, 4)))
-    (operands,) = attention_operands(monkeypatch, rca, z, z)
-    for part in operands:
-        np.testing.assert_array_equal(part, z.data)
+    calls = attention_operands(monkeypatch, rca, z, z)
+    assert [rows for rows, _ in calls] == halves_of(cfg)
+    for rows, parts in calls:
+        for part in parts:
+            np.testing.assert_array_equal(part, z.data[rows])
 
 
 def test_project_qkv_matches_conv_then_slice(monkeypatch):
     # Each output stream attends the other stream's queries against its own
-    # keys and values: [q|k|v] are the thirds of the qkv conv output.
+    # keys and values: each half's [q|k|v] are that half's rows of the
+    # thirds of the qkv conv output.
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(7), "rca")
     rng = RandomSource(8)
@@ -323,10 +329,10 @@ def test_project_qkv_matches_conv_then_slice(monkeypatch):
     q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
     q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
     calls = attention_operands(monkeypatch, rca, z1, z2)
-    assert len(calls) == 2
-    for got, want in zip(calls, ((q2, k1, v1), (q1, k2, v2))):
+    assert [rows for rows, _ in calls] == 2 * halves_of(cfg)
+    for (rows, got), want in zip(calls, 2 * [(q2, k1, v1)] + 2 * [(q1, k2, v2)]):
         for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, b[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +471,41 @@ def test_rca_same_tensor_matches_two_stream_path():
 
 
 def test_rca_splits_each_projection_once(monkeypatch):
-    # Each window_attention node projects the rows it reads, once and with
-    # no split node: Rca(z, z) all 3C rows of z in one product; Rca(z1, z2)
+    # Each window_attention node projects the rows it reads, each once, half
+    # by half and with no split node: Rca(z, z) all 3C rows of z; Rca(z1, z2)
     # per output the query rows of the other stream and the key/value rows
     # of its own; with both=False only the first output's.
     rca = Rca(small_cfg(), RandomSource(55), "rca")
     rng = RandomSource(56)
     z1 = Tensor(rng.normal((8, 4, 4)))
     z2 = Tensor(rng.normal((8, 4, 4)))
-    calls = []
-    project = rgan._project
+    calls = []  # per window_attention node, the (q|k|v row, stream) pairs it projects
+    half_qkv = rgan._half_qkv
 
-    def count(segments, *rest):
-        calls.append([(rows.start, rows.stop, 1 if z is z1.data else 2) for rows, z in segments])
-        return project(segments, *rest)
+    def record(segments, weight, bias, rows):
+        c = weight.shape[1]
+        if rows.start == 0:  # a node's first half
+            calls.append([])
+        calls[-1] += [(row, 1 if z is z1.data else 2) for span, z in segments
+                      for row in range(span.start, span.stop) if rows.start <= row % c < rows.stop]
+        return half_qkv(segments, weight, bias, rows)
 
     def split(*args):
         raise AssertionError("Rca made a split node")
 
-    monkeypatch.setattr(rgan, "_project", count)
+    def node(query_stream, kv_stream):
+        return [(row, query_stream) for row in range(8)] + [(row, kv_stream) for row in range(8, 24)]
+
+    monkeypatch.setattr(rgan, "_half_qkv", record)
     monkeypatch.setattr(ad, "split", split)
     rca(z1, z1)
-    assert calls == [[(0, 24, 1)]]
+    assert [sorted(rows) for rows in calls] == [node(1, 1)]
     calls.clear()
     rca(z1, z2)
-    assert calls == [[(0, 8, 2), (8, 24, 1)], [(0, 8, 1), (8, 24, 2)]]
+    assert [sorted(rows) for rows in calls] == [node(2, 1), node(1, 2)]
     calls.clear()
     rca(z1, z2, both=False)
-    assert calls == [[(0, 8, 2), (8, 24, 1)]]
+    assert [sorted(rows) for rows in calls] == [node(2, 1)]
 
 
 def test_rca_graph_keeps_no_projection():
@@ -505,6 +518,34 @@ def test_rca_graph_keeps_no_projection():
     for streams in ((z1, z1), (z1, z2)):
         overhead = graph_overhead(lambda: rca(*streams))
         assert overhead <= 4096, overhead
+
+
+def test_rca_inference_never_holds_a_whole_projection(monkeypatch):
+    # at C=32, 2 heads, 64x64 a [3C,H,W] q|k|v array is 3 MB; each half
+    # projects, attends and drops its own q, k and v rows before the next
+    c, size = 32, 64
+    rca = Rca(AttentionConfig(c, heads=2), RandomSource(74), "rca")
+    rng = RandomSource(75)
+    z1 = Tensor(rng.normal((c, size, size)))
+    z2 = Tensor(rng.normal((c, size, size)))
+    largest = []  # largest traced block before and after each attention step
+
+    for name in ("window_heads", "_key_major_attention", "merge_window_heads"):
+        def watched(*args, step=getattr(rgan, name)):
+            largest.append(largest_traced_block())
+            out = step(*args)
+            largest.append(largest_traced_block())
+            return out
+
+        monkeypatch.setattr(rgan, name, watched)
+
+    def run():
+        with ad.no_grad():
+            return rca(z1, z2)
+
+    traced_bytes(run)
+    assert len(largest) == 40  # 2 nodes x 2 halves x (3 windowings, 1 map, 1 merge) x 2
+    assert max(largest) < 3 * c * size * size * 8, max(largest)
 
 
 def test_rca_attention_rows_sum_to_one(monkeypatch):
@@ -742,11 +783,29 @@ def test_rgan_checkpoint_round_trip(tmp_path):
     rgb = np.zeros((3, 16, 16))
     a = rgan.rgan_forward(cube, rgb, model).values
     b = rgan.rgan_forward(cube, rgb, back).values
-    # two loads of the same file agree bit-exactly; float32 storage keeps
-    # the reloaded model within rounding of the original
+    # two loads of the same file agree bit-exactly, and float64 storage
+    # makes the reloaded model the original
     c = rgan.rgan_forward(cube, rgb, rgan.load_rgan(path)).values
     np.testing.assert_array_equal(b, c)
-    np.testing.assert_allclose(a, b, atol=1e-5)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_rgan_checkpoint_reproduces_a_trained_model(tmp_path):
+    # every parameter live (the zero-init head would hide the trunk), and
+    # values that float32 cannot hold
+    model = RganModel(RganConfig(bands=3, scale=2, attention=small_cfg()), seed=39)
+    rng = RandomSource(41)
+    for i, p in enumerate(model.parameters()):
+        p.data = rng.child(i).normal(p.shape) * 0.1
+    path = tmp_path / "model.ckpt"
+    rgan.save_rgan(model, path)
+    back = rgan.load_rgan(path)
+    for p, q in zip(model.parameters(), back.parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=p.name)
+    cube = synthetic_cube(40, bands=3, height=8, width=8)
+    rgb = RandomSource(42).uniform((3, 16, 16))
+    np.testing.assert_array_equal(rgan.rgan_forward(cube, rgb, model).values,
+                                  rgan.rgan_forward(cube, rgb, back).values)
 
 
 def _with(section, **fields):
@@ -891,6 +950,18 @@ def test_train_rgan_overfit_reduces_loss():
     assert all(b < a for a, b in zip(means, means[1:]))
 
 
+def test_train_rgan_names_a_nan_weight_that_relu_hides():
+    # relu maps the NaN channel to 0, so the loss stays finite and the
+    # first non-finite gradient is another parameter's (embed_hsi.weight);
+    # Adam's check of the values names the parameter that holds the NaN
+    config = RganConfig(bands=4, scale=2, attention=small_cfg())
+    model = RganModel(config, seed=48)
+    model.gals[0].ffd_hsi.fc1.weight.data[0, 0] = np.nan
+    with pytest.raises(nn.NumericalFailure,
+                       match=r"non-finite value in parameter gal0\.ffd_hsi\.fc1\.weight at step 0"):
+        rgan.train_rgan([make_pair(49)], model, steps=2, seed=1)
+
+
 def test_train_rgan_peak_memory_does_not_grow_with_steps():
     # backward releases each step's graph, so later steps reuse the memory
     # of the first instead of holding the previous graph through a forward.
@@ -899,15 +970,22 @@ def test_train_rgan_peak_memory_does_not_grow_with_steps():
 
     def peak(steps):
         model = RganModel(config, seed=51)
-        tracemalloc.start()
-        try:
-            rgan.train_rgan([pair], model, steps=steps, seed=2)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_bytes(lambda: rgan.train_rgan([pair], model, steps=steps, seed=2))[1]
 
     one, three = peak(1), peak(3)
     assert three <= 1.1 * one, (one, three)
+
+
+def test_rgan_forward_peak_memory_at_benchmark_size():
+    # 48 bands, 32x32 -> 64x64, C=32, 2 heads, 2 layers. The inference peak
+    # was 14.2 MB while each attention built its whole [3C,H,W] q|k|v array
+    # and the bilinear residual was held through the GALs; about 10.5 MB
+    # with one half's q/k/v at a time and the residual made last.
+    config = RganConfig(bands=48, scale=2, attention=AttentionConfig(32, heads=2, layers=2))
+    model = RganModel(config, seed=69)
+    lr, rgb, _ = make_pair(70, bands=48, hr_size=64)
+    _, peak = traced_bytes(lambda: rgan.rgan_forward(lr, rgb, model))
+    assert peak <= 12e6, peak
 
 
 def test_train_rgan_step_peak_memory_at_benchmark_size():
@@ -917,10 +995,5 @@ def test_train_rgan_step_peak_memory_at_benchmark_size():
     config = RganConfig(bands=48, scale=2, attention=AttentionConfig(32, heads=2, layers=2))
     model = RganModel(config, seed=69)
     pair = make_pair(70, bands=48, hr_size=64)
-    tracemalloc.start()
-    try:
-        rgan.train_rgan([pair], model, steps=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_bytes(lambda: rgan.train_rgan([pair], model, steps=1))
     assert peak <= 48e6, peak
