@@ -9,10 +9,10 @@ mainstream deep-learning frameworks (no kernel flip); each adds its bias in
 place, as one graph node. Only a `Parameter` gets a grad.
 
 The graph is made of nodes, not tensors. A `Tensor` holds its array and,
-when an op recorded it, a `Node`: the parents' nodes, the vjp and the
-output shape, but no array. A vjp returns the gradients of its parents in
-their order and closes over only the arrays and shapes it reads, never
-over a Tensor. So an intermediate array lives only while Python or a vjp
+when an op recorded it, a `Node`: the parents' nodes and the vjp, but no
+array. A vjp returns the whole gradient of each parent, in their order,
+or None, and closes over only the arrays and shapes it reads, never over
+a Tensor. So an intermediate array lives only while Python or a vjp
 holds it: an output that no vjp reads is freed as soon as the caller drops
 its Tensor, while the graph behind it still back-propagates.
 
@@ -82,17 +82,13 @@ class RandomSource:
 
 class Node:
     """A recorded op: its parents' nodes in order (None where a parent has
-    no graph), its vjp, and the shape of its output."""
+    no graph) and its vjp."""
 
-    __slots__ = ("parents", "vjp", "shape")
+    __slots__ = ("parents", "vjp")
 
-    def __init__(self, parents: tuple, vjp, shape: tuple[int, ...]):
+    def __init__(self, parents: tuple, vjp):
         self.parents = parents
         self.vjp = vjp
-        self.shape = shape
-
-    def __repr__(self):
-        return f"Node(shape={self.shape})"
 
 
 class Tensor:
@@ -166,14 +162,13 @@ def no_grad():
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Tensor of `data`, with a node over the parents' nodes when grad mode
     is on and some parent has a graph. vjp(g) returns one entry per parent,
-    in order: its gradient, None, or (grad, index) when grad covers only
-    parent[index]."""
+    in order: its whole gradient, of the parent's shape, or None."""
     out = Tensor(data)
     if not _GRAD_ENABLED.get():
         return out
     nodes = tuple(p.node for p in parents)
     if any(n is not None for n in nodes):
-        out.node = Node(nodes, vjp, out.data.shape)
+        out.node = Node(nodes, vjp)
     return out
 
 
@@ -197,10 +192,11 @@ def backward(loss: Tensor) -> None:
     graph over the same parameters add on top of the first, until they are
     reset.
 
-    Gradients are buffered per node. backward owns the buffer a gradient
-    sums into: the first contribution is kept as returned, and the buffer
-    is written in place only once backward has allocated it, since a vjp
-    may hand one array to two parents.
+    Gradients are buffered per node, each a whole gradient of the node's
+    shape. backward owns the buffer a gradient sums into: the first
+    contribution is kept as returned, and the buffer is written in place
+    only once backward has allocated it, since a vjp may hand one array to
+    two parents.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -235,20 +231,14 @@ def backward(loss: Tensor) -> None:
             continue
         if vjp is None:
             if not isinstance(node, Parameter):
-                raise ValueError(f"backward reached {node!r}, whose graph an earlier backward released")
+                raise ValueError("backward reached a node whose graph an earlier backward released")
             node.grad += g
             continue
         for parent, pg in zip(parents, vjp(g)):
             if parent is None or pg is None:
                 continue
             acc = grads.get(parent)
-            if isinstance(pg, tuple):
-                pg, index = pg
-                if parent not in owned:
-                    acc = np.zeros(parent.shape) if acc is None else acc.copy()
-                    owned.add(parent)
-                acc[index] += pg
-            elif acc is None:
+            if acc is None:
                 acc = pg
             elif parent in owned:
                 acc += pg  # a numpy scalar rebinds here, so acc is stored below
@@ -335,6 +325,15 @@ def concat(tensors, axis: int) -> Tensor:
     return _node(data, tuple(ts), vjp)
 
 
+def _scatter_vjp(shape: tuple[int, ...], idx):
+    """vjp of the slice `idx` of an array of `shape`: g written into zeros."""
+    def vjp(g):
+        gx = np.zeros(shape)
+        gx[idx] = g
+        return (gx,)
+    return vjp
+
+
 def split(t: Tensor, sections: int, axis: int) -> list[Tensor]:
     t = as_tensor(t)
     extent = t.shape[axis]
@@ -346,11 +345,7 @@ def split(t: Tensor, sections: int, axis: int) -> list[Tensor]:
         idx = [slice(None)] * t.ndim
         idx[axis] = slice(i * step, (i + 1) * step)
         idx = tuple(idx)
-
-        def vjp(g, idx=idx):
-            return ((g, idx),)
-
-        parts.append(_node(t.data[idx], (t,), vjp))
+        parts.append(_node(t.data[idx], (t,), _scatter_vjp(t.shape, idx)))
     return parts
 
 
@@ -358,12 +353,7 @@ def crop2d(t: Tensor, h0: int, h1: int, w0: int, w1: int) -> Tensor:
     """Spatial crop of a [C,H,W] tensor to rows [h0,h1) and cols [w0,w1)."""
     t = as_tensor(t)
     idx = (slice(None), slice(h0, h1), slice(w0, w1))
-    data = t.data[idx]
-
-    def vjp(g):
-        return ((g, idx),)
-
-    return _node(data, (t,), vjp)
+    return _node(t.data[idx], (t,), _scatter_vjp(t.shape, idx))
 
 
 def _reflect_index(n: int, before: int, after: int) -> Array:

@@ -70,7 +70,8 @@ class HsiCube:
     """Reflectance cube with per-band wavelengths.
 
     values are stored band-sequentially as a (bands, height, width) float64
-    array; wavelengths are nanometers, strictly increasing.
+    array; wavelengths are finite nanometers, one per band, strictly
+    increasing (DataError naming `wavelengths` otherwise).
     """
 
     values: np.ndarray
@@ -78,13 +79,11 @@ class HsiCube:
 
     def __post_init__(self):
         self.values = chw_array(self.values, "cube values")
-        self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
-        if self.wavelengths.ndim != 1 or len(self.wavelengths) != self.values.shape[0]:
-            raise DataError(
-                f"wavelength count {self.wavelengths.shape} does not match "
-                f"{self.values.shape[0]} bands"
-            )
-        if len(self.wavelengths) > 1 and not np.all(np.diff(self.wavelengths) > 0):
+        self.wavelengths = vector_array(self.wavelengths, "wavelengths")
+        if len(self.wavelengths) != self.values.shape[0]:
+            raise DataError(f"wavelengths has {len(self.wavelengths)} entries for "
+                            f"{self.values.shape[0]} bands")
+        if not np.all(np.diff(self.wavelengths) > 0):
             raise DataError("wavelengths must be strictly increasing")
 
     @property

@@ -99,13 +99,17 @@ class LayerNorm(Module):
         return ad.layer_norm(x, self.gamma, self.beta)
 
 
+def _positive_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)) and value > 0)
+
+
 class Adam:
     """Adam with bias correction and eps = 1e-8. lr must be a finite
-    positive number and betas a pair of numbers in [0, 1) (ValueError
-    otherwise).
-
-    lr_mults gives a per-parameter learning-rate multiplier (e.g. to train
-    zero-initialized position embeddings faster).
+    positive number, betas a pair of numbers in [0, 1), and lr_mults, the
+    per-parameter learning-rate multipliers (e.g. to train zero-initialized
+    position embeddings faster), one finite positive number per parameter
+    (ValueError otherwise).
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
@@ -114,8 +118,7 @@ class Adam:
         self.params = list(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter in params")
-        if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool)
-                and np.isfinite(lr) and lr > 0):
+        if not _positive_number(lr):
             raise ValueError(f"lr must be a finite positive number, got {lr!r}")
         self.lr = lr
         if not (isinstance(betas, (tuple, list)) and len(betas) == 2 and all(
@@ -123,9 +126,12 @@ class Adam:
                 for b in betas)):
             raise ValueError(f"betas must be a pair of numbers in [0, 1), got {betas!r}")
         self.beta1, self.beta2 = betas
-        self.lr_mults = list(lr_mults) if lr_mults is not None else [1.0] * len(self.params)
-        if len(self.lr_mults) != len(self.params):
-            raise ValueError("lr_mults length must match params")
+        mults = [1.0] * len(self.params) if lr_mults is None else lr_mults
+        if not (isinstance(mults, (list, tuple)) and len(mults) == len(self.params)
+                and all(map(_positive_number, mults))):
+            raise ValueError(f"lr_mults must be {len(self.params)} finite positive numbers, "
+                             f"one per parameter, got {lr_mults!r}")
+        self.lr_mults = list(mults)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]

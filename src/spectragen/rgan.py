@@ -1,16 +1,17 @@
 """Rectangular guided attention network for RGB-guided HSI super-resolution.
 
 Two feature streams (HSI and RGB) pass through a stack of guided attention
-layers. Each layer runs windowed self-attention per stream, windowed
-cross-attention between streams, a channel gate, and a feed-forward block,
-with a residual around every sub-layer. Attention is computed inside
-non-overlapping rectangular windows: the first half of the channels uses
-wide (horizontal) windows, the second half tall (vertical) windows, and one
-node projects the queries, keys and values and writes both halves into one
-output. The halves run one after the other, each projecting only its own
-q, k and v rows, so only one half's q/k/v is alive at a time. The graph
-keeps each attention's input streams, never their q/k/v projections or
-attention maps: backward rebuilds each half's from the streams.
+layers. Each layer runs windowed self-attention per stream (`Rca(z, z)`),
+windowed cross-attention between streams (one `Rca` call per direction),
+a channel gate, and a feed-forward block, with a residual around every
+sub-layer. Attention is computed inside non-overlapping rectangular
+windows: the first half of the channels uses wide (horizontal) windows,
+the second half tall (vertical) windows, and one node projects the
+queries, keys and values and writes both halves into one output. The
+halves run one after the other, each projecting only its own q, k and v
+rows, so only one half's q/k/v is alive at a time. The graph keeps each
+attention's input streams, never their q/k/v projections or attention
+maps: backward rebuilds each half's from the streams.
 """
 
 from __future__ import annotations
@@ -251,20 +252,12 @@ def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
 
 
 class Rca(nn.Module):
-    """Rectangular cross-attention between two same-shape streams.
-
-    Returns (z1_hat, z2_hat): z1_hat attends stream-2 queries against
-    stream-1 keys/values (so it carries stream-1 content), and vice versa.
-    Each output is one `window_attention` node, which projects its own
-    queries, keys and values through the `qkv` weights; `qkv` is shared by
-    both streams, which makes the module exactly equivariant to swapping
-    its inputs, and with both inputs equal it degenerates to windowed
-    self-attention. When both inputs are the same tensor (`Rca(z, z)`),
-    the attention runs once and the one map is returned for both streams:
-    equal inputs give equal streams, so the values are those of the
-    two-stream path. With `both=False` only z1_hat is computed, projecting
-    only the queries of z2 and the keys and values of z1, and None stands
-    in for z2_hat.
+    """Rectangular window attention of one stream's queries over another's
+    keys and values: `Rca(zq, zkv)` is one `window_attention` node, which
+    projects zq's queries and zkv's keys and values through the `qkv`
+    weights, and carries zkv's content. Self-attention is `Rca(z, z)`.
+    Cross-attention in both directions is two calls with the streams
+    swapped, which share `qkv`.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):
@@ -276,13 +269,9 @@ class Rca(nn.Module):
         self.pos_h = Parameter(np.zeros((cfg.heads, th, th)), name=f"{name}.pos_h")
         self.pos_v = Parameter(np.zeros((cfg.heads, tv, tv)), name=f"{name}.pos_v")
 
-    def __call__(self, z1: Tensor, z2: Tensor, *,
-                 both: bool = True) -> tuple[Tensor, Tensor | None]:
-        shared = (self.qkv.weight, self.qkv.bias, self.cfg, self.pos_h, self.pos_v)
-        z1_hat = window_attention(z2, z1, *shared)
-        if z1 is z2:
-            return z1_hat, z1_hat
-        return z1_hat, window_attention(z1, z2, *shared) if both else None
+    def __call__(self, zq: Tensor, zkv: Tensor) -> Tensor:
+        return window_attention(zq, zkv, self.qkv.weight, self.qkv.bias, self.cfg,
+                                self.pos_h, self.pos_v)
 
 
 class SpectralGate(nn.Module):
@@ -318,7 +307,8 @@ class Ffd(nn.Module):
 
 
 class Gal(nn.Module):
-    """Guided attention layer: SAL, CAL, SpecAL, FFD, residual each.
+    """Guided attention layer: SAL, CAL, SpecAL, FFD, residual each. CAL
+    is one `Rca` called once per direction, `cal(rgb, hsi)` then `cal(hsi, rgb)`.
 
     With `rgb_out=False` the RGB stream stops after its SAL, which feeds
     the CAL queries of the HSI stream, and None is returned in its place:
@@ -339,9 +329,10 @@ class Gal(nn.Module):
 
     def __call__(self, hsi_feat: Tensor, rgb_feat: Tensor, *,
                  rgb_out: bool = True) -> tuple[Tensor, Tensor | None]:
-        hsi_feat = ad.add(hsi_feat, self.sal_hsi(hsi_feat, hsi_feat)[0])
-        rgb_feat = ad.add(rgb_feat, self.sal_rgb(rgb_feat, rgb_feat)[0])
-        d_hsi, d_rgb = self.cal(hsi_feat, rgb_feat, both=rgb_out)
+        hsi_feat = ad.add(hsi_feat, self.sal_hsi(hsi_feat, hsi_feat))
+        rgb_feat = ad.add(rgb_feat, self.sal_rgb(rgb_feat, rgb_feat))
+        d_hsi = self.cal(rgb_feat, hsi_feat)
+        d_rgb = self.cal(hsi_feat, rgb_feat) if rgb_out else None
         hsi_feat = ad.add(hsi_feat, d_hsi)
         hsi_feat = ad.add(hsi_feat, self.spec_hsi(hsi_feat))
         hsi_feat = ad.add(hsi_feat, self.ffd_hsi(hsi_feat))

@@ -228,9 +228,9 @@ def full_gal_stack(model, lr, rgb):
     hsi_feat = ad.bilinear_resize(model.embed_hsi(lr), hh, ww)
     rgb_feat = model.embed_rgb(rgb)
     for gal in model.gals:
-        hsi_feat = ad.add(hsi_feat, gal.sal_hsi(hsi_feat, hsi_feat)[0])
-        rgb_feat = ad.add(rgb_feat, gal.sal_rgb(rgb_feat, rgb_feat)[0])
-        d_hsi, d_rgb = gal.cal(hsi_feat, rgb_feat)
+        hsi_feat = ad.add(hsi_feat, gal.sal_hsi(hsi_feat, hsi_feat))
+        rgb_feat = ad.add(rgb_feat, gal.sal_rgb(rgb_feat, rgb_feat))
+        d_hsi, d_rgb = gal.cal(rgb_feat, hsi_feat), gal.cal(hsi_feat, rgb_feat)
         hsi_feat = ad.add(hsi_feat, d_hsi)
         rgb_feat = ad.add(rgb_feat, d_rgb)
         hsi_feat = ad.add(hsi_feat, gal.spec_hsi(hsi_feat))

@@ -533,6 +533,26 @@ def test_no_vjp_holds_a_tensor(op):
     assert oracles.held_by_vjp(out.node) == []
 
 
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_every_vjp_returns_whole_gradients(monkeypatch, op):
+    # backward sums what a vjp returns as is: each entry is None or the
+    # whole gradient of its parent, never a piece of it
+    shapes = {}  # id of each recorded output -> its parents' shapes
+    real = ad._node
+
+    def record(data, parents, vjp):
+        out = real(data, parents, vjp)
+        shapes[id(out)] = [p.shape for p in parents]
+        return out
+
+    monkeypatch.setattr(ad, "_node", record)
+    out = OP_CASES[op]()
+    grads = out.node.vjp(RandomSource(41).normal(out.shape))
+    assert len(grads) == len(shapes[id(out)])
+    for pg, shape in zip(grads, shapes[id(out)]):
+        assert pg is None or (isinstance(pg, (np.ndarray, np.generic)) and pg.shape == shape)
+
+
 @pytest.mark.parametrize("uses", [2, 3, 4])
 def test_backward_never_writes_into_a_vjp_result(uses):
     # add hands one array to both parents. x collects it `uses` times and y

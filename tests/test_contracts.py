@@ -150,6 +150,8 @@ def sample(steps=2, seed=0, image_shape=(3, 4, 4), codec=df.IdentityCodec()):
 CASES = [
     # hsi
     ("HsiCube.values", lambda v: hsi.HsiCube(v, [500.0, 600.0]), "values", "chw"),
+    ("HsiCube.wavelengths", lambda v: hsi.HsiCube(np.ones((3, 2, 2)), v), "wavelengths",
+     "vector"),
     ("patch_grid.height", lambda v: hsi.patch_grid(v, 8, 2, 1), "height", "int"),
     ("patch_grid.width", lambda v: hsi.patch_grid(8, v, 2, 1), "width", "int"),
     ("patch_grid.size", lambda v: hsi.patch_grid(8, 8, v, 1), "size", "int"),
@@ -277,8 +279,9 @@ def test_a_bad_argument_raises_naming_it(call, name, kind, data):
     assert name in str(err.value), f"{type(err.value).__name__}: {err.value}"
 
 
-# Values that escaped as TypeError, ZeroDivisionError or IndexError, or as
-# a ValueError that named no argument or the wrong rule.
+# Values that escaped as TypeError, ZeroDivisionError or IndexError, as a
+# ValueError that named no argument or the wrong rule, or that were
+# accepted silently.
 STRAY = [
     ("AttentionConfig('8')", lambda: AttentionConfig("8"), "channels"),
     ("AttentionConfig(layers='2')", lambda: AttentionConfig(8, layers="2"), "layers"),
@@ -314,6 +317,20 @@ STRAY = [
      lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas=(1.5, 0.9)), "betas"),
     ("Adam(betas='ab')", lambda: nn.Adam([Parameter(np.zeros(2), "p")], betas="ab"), "betas"),
     ("Adam(lr='a')", lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr="a"), "lr"),
+    ("Adam(lr_mults='a')",
+     lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr_mults="a"), "lr_mults"),
+    ("Adam(lr_mults=[None])",
+     lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr_mults=[None]), "lr_mults"),
+    ("Adam(lr_mults=[nan])",
+     lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr_mults=[math.nan]), "lr_mults"),
+    ("Adam(lr_mults=[-1.0])",
+     lambda: nn.Adam([Parameter(np.zeros(2), "p")], lr_mults=[-1.0]), "lr_mults"),
+    ("HsiCube(wavelengths=[nan])", lambda: hsi.HsiCube(np.ones((1, 2, 2)), [math.nan]),
+     "wavelengths"),
+    ("HsiCube(wavelengths=[400, inf])",
+     lambda: hsi.HsiCube(np.ones((2, 2, 2)), [400.0, math.inf]), "wavelengths"),
+    ("HsiCube(wavelengths=[450, 550, inf])",
+     lambda: hsi.HsiCube(np.ones((3, 2, 2)), [450.0, 550.0, math.inf]), "wavelengths"),
     ("SpaceToDepthCodec(2).latent_shape((3, 5, 5))",
      lambda: df.SpaceToDepthCodec(2).latent_shape((3, 5, 5)), r"image_shape.*factor 2"),
     ("TinyAutoencoder(factor=2).latent_shape((3, 4, 5))",

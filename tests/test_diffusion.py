@@ -684,6 +684,22 @@ def test_dsrnet_super_resolve_takes_a_nested_list():
 
 
 @pytest.mark.parametrize("scale", [2, 4])
+def test_dsrnet_super_resolve_is_sampling_on_the_upsampled_input(scale):
+    # Oracle: DDIM sampling at the high-resolution extents, conditioned on
+    # the bilinear upsample of lr_rgb in the `lowres` slot, clipped to [0, 1].
+    model, s = pipeline_denoiser(), make_schedule(10)
+    lr = synthetic_rgb(76, 8, 6)
+    h, w = 8 * scale, 6 * scale
+    got = df.dsrnet_super_resolve(lr, model, s, 3, seed=4, scale=scale)
+    cond = ConditionStack({"lowres": ad.bilinear_resize_array(lr, h, w)})
+    want = np.clip(df.sample(model, s, 3, cond, IdentityCodec(), 4, (3, h, w)), 0.0, 1.0)
+    np.testing.assert_array_equal(got, want)
+    other = synthetic_rgb(77, 8, 6)
+    assert not np.array_equal(got, df.dsrnet_super_resolve(other, model, s, 3, seed=4,
+                                                           scale=scale))
+
+
+@pytest.mark.parametrize("scale", [2, 4])
 def test_augment_two_stage_extents_manifest_and_determinism(scale):
     model, rgan_model, cubes = pipeline_denoiser(), pipeline_rgan(scale), pipeline_cubes()
     s = make_schedule(10)

@@ -265,9 +265,9 @@ def test_deleted_model_frees_its_parameters_without_the_cycle_collector():
 # qkv projection
 
 
-def attention_operands(monkeypatch, rca, z1, z2):
-    """(rows, (query, key, value)) of each half that the window_attention
-    calls of rca(z1, z2) project and attend with, in call order."""
+def attention_operands(monkeypatch, rca, *pairs):
+    """(rows, (query, key, value)) of each half that rca(zq, zkv), for each
+    (zq, zkv) of pairs, projects and attends with, in call order."""
     calls = []
     half_qkv = rgan._half_qkv
 
@@ -277,7 +277,8 @@ def attention_operands(monkeypatch, rca, z1, z2):
         return qkv
 
     monkeypatch.setattr(rgan, "_half_qkv", capture)
-    rca(z1, z2)
+    for zq, zkv in pairs:
+        rca(zq, zkv)
     return calls
 
 
@@ -291,7 +292,7 @@ def test_project_qkv_zero_weights(monkeypatch):
     rca = Rca(cfg, RandomSource(3), "rca")
     rca.qkv.weight.data[:] = 0.0
     z = Tensor(RandomSource(4).normal((8, 4, 4)))
-    calls = attention_operands(monkeypatch, rca, z, z)
+    calls = attention_operands(monkeypatch, rca, (z, z))
     assert [rows for rows, _ in calls] == halves_of(cfg)
     for _, parts in calls:
         for part in parts:
@@ -310,7 +311,7 @@ def test_project_qkv_identity_kernel(monkeypatch):
     rca.qkv.weight.data = w
     rca.qkv.bias.data[:] = 0.0
     z = Tensor(RandomSource(6).normal((c, 4, 4)))
-    calls = attention_operands(monkeypatch, rca, z, z)
+    calls = attention_operands(monkeypatch, rca, (z, z))
     assert [rows for rows, _ in calls] == halves_of(cfg)
     for rows, parts in calls:
         for part in parts:
@@ -318,9 +319,9 @@ def test_project_qkv_identity_kernel(monkeypatch):
 
 
 def test_project_qkv_matches_conv_then_slice(monkeypatch):
-    # Each output stream attends the other stream's queries against its own
-    # keys and values: each half's [q|k|v] are that half's rows of the
-    # thirds of the qkv conv output.
+    # rca(zq, zkv) attends zq's queries against zkv's keys and values: each
+    # half's [q|k|v] are that half's rows of the thirds of the qkv conv
+    # output.
     cfg = small_cfg()
     rca = Rca(cfg, RandomSource(7), "rca")
     rng = RandomSource(8)
@@ -328,7 +329,7 @@ def test_project_qkv_matches_conv_then_slice(monkeypatch):
     z2 = Tensor(rng.normal((8, 4, 4)))
     q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
     q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
-    calls = attention_operands(monkeypatch, rca, z1, z2)
+    calls = attention_operands(monkeypatch, rca, (z2, z1), (z1, z2))
     assert [rows for rows, _ in calls] == 2 * halves_of(cfg)
     for (rows, got), want in zip(calls, 2 * [(q2, k1, v1)] + 2 * [(q1, k2, v2)]):
         for a, b in zip(got, want):
@@ -352,7 +353,7 @@ def test_rca_zero_values_give_zero_outputs():
     rng = RandomSource(10)
     z1 = Tensor(rng.normal((8, 4, 4)))
     z2 = Tensor(rng.normal((8, 4, 4)))
-    o1, o2 = rca(z1, z2)
+    o1, o2 = rca(z2, z1), rca(z1, z2)
     np.testing.assert_array_equal(o1.data, np.zeros((8, 4, 4)))
     np.testing.assert_array_equal(o2.data, np.zeros((8, 4, 4)))
 
@@ -365,13 +366,14 @@ def test_rca_singleton_window_returns_values():
     z2 = Tensor(rng.normal((8, 4, 4)))
     v1 = np.split(rca.qkv(z1).data, 3)[2]
     v2 = np.split(rca.qkv(z2).data, 3)[2]
-    o1, o2 = rca(z1, z2)
+    o1, o2 = rca(z2, z1), rca(z1, z2)
     np.testing.assert_allclose(o1.data, v1, atol=1e-14)
     np.testing.assert_allclose(o2.data, v2, atol=1e-14)
 
 
 def _dense_rca_oracle(rca, z1, z2):
-    """Dense per-window attention with explicit matrices (loops)."""
+    """rca(z2, z1) and rca(z1, z2) as dense per-window attention with
+    explicit matrices (loops)."""
     cfg = rca.cfg
     q1, k1, v1 = np.split(rca.qkv(z1).data, 3)
     q2, k2, v2 = np.split(rca.qkv(z2).data, 3)
@@ -428,26 +430,14 @@ def test_rca_matches_dense_oracle():
     rng = RandomSource(16)
     z1 = Tensor(rng.normal((8, 8, 8)))
     z2 = Tensor(rng.normal((8, 8, 8)))
-    o1, o2 = rca(z1, z2)
+    o1, o2 = rca(z2, z1), rca(z1, z2)
     want1, want2 = _dense_rca_oracle(rca, z1, z2)
     np.testing.assert_allclose(o1.data, want1, atol=1e-10)
     np.testing.assert_allclose(o2.data, want2, atol=1e-10)
 
 
-def test_rca_swap_equivariance():
-    cfg = small_cfg()
-    rca = Rca(cfg, RandomSource(17), "rca")
-    rng = RandomSource(18)
-    z1 = Tensor(rng.normal((8, 4, 4)))
-    z2 = Tensor(rng.normal((8, 4, 4)))
-    o1, o2 = rca(z1, z2)
-    s1, s2 = rca(z2, z1)
-    np.testing.assert_array_equal(o1.data, s2.data)
-    np.testing.assert_array_equal(o2.data, s1.data)
-
-
 def test_rca_same_tensor_matches_two_stream_path():
-    # Rca(z, z) runs one stream; an equal copy forces the two-stream path.
+    # Rca(z, z) projects one stream; an equal copy forces the two-stream path.
     cfg = small_cfg(channels=8, heads=2)
     rca = Rca(cfg, RandomSource(50), "rca")
     rca.pos_h.data = RandomSource(51).normal(rca.pos_h.shape) * 0.3
@@ -458,7 +448,7 @@ def test_rca_same_tensor_matches_two_stream_path():
     def run(z2):
         for p in rca.parameters():
             p.reset_grad()
-        o1, o2 = rca(z, z2)
+        o1, o2 = rca(z2, z), rca(z, z2)
         ad.backward(ad.tsum(ad.mul(o1, weight)))
         return o1.data, o2.data, [p.grad.copy() for p in rca.parameters()]
 
@@ -472,9 +462,8 @@ def test_rca_same_tensor_matches_two_stream_path():
 
 def test_rca_splits_each_projection_once(monkeypatch):
     # Each window_attention node projects the rows it reads, each once, half
-    # by half and with no split node: Rca(z, z) all 3C rows of z; Rca(z1, z2)
-    # per output the query rows of the other stream and the key/value rows
-    # of its own; with both=False only the first output's.
+    # by half and with no split node: Rca(z, z) all 3C rows of z; Rca(zq, zkv)
+    # the query rows of zq and the key/value rows of zkv.
     rca = Rca(small_cfg(), RandomSource(55), "rca")
     rng = RandomSource(56)
     z1 = Tensor(rng.normal((8, 4, 4)))
@@ -501,10 +490,10 @@ def test_rca_splits_each_projection_once(monkeypatch):
     rca(z1, z1)
     assert [sorted(rows) for rows in calls] == [node(1, 1)]
     calls.clear()
-    rca(z1, z2)
+    rca(z2, z1), rca(z1, z2)
     assert [sorted(rows) for rows in calls] == [node(2, 1), node(1, 2)]
     calls.clear()
-    rca(z1, z2, both=False)
+    rca(z2, z1)
     assert [sorted(rows) for rows in calls] == [node(2, 1)]
 
 
@@ -515,8 +504,8 @@ def test_rca_graph_keeps_no_projection():
     rng = RandomSource(75)
     z1 = Tensor(rng.normal((32, 64, 64)))
     z2 = Tensor(rng.normal((32, 64, 64)))
-    for streams in ((z1, z1), (z1, z2)):
-        overhead = graph_overhead(lambda: rca(*streams))
+    for calls in (((z1, z1),), ((z2, z1), (z1, z2))):
+        overhead = graph_overhead(lambda: [rca(*streams) for streams in calls])
         assert overhead <= 4096, overhead
 
 
@@ -541,7 +530,7 @@ def test_rca_inference_never_holds_a_whole_projection(monkeypatch):
 
     def run():
         with ad.no_grad():
-            return rca(z1, z2)
+            return rca(z2, z1), rca(z1, z2)
 
     traced_bytes(run)
     assert len(largest) == 40  # 2 nodes x 2 halves x (3 windowings, 1 map, 1 merge) x 2
