@@ -14,7 +14,9 @@ array. A vjp returns the whole gradient of each parent, in their order,
 or None, and closes over only the arrays and shapes it reads, never over
 a Tensor. So an intermediate array lives only while Python or a vjp
 holds it: an output that no vjp reads is freed as soon as the caller drops
-its Tensor, while the graph behind it still back-propagates.
+its Tensor, while the graph behind it still back-propagates. A
+`checkpoint` node goes further: it saves only the arrays of its inputs and
+parameters, and its vjp recomputes the block's intermediates in backward.
 
 Inside `with no_grad():` ops record no nodes, so inference holds no
 intermediates alive and `backward` has nothing to follow; values are the
@@ -22,7 +24,9 @@ same as with the graph recorded.
 
 `backward` releases the graph as it walks it, so one graph supports one
 backward pass: a second pass through it raises ValueError. Gradients from
-a new graph over the same parameters add on top of the earlier ones.
+a new graph over the same parameters add on top of the earlier ones. The
+walk is one helper, which a checkpoint's vjp also runs over the sub-graph
+it rebuilds.
 """
 
 from __future__ import annotations
@@ -150,13 +154,17 @@ _GRAD_ENABLED: ContextVar[bool] = ContextVar("spectragen_grad_enabled", default=
 
 
 @contextmanager
-def no_grad():
-    """Run ops without recording the graph; the previous mode returns on exit."""
-    token = _GRAD_ENABLED.set(False)
+def _grad_mode(enabled: bool):
+    token = _GRAD_ENABLED.set(enabled)
     try:
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def no_grad():
+    """Run ops without recording the graph; the previous mode returns on exit."""
+    return _grad_mode(False)
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -182,30 +190,27 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(p) into the grad of every reachable Parameter p.
+def _walk(root: Node, seed: Array, leaves=()) -> list:
+    """Back-propagate `seed`, the gradient of root's output, through the
+    graph behind root; return the gradient that reaches each node of
+    `leaves`, in order (None where none does). The walk stops at a leaf,
+    and sums into its grad the gradient of any other Parameter it reaches.
 
     The walk releases the graph behind it: each node drops its vjp, with
     the arrays the vjp saved, and its parents once its gradient has been
-    passed on, so nothing of the graph is held after the walk. A second
-    backward through a released node raises ValueError. Gradients of a new
-    graph over the same parameters add on top of the first, until they are
-    reset.
+    passed on, so nothing of the graph is held after the walk. Reaching a
+    released node raises ValueError.
 
     Gradients are buffered per node, each a whole gradient of the node's
-    shape. backward owns the buffer a gradient sums into: the first
+    shape. The walk owns the buffer a gradient sums into: the first
     contribution is kept as returned, and the buffer is written in place
-    only once backward has allocated it, since a vjp may hand one array to
+    only once the walk has allocated it, since a vjp may hand one array to
     two parents.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss.node is None:
-        return
     # Iterative post-order topo sort; graphs can be deep.
     topo: list[Node] = []
     seen: set[Node] = set()
-    stack: list[tuple[Node, bool]] = [(loss.node, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -219,7 +224,9 @@ def backward(loss: Tensor) -> None:
             if p is not None and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[Node, Array] = {loss.node: np.ones_like(loss.data)}
+    index = {leaf: i for i, leaf in enumerate(leaves) if leaf is not None}
+    out = [None] * len(leaves)
+    grads: dict[Node, Array] = {root: seed}
     owned: set[Node] = set()
     while topo:
         node = topo.pop()
@@ -228,6 +235,9 @@ def backward(loss: Tensor) -> None:
             node.vjp, node.parents = None, ()
         g = grads.pop(node, None)
         if g is None:
+            continue
+        if node in index:
+            out[index[node]] = g
             continue
         if vjp is None:
             if not isinstance(node, Parameter):
@@ -246,6 +256,56 @@ def backward(loss: Tensor) -> None:
                 acc = acc + pg
                 owned.add(parent)
             grads[parent] = acc
+    return out
+
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(p) into the grad of every reachable Parameter p.
+
+    The walk releases the graph behind it, so a second backward through a
+    released node raises ValueError. Gradients of a new graph over the same
+    parameters add on top of the first, until they are reset.
+    """
+    if loss.data.size != 1:
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss.node is not None:
+        _walk(loss.node, np.ones_like(loss.data))
+
+
+def checkpoint(fn, inputs, params) -> Tensor:
+    """fn(*inputs, *params) as one graph node that saves only its arrays.
+
+    fn maps Tensors to a Tensor through public ops, reading no other
+    Tensor that needs a gradient. The forward runs it under `no_grad`, so
+    none of its intermediates is kept; the node's parents are the inputs
+    and params, and its vjp closes over their arrays only (the params' are
+    the model's own, so the node keeps nothing the model does not). The
+    vjp reruns fn in grad mode on fresh leaves over those arrays, a leaf
+    with a node for each parent that has a graph, walks that sub-graph
+    from g, and returns the whole gradient of each input and each param.
+    That is gradient checkpointing: backward recomputes fn's forward once,
+    which costs its time again and holds its intermediates only while the
+    vjp runs. Values and gradients are those of fn's own graph; a parent
+    that fn reads twice sums its parts inside the vjp, so its sum with the
+    gradient from outside may round differently. The saved arrays must not
+    change before backward.
+    """
+    parents = tuple(as_tensor(t) for t in (*inputs, *params))
+    with no_grad():
+        data = fn(*parents).data
+    arrays = [t.data for t in parents]
+    tracked = [t.node is not None for t in parents]
+
+    def vjp(g):
+        leaves = [Tensor(a) for a in arrays]
+        for leaf, has_graph in zip(leaves, tracked):
+            if has_graph:
+                leaf.node = Node((), None)
+        with _grad_mode(True):
+            out = fn(*leaves)
+        return _walk(out.node, g, [leaf.node for leaf in leaves])
+
+    return _node(data, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

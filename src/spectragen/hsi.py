@@ -5,10 +5,13 @@ Cubes and `nn` checkpoints share one container (`write_container`,
 a UTF-8 JSON object header with sorted keys, then the payloads in header
 order, and nothing after them. The header's ``dtype`` names the payload
 values: ``f32le`` (float32 little-endian, also read when a header has no
-``dtype``) or ``f64le`` (float64 little-endian). Cubes are:
+``dtype``) or ``f64le`` (float64 little-endian). The header's ``crc32``
+is the `zlib.crc32` of all payload bytes; a reader checks it when present,
+so a file written before it was recorded still loads. Cubes are:
 
 * HSC (canonical): the container with magic ``HSCUBE\\x00\\x01``, header
-  ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq"}``
+  ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq",
+  crc32}``
   and one payload stored band-sequentially (band plane after band plane).
 * ENVI subset: a text ``.hdr`` next to the binary payload, restricted to
   ``interleave = bsq``, ``data type = 4`` and ``byte order = 0``.
@@ -21,6 +24,7 @@ import math
 import numbers
 import re
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,15 +147,20 @@ class RgbBands:
 
 def write_container(path, magic: bytes, header: dict, arrays) -> None:
     """Write the container: magic, header length, JSON header, each array
-    in the header's dtype."""
+    in the header's dtype. The header written also holds ``crc32``, the
+    `zlib.crc32` of the payload bytes."""
     dtype = PAYLOAD_DTYPES[header["dtype"]]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payloads = [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
+    crc = 0
+    for a in payloads:
+        crc = zlib.crc32(a, crc)
+    blob = json.dumps({**header, "crc32": crc}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        for a in payloads:
+            fh.write(a.tobytes())
 
 
 def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
@@ -160,7 +169,10 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
     `shapes(header)` checks the format's fields and returns a (name, shape)
     per payload in file order; `what` names the header in messages. A name
     given to two payloads raises DataError naming it, and so does a dtype
-    other than those of PAYLOAD_DTYPES.
+    other than those of PAYLOAD_DTYPES. Once the payloads are framed, a
+    header ``crc32`` that is not the `zlib.crc32` of the payload bytes
+    raises DataError; a file without one (written before it was recorded)
+    is not checked.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -192,6 +204,10 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
         pos += dtype.itemsize * count
     if pos != len(payload):
         raise DataError(f"{path}: {len(payload) - pos} trailing bytes after the last payload")
+    crc = zlib.crc32(payload)
+    if header.get("crc32", crc) != crc:
+        raise DataError(f"{path}: payload checksum {crc} does not match the header's "
+                        f"crc32 {header['crc32']!r}: the file is corrupt")
     return header, arrays
 
 

@@ -89,14 +89,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    """Normalizes the channels of a [C,H,W] map at each pixel."""
+    """The scale `gamma` (ones) and shift `beta` (zeros) of an
+    `ad.layer_norm` over the channels of a [C,H,W] map, which the block
+    that owns them applies."""
 
     def __init__(self, dim: int, name: str):
         self.gamma = Parameter(np.ones(check_int(dim, "dim")), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 def _positive_number(value) -> bool:

@@ -11,7 +11,12 @@ queries, keys and values and writes both halves into one output. The
 halves run one after the other, each projecting only its own q, k and v
 rows, so only one half's q/k/v is alive at a time. The graph keeps each
 attention's input streams, never their q/k/v projections or attention
-maps: backward rebuilds each half's from the streams.
+maps: backward rebuilds each half's from the streams. The per-pixel
+blocks (the channel gate and the feed-forward block) are each one
+`ad.checkpoint` node that keeps only its input map; backward reruns the
+block to rebuild its intermediates. So in training the graph holds the
+feature maps between sub-layers, and the intermediates of one sub-layer
+only while its vjp runs.
 """
 
 from __future__ import annotations
@@ -279,23 +284,40 @@ class SpectralGate(nn.Module):
 
     The gate scales the channels of a linear value map, so zeroed weights
     contribute exactly nothing through the surrounding residual.
+
+    One `ad.checkpoint` node: the graph keeps only the input map (and the
+    parameters), not the [C,H,W] value map or the gate; backward
+    recomputes them. The input's gradient from the mean and from the value
+    map is summed inside the node, so its sum with the residual's rounds
+    otherwise than the three summed in one walk would. `fc1`, `fc2` and
+    `value` hold the parameters, which `_spectral_gate` applies.
     """
 
     def __init__(self, channels: int, rng: RandomSource, name: str):
         hidden = max(channels // 2, 1)
-        self.channels = channels
         self.fc1 = nn.Linear(channels, hidden, rng.child(0), f"{name}.fc1")
         self.fc2 = nn.Linear(hidden, channels, rng.child(1), f"{name}.fc2")
         self.value = nn.Linear(channels, channels, rng.child(2), f"{name}.value")
 
     def __call__(self, x: Tensor) -> Tensor:
-        gate = ad.sigmoid(self.fc2(ad.relu(self.fc1(ad.mean(x, axis=(1, 2))))))
-        return ad.mul(self.value(x), ad.reshape(gate, (self.channels, 1, 1)))
+        return ad.checkpoint(_spectral_gate, (x,), self.parameters())
+
+
+def _spectral_gate(x, w1, b1, w2, b2, wv, bv):
+    pooled = ad.relu(ad.linear(ad.mean(x, axis=(1, 2)), w1, b1))
+    gate = ad.sigmoid(ad.linear(pooled, w2, b2))
+    return ad.mul(ad.linear(x, wv, bv), ad.reshape(gate, (x.shape[0], 1, 1)))
 
 
 class Ffd(nn.Module):
     """Feed-forward block mixing the channels of a [C,H,W] map per pixel:
-    layer norm, then two linears with a ReLU; hidden width is 2C."""
+    layer norm, then two linears with a ReLU; hidden width is 2C.
+
+    One `ad.checkpoint` node: the graph keeps only the input map (and the
+    parameters), not the normalized map or the [2C,H,W] hidden one;
+    backward recomputes them, bit-exact to the forward's. `norm`, `fc1`
+    and `fc2` hold the parameters, which `_ffd` applies.
+    """
 
     def __init__(self, channels: int, rng: RandomSource, name: str):
         self.norm = nn.LayerNorm(channels, f"{name}.norm")
@@ -303,7 +325,11 @@ class Ffd(nn.Module):
         self.fc2 = nn.Linear(2 * channels, channels, rng.child(1), f"{name}.fc2")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(ad.relu(self.fc1(self.norm(x))))
+        return ad.checkpoint(_ffd, (x,), self.parameters())
+
+
+def _ffd(x, gamma, beta, w1, b1, w2, b2):
+    return ad.linear(ad.relu(ad.linear(ad.layer_norm(x, gamma, beta), w1, b1)), w2, b2)
 
 
 class Gal(nn.Module):
@@ -452,8 +478,7 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     # memory `backward` frees and the next forward does not fault it back in
     # (benchmark train_rgan on a 2-vCPU Xeon with glibc 2.36 and numpy 2.4.6,
     # median of 12 in-process ops, two copies of the tree at paths of one
-    # length: about 10.1-10.6k minor faults per 2-step op with it, 28.6k
-    # without).
+    # length: about 6.7k minor faults per 2-step op with it, 13.7k without).
     pred = None
 
     def step_loss(step):

@@ -488,6 +488,100 @@ def test_mul_keeps_both_operands_until_backward():
     np.testing.assert_array_equal(p.grad, 12.0 * p.data)
 
 
+# ---------------------------------------------------------------------------
+# checkpoint
+
+
+def _block(x, gamma, beta, weight, bias):
+    return ad.linear(ad.relu(ad.layer_norm(x, gamma, beta)), weight, bias)
+
+
+def checkpoint_case(seed):
+    """(input map, [gamma, beta, weight, bias] of _block, output probe)."""
+    rng = RandomSource(seed)
+    x = Parameter(rand(rng, 3, 4, 5), name="x")
+    params = [Parameter(rand(rng, 3), name="gamma"), Parameter(rand(rng, 3), name="beta"),
+              Parameter(rand(rng, 3, 3), name="weight"), Parameter(rand(rng, 3), name="bias")]
+    return x, params, rand(rng, 3, 4, 5)
+
+
+def residual_grads(block, x, params, probe):
+    """Output and gradients of sum(probe * (x + block(x, *params)))."""
+    for p in [x] + params:
+        p.reset_grad()
+    y = ad.add(x, block(x, *params))
+    ad.backward(ad.tsum(ad.mul(y, probe)))
+    return y.data, [p.grad.copy() for p in [x] + params]
+
+
+def test_checkpoint_is_bit_exact_to_its_body():
+    # x reads the block once, so its two gradient parts sum in either order
+    x, params, probe = checkpoint_case(70)
+    got, got_grads = residual_grads(
+        lambda *args: ad.checkpoint(_block, args[:1], args[1:]), x, params, probe)
+    want, want_grads = residual_grads(_block, x, params, probe)
+    np.testing.assert_array_equal(got, want)
+    for a, b in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_saves_only_its_parents_arrays():
+    # no intermediate of the block: the input's array and the parameters'
+    x, params, _ = checkpoint_case(71)
+    h = ad.mul(x, 2.0)
+    y = ad.checkpoint(_block, (h,), params)
+    assert y.node.parents == (h.node, *params)
+    held = oracles.held_by_vjp(y.node, np.ndarray)
+    assert sorted(map(id, held)) == sorted(id(t.data) for t in [h] + params)
+
+
+def test_checkpoint_under_no_grad_records_no_node():
+    x, params, _ = checkpoint_case(72)
+    with ad.no_grad():
+        y = ad.checkpoint(_block, (x,), params)
+    assert y.node is None
+    np.testing.assert_array_equal(y.data, _block(x, *params).data)
+
+
+def test_checkpoint_recomputes_in_grad_mode_when_backward_runs_under_no_grad():
+    x, params, probe = checkpoint_case(73)
+    loss = ad.tsum(ad.mul(ad.checkpoint(_block, (x,), params), probe))
+    with ad.no_grad():
+        ad.backward(loss)
+    want = [p.grad.copy() for p in [x] + params]
+    for p in [x] + params:
+        p.reset_grad()
+    ad.backward(ad.tsum(ad.mul(_block(x, *params), probe)))
+    for p, g in zip([x] + params, want):
+        np.testing.assert_array_equal(p.grad, g)
+
+
+def test_backward_through_a_released_checkpoint_raises():
+    x, params, _ = checkpoint_case(74)
+    h = ad.checkpoint(_block, (x,), params)
+    ad.backward(ad.tsum(h))
+    assert h.node.vjp is None and h.node.parents == ()
+    with pytest.raises(ValueError, match="released"):
+        ad.backward(ad.tsum(ad.mul(h, h)))
+
+
+def test_checkpoint_gives_parameters_gradients_when_its_input_has_no_graph():
+    # the node's parents are the parameters as well as the input, so it is
+    # recorded, and back-propagated, over an input without a graph
+    x, params, probe = checkpoint_case(75)
+    data = Tensor(x.data)
+    y = ad.checkpoint(_block, (data,), params)
+    assert y.node.parents[0] is None
+    ad.backward(ad.tsum(ad.mul(y, probe)))
+    got = [p.grad.copy() for p in params]
+    for p in params:
+        p.reset_grad()
+    ad.backward(ad.tsum(ad.mul(_block(data, *params), probe)))
+    for p, g in zip(params, got):
+        assert p.grad.any()
+        np.testing.assert_array_equal(g, p.grad)
+
+
 _rng = RandomSource(40)
 _MAP = Parameter(rand(_rng, 2, 4, 6), name="map")  # [C,H,W]
 _MAT = Parameter(rand(_rng, 3, 2), name="mat")
@@ -515,6 +609,8 @@ OP_CASES = {  # one recorded node of each public op
     "matmul": lambda: ad.matmul(_MAP, ad.transpose(_MAP, (0, 2, 1))),
     "conv2d": lambda: ad.conv2d(_MAP, _KERNEL, _BIAS),
     "bilinear_resize": lambda: ad.bilinear_resize(_MAP, 8, 3),
+    "checkpoint": lambda: ad.checkpoint(lambda x, w, b: ad.relu(ad.linear(x, w, b)),
+                                        (_MAP,), (_MAT, _BIAS)),
 }
 
 

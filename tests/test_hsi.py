@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def test_hsc_bytes_follow_the_documented_layout(tmp_path):
     cube = HsiCube(np.array([[[0.5, -1.0]], [[2.0, 0.25]]]), np.array([500.0, 600.0]))
     path = tmp_path / "cube.hsc"
     hsi.write_cube(cube, path)
-    header = (b'{"bands": 2, "dtype": "f32le", "height": 1, "layout": "bsq", '
-              b'"wavelengths_nm": [500.0, 600.0], "width": 2}')
     payload = struct.pack("<4f", 0.5, -1.0, 2.0, 0.25)
+    header = (b'{"bands": 2, "crc32": %d, "dtype": "f32le", "height": 1, "layout": "bsq", '
+              b'"wavelengths_nm": [500.0, 600.0], "width": 2}' % zlib.crc32(payload))
     want = b"HSCUBE\x00\x01" + struct.pack("<I", len(header)) + header + payload
     assert path.read_bytes() == want
     np.testing.assert_array_equal(hsi.read_cube(path).values, cube.values)
@@ -92,13 +93,34 @@ def test_hsc_rejects_extents_larger_than_the_file(tmp_path):
         hsi.read_cube(path)
 
 
-def _rewrite_hsc_header(path, **fields):
+def _rewrite_hsc_header(path, drop=(), **fields):
     blob = path.read_bytes()
     n = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12 : 12 + n])
     header.update(fields)
+    for key in drop:
+        del header[key]
     new_header = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(new_header)) + new_header + blob[12 + n :])
+
+
+def test_hsc_with_a_flipped_payload_byte_raises(tmp_path):
+    # the lowest mantissa bit of the last value: a valid cube, but not the one written
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(random_cube(13), path)
+    blob = bytearray(path.read_bytes())
+    blob[-4] ^= 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}: payload checksum"):
+        hsi.read_cube(path)
+
+
+def test_hsc_without_a_checksum_still_loads(tmp_path):
+    cube = random_cube(14)
+    path = tmp_path / "cube.hsc"
+    hsi.write_cube(cube, path)
+    _rewrite_hsc_header(path, drop=["crc32"])
+    np.testing.assert_array_equal(hsi.read_cube(path).values, cube.values)
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -217,8 +239,11 @@ def test_cube_validation_errors_name_the_file(tmp_path, fault, message):
     else:
         path = tmp_path / "cube.hsc"
         hsi.write_cube(cube, path)
-        if fault == "hsc-nan":
-            path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        if fault == "hsc-nan":  # a NaN written with its checksum, not a corrupt byte
+            blob = path.read_bytes()[:-4] + struct.pack("<f", float("nan"))
+            path.write_bytes(blob)
+            n = struct.unpack("<I", blob[8:12])[0]
+            _rewrite_hsc_header(path, crc32=zlib.crc32(blob[12 + n :]))
         else:
             _rewrite_hsc_header(path, wavelengths_nm=[600.0, 500.0])
     with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{message}"):

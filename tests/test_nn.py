@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -39,10 +40,11 @@ def rewrite_manifest(path, drop=(), **fields):
 
 
 def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
-    manifest = (b'{"config": {"width": 3}, "dtype": "f64le", "format": "spectragen-checkpoint-v1", '
-                b'"kind": "toy", "parameters": [{"name": "a.weight", "shape": [2, 3]}, '
-                b'{"name": "a.bias", "shape": [2]}]}')
     payload = struct.pack("<8d", 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 0.5, -1.0)
+    manifest = (b'{"config": {"width": 3}, "crc32": %d, "dtype": "f64le", '
+                b'"format": "spectragen-checkpoint-v1", "kind": "toy", '
+                b'"parameters": [{"name": "a.weight", "shape": [2, 3]}, '
+                b'{"name": "a.bias", "shape": [2]}]}' % zlib.crc32(payload))
     want = b"SGCKPT\x00\x01" + struct.pack("<I", len(manifest)) + manifest + payload
     assert saved(tmp_path).read_bytes() == want
 
