@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import RandomSource, Tensor
+from .autodiff import DataError, RandomSource, Tensor
 from .hsi import (HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter_patches,
                   vector_array)
 from .rgan import RganModel, rgan_forward
@@ -210,6 +210,8 @@ class TinyAutoencoder(nn.Module):
         constant learning rate; returns the per-step loss trace."""
         if len(images) == 0:
             raise ValueError("empty training image set")
+        for i, img in enumerate(images):
+            _check_channels(img, self.image_channels, f"images[{i}]")
         rng = RandomSource(seed)
         packed = [Tensor(self._s2d.encode(img)) for img in images]
 
@@ -644,12 +646,20 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
 
     Returns (patches, manifest_rows); each row records provenance: source
     cube index, patch origin in the upscaled cube, and the scale. A scale
-    other than the RGAN's raises ValueError before any sampling.
+    other than the RGAN's, an item of cubes that is not an HsiCube, or a
+    patch_size larger than an upscaled cube raises before any sampling.
     """
     if scale != rgan_model.config.scale:
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     check_int(patch_size, "patch_size")
     stride = check_int(stride, "stride") if stride is not None else patch_size // 2
+    cubes = list(cubes)
+    for ci, cube in enumerate(cubes):
+        if not isinstance(cube, HsiCube):
+            raise DataError(f"cubes[{ci}] must be an HsiCube, got {type(cube).__name__}")
+        if patch_size > scale * min(cube.height, cube.width):
+            raise DataError(f"patch_size {patch_size} exceeds cubes[{ci}] extents "
+                            f"{cube.height * scale}x{cube.width * scale} at scale {scale}")
     patches: list[HsiCube] = []
     manifest: list[dict] = []
     for ci, cube in enumerate(cubes):

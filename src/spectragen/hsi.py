@@ -381,6 +381,8 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
         )
     if len(target) > 1 and not np.all(np.diff(target) > 0):
         raise DataError("target grid must be strictly increasing")
+    if cube.bands == 1:  # the checks above leave target equal to its one band
+        return HsiCube(cube.values.copy(), target)
 
     hi = np.searchsorted(src, target, side="left")
     hi = np.clip(hi, 1, len(src) - 1)

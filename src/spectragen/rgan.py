@@ -1,22 +1,17 @@
 """Rectangular guided attention network for RGB-guided HSI super-resolution.
 
 Two feature streams (HSI and RGB) pass through a stack of guided attention
-layers. Each layer runs windowed self-attention per stream (`Rca(z, z)`),
-windowed cross-attention between streams (one `Rca` call per direction),
-a channel gate, and a feed-forward block, with a residual around every
+layers. Each layer runs windowed self-attention per stream and windowed
+cross-attention between streams, each one `Rca(zq, zkv)` call (zq's
+queries over zkv's keys and values; zq is zkv for self-attention), then a
+channel gate and a feed-forward block, with a residual around every
 sub-layer. Attention is computed inside non-overlapping rectangular
 windows: the first half of the channels uses wide (horizontal) windows,
-the second half tall (vertical) windows, and one node projects the
-queries, keys and values and writes both halves into one output. The
-halves run one after the other, each projecting only its own q, k and v
-rows, so only one half's q/k/v is alive at a time. The graph keeps each
-attention's input streams, never their q/k/v projections or attention
-maps: backward rebuilds each half's from the streams. The per-pixel
-blocks (the channel gate and the feed-forward block) are each one
-`ad.checkpoint` node that keeps only its input map; backward reruns the
-block to rebuild its intermediates. So in training the graph holds the
+the second half tall (vertical) windows. In training the graph holds the
 feature maps between sub-layers, and the intermediates of one sub-layer
-only while its vjp runs.
+only while its vjp runs: backward rebuilds an attention's q/k/v and maps
+from its streams (`window_attention`), and reruns each per-pixel block
+from its input (`ad.checkpoint`).
 """
 
 from __future__ import annotations
@@ -123,31 +118,30 @@ def _key_major_attention(q: np.ndarray, k: np.ndarray, pos: np.ndarray,
     return ad.softmax_array(logits, axis=0, out=logits)
 
 
-def _half_qkv(segments, weight: np.ndarray, bias: np.ndarray, rows: slice) -> np.ndarray:
-    """One half's query, key and value rows `rows`, as [3, len(rows), H, W],
-    of the q|k|v projection `weight @ z + bias` (weight [3C,C], bias [3C],
-    mapping channels per pixel as `ad.linear` does). Each (span, z) of
-    segments names the stream array z that projects q|k|v rows `span`; the
-    half's rows among them are projected in one product."""
-    c, height, width = segments[0][1].shape
+def _half_qkv(zq: np.ndarray, zkv: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+              rows: slice) -> np.ndarray:
+    """One half's query, key and value rows `rows`, as [3, len(rows), H, W]:
+    the query rows of `weight @ zq + bias` and the key and value rows of
+    `weight @ zkv + bias` (weight [3C,C], bias [3C], mapping channels per
+    pixel as `ad.linear` does), one product per stream."""
+    c, height, width = zq.shape
     w3, b3 = weight.reshape(3, c, c)[:, rows], bias.reshape(3, c)[:, rows]
     qkv = np.empty((3, rows.stop - rows.start, height, width))
-    for span, z in segments:
-        thirds = slice(span.start // c, span.stop // c)
+    for thirds, z in ((slice(0, 1), zq), (slice(1, 3), zkv)):
         y = qkv[thirds].reshape(-1, height * width)
         np.matmul(w3[thirds].reshape(-1, c), z.reshape(c, -1), out=y)
         y += b3[thirds].reshape(-1, 1)
     return qkv
 
 
-def _attend(segments, weight: np.ndarray, bias: np.ndarray, halves, heads: int,
-            scale: float) -> np.ndarray:
+def _attend(zq: np.ndarray, zkv: np.ndarray, weight: np.ndarray, bias: np.ndarray, halves,
+            heads: int, scale: float) -> np.ndarray:
     """Both halves of the attention, into one [C,H,W] output; each half is
     projected, windowed, attended and merged before the next one starts."""
-    out = np.empty(segments[0][1].shape)
+    out = np.empty(zq.shape)
     for rows, window, pos in halves:
         q, k, v = (window_heads(x, window, heads)
-                   for x in _half_qkv(segments, weight, bias, rows))
+                   for x in _half_qkv(zq, zkv, weight, bias, rows))
         n, _, t, d = v.shape
         attn = _key_major_attention(q, k, pos, scale)
         mixed = np.matmul(attn.transpose(1, 2, 0), v.reshape(-1, t, d))
@@ -156,8 +150,9 @@ def _attend(segments, weight: np.ndarray, bias: np.ndarray, halves, heads: int,
     return out
 
 
-def _attend_vjp(segments, weight: np.ndarray, bias: np.ndarray, g: np.ndarray, halves,
-                heads: int, scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _attend_vjp(zq: np.ndarray, zkv: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                g: np.ndarray, halves, heads: int,
+                scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """(d q|k|v as [3, C, H, W], [d pos of each half]) of `_attend` at output
     gradient g. Each half's q, k, v and map are rebuilt through the
     forward's helpers, bit-identical to the forward's."""
@@ -165,7 +160,7 @@ def _attend_vjp(segments, weight: np.ndarray, bias: np.ndarray, g: np.ndarray, h
     dpos = []
     for rows, window, pos in halves:
         q, k, v, dout = (window_heads(x, window, heads)
-                         for x in (*_half_qkv(segments, weight, bias, rows), g[rows]))
+                         for x in (*_half_qkv(zq, zkv, weight, bias, rows), g[rows]))
         attn = _key_major_attention(q, k, pos, scale)
         n, _, t, d = q.shape
         q, k, v, dout = (x.reshape(-1, t, d) for x in (q, k, v, dout))
@@ -185,71 +180,60 @@ def _attend_vjp(segments, weight: np.ndarray, bias: np.ndarray, g: np.ndarray, h
 
 def window_attention(zq: Tensor, zkv: Tensor, weight: Tensor, bias: Tensor,
                      cfg: AttentionConfig, pos_h: Tensor, pos_v: Tensor) -> Tensor:
-    """Rectangular windowed multi-head attention of two [C,H,W] streams,
-    with its q/k/v projection.
+    """Rectangular windowed multi-head attention of the queries of one
+    [C,H,W] stream over the keys and values of another, with its q/k/v
+    projection; self-attention passes one stream as both.
 
     The queries are rows [0,C) of `weight @ zq + bias`, and the keys and
     values rows [C,3C) of `weight @ zkv + bias` (weight [3C,C], bias [3C],
-    mapping channels per pixel as `ad.linear` does). When zq is zkv, one
-    product per half projects that half's q, k and v rows of the one stream.
-
-    Channels [:C/2] attend inside wide cfg.window_h windows with bias pos_h
-    and channels [C/2:] inside tall cfg.window_v windows with pos_v, each
-    bias a per-head [heads, h*w, h*w] map shared across windows; both
-    halves are written into one [C,H,W] output. Each half runs from start
-    to finish before the next: one helper projects only that half's q, k
-    and v rows (one product per stream), which are windowed, attended and
-    merged into the output. So only one half's q/k/v is alive at a time,
-    and no [3C,H,W] array is ever built.
+    mapping channels per pixel as `ad.linear` does). Channels [:C/2] attend
+    inside wide cfg.window_h windows with bias pos_h and channels [C/2:]
+    inside tall cfg.window_v windows with pos_v, each bias a per-head
+    [heads, h*w, h*w] map shared across windows. The halves run one after
+    the other, each projecting only its own q, k and v rows (one product
+    per stream) and merging into one [C,H,W] output, so only one half's
+    q/k/v is alive at a time and no [3C,H,W] array is ever built.
 
     Each half's attention map is laid out key-major, [t_j, windows*heads,
     t_i]: k q^T is written into it through a transposed view, so the
     softmax max and sum reduce its leading axis (the fast case in numpy),
     and the product with v reads it as a column-major view. Every element
-    still sees the op order of the composed chain (projection, split,
-    windows, heads, q k^T, scale, + pos, softmax, @ v, merge), the softmax
-    sums in index order, and the closed-form vjp keeps that chain's matmul
-    operand order. So values are bit-exact to it, and with zq is zkv so
-    are gradients; with two streams, a stream's gradient sums its query
-    part from one node and its key/value part from another, which moves it
-    by rounding.
+    still sees the op order of the composed chain (query and key/value
+    projections, split, windows, heads, q k^T, scale, + pos, softmax, @ v,
+    merge), the softmax sums in index order, and the closed-form vjp keeps
+    that chain's matmul operand order. So values and gradients are
+    bit-exact to it.
 
-    One graph node with parents (zq, zkv, weight, bias, pos_h, pos_v), or
-    (zq, weight, bias, pos_h, pos_v) when zq is zkv. The vjp saves no
-    projection and no attention map: it closes over the arrays of the
-    streams, weight, bias, pos_h and pos_v only. Half by half, it rebuilds
-    that half's q, k and v and its map through the forward's helpers,
-    bit-identical to the forward's, and runs the attention's vjp into that
-    half's rows of one [3C,H,W] q/k/v gradient. It then applies the
-    projection's vjp to the whole gradient, one product per stream (d
-    stream, d weight, d bias). It holds no Tensor, so the output is freed
-    once the caller drops it. The saved arrays must not change before
-    backward.
+    One graph node with parents (zq, zkv, weight, bias, pos_h, pos_v); when
+    zq is zkv, backward sums that stream's two gradients as it sums those of
+    any shared parent. The vjp saves no projection and no attention map: it
+    closes over the arrays of the streams, weight, bias, pos_h and pos_v
+    only. Half by half, it rebuilds that half's q, k, v and map through the
+    forward's helpers, bit-identical to the forward's, and runs the
+    attention's vjp into that half's rows of one [3C,H,W] q/k/v gradient.
+    The projection's vjp then takes W[:C]^T dq for zq and W[C:]^T dkv for
+    zkv. It holds no Tensor, so the output is freed once the caller drops
+    it. The saved arrays must not change before backward.
     """
     if zkv.shape != zq.shape:
         raise ValueError(f"stream shapes differ: {zq.shape} vs {zkv.shape}")
     c = zq.shape[0]
-    if zq is zkv:
-        streams, segments = (zq,), [(slice(0, 3 * c), zq.data)]
-    else:
-        streams, segments = (zq, zkv), [(slice(0, c), zq.data), (slice(c, 3 * c), zkv.data)]
-    w, b = weight.data, bias.data
+    xq, xkv, w, b = zq.data, zkv.data, weight.data, bias.data
     halves = ((slice(0, c // 2), cfg.window_h, pos_h.data),
               (slice(c // 2, c), cfg.window_v, pos_v.data))
     scale = 1.0 / np.sqrt(c // (2 * cfg.heads))
-    out = _attend(segments, w, b, halves, cfg.heads, scale)
+    out = _attend(xq, xkv, w, b, halves, cfg.heads, scale)
 
     def vjp(g):
-        dqkv, dpos = _attend_vjp(segments, w, b, g, halves, cfg.heads, scale)
+        dqkv, dpos = _attend_vjp(xq, xkv, w, b, g, halves, cfg.heads, scale)
         d2 = dqkv.reshape(3 * c, -1)
         dw = np.empty(w.shape)
-        dz = []
-        for rows, z in segments:
-            dz.append((w[rows].T @ d2[rows]).reshape(z.shape))
-            np.matmul(d2[rows], z.reshape(c, -1).T, out=dw[rows])
-        return (*dz, dw, d2.sum(axis=1), *dpos)
+        np.matmul(d2[:c], xq.reshape(c, -1).T, out=dw[:c])
+        np.matmul(d2[c:], xkv.reshape(c, -1).T, out=dw[c:])
+        return ((w[:c].T @ d2[:c]).reshape(xq.shape), (w[c:].T @ d2[c:]).reshape(xkv.shape),
+                dw, d2.sum(axis=1), *dpos)
 
-    return ad._node(out, (*streams, weight, bias, pos_h, pos_v), vjp)
+    return ad._node(out, (zq, zkv, weight, bias, pos_h, pos_v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +244,9 @@ class Rca(nn.Module):
     """Rectangular window attention of one stream's queries over another's
     keys and values: `Rca(zq, zkv)` is one `window_attention` node, which
     projects zq's queries and zkv's keys and values through the `qkv`
-    weights, and carries zkv's content. Self-attention is `Rca(z, z)`.
-    Cross-attention in both directions is two calls with the streams
-    swapped, which share `qkv`.
+    weights, and carries zkv's content. Self-attention is `Rca(z, z)`, the
+    same node with one stream as both. Cross-attention in both directions
+    is two calls with the streams swapped, which share `qkv`.
     """
 
     def __init__(self, cfg: AttentionConfig, rng: RandomSource, name: str):

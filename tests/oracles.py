@@ -207,14 +207,16 @@ def composed_rectangular_attention(query, key, value, cfg, pos_h, pos_v):
 
 
 def projected_rectangular_attention(zq, zkv, weight, bias, cfg, pos_h, pos_v):
-    """rgan.window_attention as composed ops: each stream's [q|k|v]
-    projection by ad.linear, cut into thirds by ad.split (one projection
-    when zq is zkv), then composed_rectangular_attention of zq's queries
-    against zkv's keys and values."""
-    q, k, v = ad.split(ad.linear(zq, weight, bias), 3, axis=0)
-    if zkv is not zq:
-        _, k, v = ad.split(ad.linear(zkv, weight, bias), 3, axis=0)
-    return composed_rectangular_attention(q, k, v, cfg, pos_h, pos_v)
+    """rgan.window_attention as composed ops: the qkv weight and bias cut
+    into thirds by ad.split; zq projected by ad.linear through the query
+    third, and zkv through the key and value thirds joined by ad.concat
+    (one product, as in the op), then split into keys and values; then
+    composed_rectangular_attention of the queries against the keys and
+    values. zq may be zkv."""
+    (wq, *wkv), (bq, *bkv) = (ad.split(t, 3, axis=0) for t in (weight, bias))
+    q = ad.linear(zq, wq, bq)
+    kv = ad.linear(zkv, ad.concat(wkv, axis=0), ad.concat(bkv, axis=0))
+    return composed_rectangular_attention(q, *ad.split(kv, 2, axis=0), cfg, pos_h, pos_v)
 
 
 def full_gal_stack(model, lr, rgb):

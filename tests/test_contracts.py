@@ -18,6 +18,7 @@ values as NumericalFailure naming the step.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,9 @@ STRAY = [
      lambda: df.TinyAutoencoder(3, 4).decode(np.zeros((5, 2, 2))), "latent has 5 channels"),
     ("TinyAutoencoder(image_channels=3).encode(2 channels)",
      lambda: df.TinyAutoencoder(3, 4).encode(np.zeros((2, 4, 4))), "image has 2 channels"),
+    ("TinyAutoencoder(image_channels=3).train(5 channels)",
+     lambda: df.TinyAutoencoder(3, 4).train([GUIDE, np.zeros((5, 4, 4))], steps=1),
+     re.escape("images[1] has 5 channels, the codec expects 3")),
     ("align_wavelengths(ragged target)",
      lambda: hsi.align_wavelengths(CUBE, [[500.0, 600.0], [700.0]]), "target"),
 ]

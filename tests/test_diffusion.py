@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spectragen import autodiff as ad
 from spectragen import diffusion as df
 from spectragen import nn
-from spectragen.autodiff import RandomSource, Tensor
+from spectragen.autodiff import DataError, RandomSource, Tensor
 from spectragen.diffusion import (ConditionalDenoiser, ConditionStack, DenoiserConfig,
                                   IdentityCodec, SpaceToDepthCodec, TinyAutoencoder,
                                   ddim_step, forward_noise, make_schedule,
@@ -735,6 +735,26 @@ def test_augment_two_stage_rejects_a_scale_the_rgan_lacks(monkeypatch):
     with pytest.raises(ValueError, match=re.escape("scale 4 != rgan_model.config.scale 2")):
         df.augment_two_stage(pipeline_cubes(), pipeline_denoiser(), make_schedule(10),
                              pipeline_rgan(2), scale=4, patch_size=8, steps=2)
+
+
+@pytest.mark.parametrize("cubes, patch_size, message", [
+    (pipeline_cubes() + [np.zeros((6, 8, 8))], 8, "cubes[2] must be an HsiCube, got ndarray"),
+    ([synthetic_cube(74, bands=6, height=12, width=12)] + pipeline_cubes()[1:], 17,
+     "patch_size 17 exceeds cubes[1] extents 16x24 at scale 2"),
+], ids=["not-a-cube", "patch-too-large"])
+def test_augment_two_stage_checks_every_cube_before_sampling(monkeypatch, cubes, patch_size,
+                                                            message):
+    real, calls = df.dsrnet_super_resolve, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(df, "dsrnet_super_resolve", spy)
+    with pytest.raises(DataError, match=re.escape(message)):
+        df.augment_two_stage(cubes, pipeline_denoiser(), make_schedule(10), pipeline_rgan(2),
+                             scale=2, patch_size=patch_size, steps=2)
+    assert calls == []
 
 
 def test_augment_two_stage_zero_rgan_patches_are_bilinear_crops():

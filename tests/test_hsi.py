@@ -331,6 +331,13 @@ def test_align_chikusei_like_grid_against_scalar_oracle():
             np.testing.assert_allclose(aligned.values[:, i, j], expect, atol=1e-12)
 
 
+def test_align_single_band_cube_returns_that_band():
+    values = RandomSource(13).uniform((1, 3, 4))
+    aligned = hsi.align_wavelengths(HsiCube(values, [500.0]), [500.0])
+    np.testing.assert_array_equal(aligned.values, values)
+    np.testing.assert_array_equal(aligned.wavelengths, [500.0])
+
+
 def test_align_rejects_extrapolation():
     cube = synthetic_cube(10, bands=16, wavelengths=np.linspace(450.0, 900.0, 16))
     with pytest.raises(DataError):

@@ -145,11 +145,8 @@ ATTENTION_CASES = [  # heads, (wide window, tall window), extents
 
 @pytest.mark.parametrize("heads, window, extents", ATTENTION_CASES)
 def test_window_attention_matches_composed_ops(heads, window, extents):
-    # One stream is bit-exact to linear -> split -> composed attention,
-    # gradients included. With two, each stream's gradient is W_q^T dq or
-    # W_kv^T dkv, where the chain takes W^T [dq|0|0] and W^T [0|dk|dv]: the
-    # same terms with exact zeros added, which BLAS may group otherwise, so
-    # those gradients are held to rounding: 1e-14 of the largest entry.
+    # Bit-exact to split -> linear -> composed attention, gradients
+    # included, with one stream and with two: each takes one path.
     cfg, params, probe = attention_inputs(60, heads, window, extents)
 
     def run(op, two_streams):
@@ -164,14 +161,11 @@ def test_window_attention_matches_composed_ops(heads, window, extents):
         fused, parents, fused_grads = run(rgan.window_attention, two_streams)
         composed, _, composed_grads = run(oracles.projected_rectangular_attention, two_streams)
         # one node over the streams, the qkv weight and bias, pos_h and pos_v
-        assert parents == tuple(p.node for p in params if two_streams or p is not params[1])
+        zkv = params[1] if two_streams else params[0]
+        assert parents == tuple(p.node for p in [params[0], zkv] + params[2:])
         np.testing.assert_array_equal(fused.data, composed.data)
         for p, a, b in zip(params, fused_grads, composed_grads):
-            if two_streams:
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max(),
-                                           err_msg=p.name)
-            else:
-                np.testing.assert_array_equal(a, b, err_msg=p.name)
+            np.testing.assert_array_equal(a, b, err_msg=p.name)
         with ad.no_grad():  # the path that keeps no attention maps
             plain = attend(rgan.window_attention, cfg, params, two_streams)
         np.testing.assert_array_equal(plain.data, fused.data)
@@ -271,8 +265,8 @@ def attention_operands(monkeypatch, rca, *pairs):
     calls = []
     half_qkv = rgan._half_qkv
 
-    def capture(segments, weight, bias, rows):
-        qkv = half_qkv(segments, weight, bias, rows)
+    def capture(zq, zkv, weight, bias, rows):
+        qkv = half_qkv(zq, zkv, weight, bias, rows)
         calls.append((rows, tuple(qkv)))
         return qkv
 
@@ -437,7 +431,7 @@ def test_rca_matches_dense_oracle():
 
 
 def test_rca_same_tensor_matches_two_stream_path():
-    # Rca(z, z) projects one stream; an equal copy forces the two-stream path.
+    # Rca(z, z) and Rca(z, copy of z) take one path, so they agree exactly.
     cfg = small_cfg(channels=8, heads=2)
     rca = Rca(cfg, RandomSource(50), "rca")
     rca.pos_h.data = RandomSource(51).normal(rca.pos_h.shape) * 0.3
@@ -457,13 +451,13 @@ def test_rca_same_tensor_matches_two_stream_path():
     np.testing.assert_array_equal(one1, two1)
     np.testing.assert_array_equal(one2, two2)
     for p, a, b in zip(rca.parameters(), one_grads, two_grads):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), p.name
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
 
 
 def test_rca_splits_each_projection_once(monkeypatch):
     # Each window_attention node projects the rows it reads, each once, half
-    # by half and with no split node: Rca(z, z) all 3C rows of z; Rca(zq, zkv)
-    # the query rows of zq and the key/value rows of zkv.
+    # by half and with no split node: the query rows of zq and the key/value
+    # rows of zkv, so Rca(z, z) all 3C rows of z.
     rca = Rca(small_cfg(), RandomSource(55), "rca")
     rng = RandomSource(56)
     z1 = Tensor(rng.normal((8, 4, 4)))
@@ -471,13 +465,14 @@ def test_rca_splits_each_projection_once(monkeypatch):
     calls = []  # per window_attention node, the (q|k|v row, stream) pairs it projects
     half_qkv = rgan._half_qkv
 
-    def record(segments, weight, bias, rows):
+    def record(zq, zkv, weight, bias, rows):
         c = weight.shape[1]
         if rows.start == 0:  # a node's first half
             calls.append([])
-        calls[-1] += [(row, 1 if z is z1.data else 2) for span, z in segments
-                      for row in range(span.start, span.stop) if rows.start <= row % c < rows.stop]
-        return half_qkv(segments, weight, bias, rows)
+        streams = ((range(c), zq), (range(c, 3 * c), zkv))  # q rows; k and v rows
+        calls[-1] += [(row, 1 if z is z1.data else 2) for span, z in streams
+                      for row in span if rows.start <= row % c < rows.stop]
+        return half_qkv(zq, zkv, weight, bias, rows)
 
     def split(*args):
         raise AssertionError("Rca made a split node")
