@@ -299,12 +299,8 @@ def edge_proxy(image: np.ndarray) -> np.ndarray:
 
 
 def sketch_proxy(image: np.ndarray) -> np.ndarray:
-    """Binary line map: gradient magnitude thresholded at 0.25 of its max."""
-    mag = _gradient_magnitude(image)
-    top = mag.max()
-    if top == 0:
-        return np.zeros((1,) + mag.shape)
-    return (mag / top >= 0.25).astype(np.float64)[None]
+    """Binary line map: `edge_proxy` thresholded at 0.25."""
+    return (edge_proxy(image) >= 0.25).astype(np.float64)
 
 
 def segmentation_proxy(image: np.ndarray, levels: int = 4) -> np.ndarray:
@@ -646,24 +642,29 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
 
     Returns (patches, manifest_rows); each row records provenance: source
     cube index, patch origin in the upscaled cube, and the scale. A scale
-    other than the RGAN's, an item of cubes that is not an HsiCube, or a
-    patch_size larger than an upscaled cube raises before any sampling.
+    other than the RGAN's, an item of cubes that is not an HsiCube or does
+    not cover the RGB bands, or a patch_size larger than an upscaled cube
+    raises before any sampling.
     """
     if scale != rgan_model.config.scale:
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     check_int(patch_size, "patch_size")
     stride = check_int(stride, "stride") if stride is not None else patch_size // 2
     cubes = list(cubes)
+    rgbs = []
     for ci, cube in enumerate(cubes):
         if not isinstance(cube, HsiCube):
             raise DataError(f"cubes[{ci}] must be an HsiCube, got {type(cube).__name__}")
         if patch_size > scale * min(cube.height, cube.width):
             raise DataError(f"patch_size {patch_size} exceeds cubes[{ci}] extents "
                             f"{cube.height * scale}x{cube.width * scale} at scale {scale}")
+        try:
+            rgbs.append(extract_rgb(cube))
+        except DataError as err:
+            raise DataError(f"cubes[{ci}]: {err}") from None
     patches: list[HsiCube] = []
     manifest: list[dict] = []
-    for ci, cube in enumerate(cubes):
-        rgb = extract_rgb(cube)
+    for ci, (cube, rgb) in enumerate(zip(cubes, rgbs)):
         hr_rgb = dsrnet_super_resolve(rgb.values, dsrnet, schedule, steps,
                                       seed=int(RandomSource(seed).child(ci).integers(0, 2**31)),
                                       scale=scale, codec=codec)

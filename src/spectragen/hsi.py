@@ -3,11 +3,10 @@
 Cubes and `nn` checkpoints share one container (`write_container`,
 `read_container`): an 8-byte magic, a 4-byte little-endian header length,
 a UTF-8 JSON object header with sorted keys, then the payloads in header
-order, and nothing after them. The header's ``dtype`` names the payload
-values: ``f32le`` (float32 little-endian, also read when a header has no
-``dtype``) or ``f64le`` (float64 little-endian). The header's ``crc32``
-is the `zlib.crc32` of all payload bytes; a reader checks it when present,
-so a file written before it was recorded still loads. Cubes are:
+order, and nothing after them. Every header states ``dtype``, which names
+the payload values: ``f32le`` (float32 little-endian) or ``f64le`` (float64
+little-endian), and ``crc32``, the `zlib.crc32` of all payload bytes,
+which a reader checks. Cubes are:
 
 * HSC (canonical): the container with magic ``HSCUBE\\x00\\x01``, header
   ``{height, width, bands, wavelengths_nm, dtype: "f32le", layout: "bsq",
@@ -166,13 +165,13 @@ def write_container(path, magic: bytes, header: dict, arrays) -> None:
 def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
     """Return (header, {name: float64 array}); DataError names the file.
 
+    A header without ``dtype`` or ``crc32`` raises DataError naming the
+    key, and so does a dtype other than those of PAYLOAD_DTYPES; then
     `shapes(header)` checks the format's fields and returns a (name, shape)
-    per payload in file order; `what` names the header in messages. A name
-    given to two payloads raises DataError naming it, and so does a dtype
-    other than those of PAYLOAD_DTYPES. Once the payloads are framed, a
-    header ``crc32`` that is not the `zlib.crc32` of the payload bytes
-    raises DataError; a file without one (written before it was recorded)
-    is not checked.
+    per payload in file order. `what` names the header in messages. A name
+    given to two payloads raises DataError naming it. Once the payloads are
+    framed, a ``crc32`` that is not the `zlib.crc32` of the payload bytes
+    raises DataError.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -188,13 +187,15 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
         if not isinstance(header, dict):
             raise DataError(f"{path}: {what} is a JSON {type(header).__name__}, expected an object")
         payload = fh.read()
-    arrays, pos = {}, 0
-    payloads = shapes(header)
-    kind = header.get("dtype", "f32le")
+    for key in ("dtype", "crc32"):
+        if key not in header:
+            raise DataError(f"{path}: {what} missing {key!r}")
+    kind = header["dtype"]
     if not isinstance(kind, str) or kind not in PAYLOAD_DTYPES:
         raise DataError(f"{path}: unsupported dtype {kind!r}")
     dtype = PAYLOAD_DTYPES[kind]
-    for name, shape in payloads:
+    arrays, pos = {}, 0
+    for name, shape in shapes(header):
         if name in arrays:
             raise DataError(f"{path}: payload name {name!r} appears twice")
         count = math.prod(shape)
@@ -205,7 +206,7 @@ def read_container(path, magic: bytes, what: str, shapes) -> tuple[dict, dict]:
     if pos != len(payload):
         raise DataError(f"{path}: {len(payload) - pos} trailing bytes after the last payload")
     crc = zlib.crc32(payload)
-    if header.get("crc32", crc) != crc:
+    if header["crc32"] != crc:
         raise DataError(f"{path}: payload checksum {crc} does not match the header's "
                         f"crc32 {header['crc32']!r}: the file is corrupt")
     return header, arrays
@@ -233,7 +234,7 @@ def _file_cube(path, values, wavelengths) -> HsiCube:
 
 def _read_hsc(path) -> HsiCube:
     def shapes(header):
-        for key in ("height", "width", "bands", "wavelengths_nm", "dtype", "layout"):
+        for key in ("height", "width", "bands", "wavelengths_nm", "layout"):
             if key not in header:
                 raise DataError(f"{path}: header missing {key!r}")
         if header["dtype"] != "f32le":
@@ -349,31 +350,21 @@ def default_wavelength_grid() -> np.ndarray:
     return np.linspace(DEFAULT_GRID_START, DEFAULT_GRID_STOP, DEFAULT_GRID_BANDS)
 
 
-def covered_default_grid(cube: HsiCube) -> tuple[np.ndarray, bool]:
-    """Default grid restricted to the cube's wavelength range.
-
-    Returns (grid, fully_covered); fully_covered is False when the source
-    range does not span 400-1000 nm and the grid had to be clipped.
-    """
-    grid = default_wavelength_grid()
-    lo, hi = cube.wavelengths[0], cube.wavelengths[-1]
-    keep = (grid >= lo) & (grid <= hi)
-    if not keep.any():
-        raise DataError("cube wavelength range does not overlap the 400-1000 nm grid")
-    return grid[keep], bool(keep.all())
-
-
 def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCube:
     """Interpolate every pixel spectrum onto a target wavelength grid.
 
     Piecewise-linear, no extrapolation: an explicit target outside the
     source range is an error; the default target is the 48-band 400-1000 nm
-    grid clipped to the covered range.
+    grid clipped to the cube's range, which must hold one of its points.
     """
-    if target is None:
-        target, _ = covered_default_grid(cube)
-    target = vector_array(target, "target grid")
     src = cube.wavelengths
+    if target is None:
+        grid = default_wavelength_grid()
+        target = grid[(grid >= src[0]) & (grid <= src[-1])]
+        if len(target) == 0:
+            raise DataError(f"no point of the 400-1000 nm default grid falls in the cube's "
+                            f"range [{src[0]}, {src[-1]}] nm; pass a target grid")
+    target = vector_array(target, "target grid")
     if target[0] < src[0] or target[-1] > src[-1]:
         raise DataError(
             f"target grid [{target[0]}, {target[-1]}] outside source range "

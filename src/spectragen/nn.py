@@ -10,8 +10,8 @@ micro-batch parts, each checked and back-propagated as soon as it exists,
 so one part's graph is alive at a time while the gradients accumulate
 across the parts. Checkpoints use the container of `hsi`, with a JSON
 manifest as its header, and store float64 values (`dtype` f64le), so a
-reloaded model computes exactly what the saved one did. Checkpoints from
-before the manifest had a `dtype` hold float32 values, and still load.
+reloaded model computes exactly what the saved one did. A manifest
+without `dtype` or `crc32` does not load.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     The learning rate is the optimizer's rate at entry times
     `warmup_flat_cosine`: linear warmup over `warmup_frac` of the steps (at
     least one step), cosine tail over the last `tail_frac`; with both 0 it
-    stays constant. A `steps` below 0 or not an int raises ValueError; a
+    stays constant, and the optimizer has its entry rate again when fit
+    returns or raises. A `steps` below 0 or not an int raises ValueError; a
     non-finite part (before its backward), parameter or gradient (before
     the update) NumericalFailure naming the step.
     """
@@ -195,21 +196,24 @@ def fit(opt: Adam, steps: int, step_loss, warmup_frac: float = 0.0,
     warmup = max(int(steps * warmup_frac), 1)
     tail_start = int(steps * (1.0 - tail_frac))
     trace = []
-    for step in range(steps):
-        opt.lr = base * warmup_flat_cosine(step, steps, warmup, tail_start)
-        opt.zero_grad()
-        total = 0.0
-        for loss in step_loss(step):
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericalFailure(f"non-finite loss {value} at step {step}")
-            ad.backward(loss)
-            total += value
-        try:
-            opt.step()
-        except NumericalFailure as err:
-            raise NumericalFailure(f"{err} at step {step}") from err
-        trace.append(total)
+    try:
+        for step in range(steps):
+            opt.lr = base * warmup_flat_cosine(step, steps, warmup, tail_start)
+            opt.zero_grad()
+            total = 0.0
+            for loss in step_loss(step):
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise NumericalFailure(f"non-finite loss {value} at step {step}")
+                ad.backward(loss)
+                total += value
+            try:
+                opt.step()
+            except NumericalFailure as err:
+                raise NumericalFailure(f"{err} at step {step}") from err
+            trace.append(total)
+    finally:
+        opt.lr = base
     return trace
 
 

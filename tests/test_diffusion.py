@@ -277,6 +277,7 @@ def test_condition_proxies_shapes_and_ranges():
         assert cmap.shape == (1, 16, 16)
         assert cmap.min() >= 0.0 and cmap.max() <= 1.0
     assert set(np.unique(sketch)) <= {0.0, 1.0}
+    np.testing.assert_array_equal(sketch, edge >= 0.25)
 
 
 def test_segmentation_proxy_labels_connected_regions():
@@ -741,7 +742,10 @@ def test_augment_two_stage_rejects_a_scale_the_rgan_lacks(monkeypatch):
     (pipeline_cubes() + [np.zeros((6, 8, 8))], 8, "cubes[2] must be an HsiCube, got ndarray"),
     ([synthetic_cube(74, bands=6, height=12, width=12)] + pipeline_cubes()[1:], 17,
      "patch_size 17 exceeds cubes[1] extents 16x24 at scale 2"),
-], ids=["not-a-cube", "patch-too-large"])
+    (pipeline_cubes() + [synthetic_cube(76, bands=6, height=8, width=8,
+                                        wavelengths=np.linspace(700.0, 950.0, 6))], 8,
+     "cubes[2]: cube range [700.0, 950.0] nm does not cover the 450-650 nm RGB targets"),
+], ids=["not-a-cube", "patch-too-large", "rgb-uncovered"])
 def test_augment_two_stage_checks_every_cube_before_sampling(monkeypatch, cubes, patch_size,
                                                             message):
     real, calls = df.dsrnet_super_resolve, []

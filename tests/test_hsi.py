@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spectragen import hsi
-from spectragen.autodiff import RandomSource
+from spectragen import hsi, nn
+from spectragen.autodiff import Parameter, RandomSource
 from spectragen.hsi import DataError, DegradationSpec, HsiCube
 from spectragen.synth import synthetic_cube
 
@@ -115,12 +115,20 @@ def test_hsc_with_a_flipped_payload_byte_raises(tmp_path):
         hsi.read_cube(path)
 
 
-def test_hsc_without_a_checksum_still_loads(tmp_path):
-    cube = random_cube(14)
-    path = tmp_path / "cube.hsc"
-    hsi.write_cube(cube, path)
-    _rewrite_hsc_header(path, drop=["crc32"])
-    np.testing.assert_array_equal(hsi.read_cube(path).values, cube.values)
+@pytest.mark.parametrize("key", ["dtype", "crc32"])
+@pytest.mark.parametrize("kind", ["hsc", "checkpoint"])
+def test_container_without_a_framing_key_raises(tmp_path, kind, key):
+    # cubes and checkpoints share the container, so both must state its keys
+    if kind == "hsc":
+        path, what, read = tmp_path / "cube.hsc", "HSC header", hsi.read_cube
+        hsi.write_cube(random_cube(14), path)
+    else:
+        path, what = tmp_path / "model.ckpt", "checkpoint manifest"
+        nn.save_checkpoint(path, "toy", {}, [Parameter(np.array([0.1, -1.0]), "a.weight")])
+        read = nn.load_checkpoint
+    _rewrite_hsc_header(path, drop=[key])
+    with pytest.raises(DataError, match=re.escape(f"{path}: {what} missing {key!r}")):
+        read(path)
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -355,11 +363,21 @@ def test_align_rejects_a_target_grid_that_is_not_a_non_empty_vector(target):
 def test_align_default_grid_clips_to_coverage():
     cube = synthetic_cube(11, bands=16, height=4, width=4,
                           wavelengths=np.linspace(450.0, 900.0, 16))
-    grid, covered = hsi.covered_default_grid(cube)
-    assert not covered
-    assert grid[0] >= 450.0 and grid[-1] <= 900.0
     aligned = hsi.align_wavelengths(cube)
-    assert aligned.bands == len(grid)
+    grid = aligned.wavelengths
+    assert aligned.bands < 48
+    assert grid[0] >= 450.0 and grid[-1] <= 900.0
+    np.testing.assert_array_equal(grid, [w for w in hsi.default_wavelength_grid()
+                                         if 450.0 <= w <= 900.0])
+
+
+def test_align_default_grid_names_a_range_between_its_points():
+    # 500 nm lies inside 400-1000 nm, but between two points of the 12.8 nm grid
+    cube = HsiCube(np.full((1, 2, 2), 0.5), [500.0])
+    with pytest.raises(DataError, match=re.escape(
+            "no point of the 400-1000 nm default grid falls in the cube's range "
+            "[500.0, 500.0] nm; pass a target grid")):
+        hsi.align_wavelengths(cube)
 
 
 def test_align_idempotent_on_target():

@@ -59,18 +59,6 @@ def test_checkpoint_round_trip_keeps_float64_values(tmp_path):
     assert back["a.weight"].dtype == np.float64
 
 
-def test_checkpoint_without_a_dtype_loads_its_float32_payload(tmp_path):
-    # checkpoints written before the manifest named a dtype hold float32
-    manifest = (b'{"config": {}, "format": "spectragen-checkpoint-v1", "kind": "toy", '
-                b'"parameters": [{"name": "a.weight", "shape": [3]}]}')
-    path = tmp_path / "old.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<I", len(manifest)) + manifest
-                     + struct.pack("<3f", 0.1, -1.0, 2.5))
-    kind, config, values = nn.load_checkpoint(path)
-    assert (kind, config) == ("toy", {})
-    np.testing.assert_array_equal(values["a.weight"], np.array([0.1, -1.0, 2.5], dtype="<f4"))
-
-
 @pytest.mark.parametrize("dtype", ["f16le", "<f8", ["f64le"], None])
 def test_load_checkpoint_rejects_an_unknown_dtype(tmp_path, dtype):
     path = saved(tmp_path)
@@ -278,6 +266,25 @@ def test_fit_schedules_the_rate_and_descends(warmup_frac, tail_frac):
     assert rates == [0.1 * nn.warmup_flat_cosine(s, 20, warmup, tail_start) for s in range(20)]
     assert len(trace) == 20 and opt.t == 20
     assert trace[0] == pytest.approx(np.mean(target**2)) and trace[-1] < trace[0]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_fit_gives_back_the_entry_rate(fails):
+    p = Parameter(np.zeros(3), "p")
+    opt, step_loss = quadratic([], p, np.ones(3))
+    opt.lr = 1e-2
+
+    def losses(step):
+        if fails and step == 8:  # in the cosine tail
+            yield Tensor(np.array(np.nan))
+        yield from step_loss(step)
+
+    if fails:
+        with pytest.raises(nn.NumericalFailure, match="step 8"):
+            nn.fit(opt, 10, losses, warmup_frac=0.1, tail_frac=0.3)
+    else:
+        nn.fit(opt, 10, losses, warmup_frac=0.1, tail_frac=0.3)
+    assert opt.lr == 1e-2
 
 
 @pytest.mark.parametrize("steps", [-1, -20])
