@@ -74,14 +74,14 @@ class RandomSource:
     def child(self, *key: int) -> "RandomSource":
         return RandomSource(self.seed, self._key + tuple(int(k) for k in key))
 
-    def normal(self, shape=(), loc: float = 0.0, scale: float = 1.0) -> Array:
-        return self._gen.normal(loc, scale, size=shape)
+    def normal(self, shape=(), scale: float = 1.0) -> Array:
+        return self._gen.normal(0.0, scale, size=shape)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> Array:
         return self._gen.uniform(low, high, size=shape)
 
-    def integers(self, low: int, high: int, shape=()) -> Array:
-        return self._gen.integers(low, high, size=shape)
+    def integers(self, low: int, high: int) -> np.integer:
+        return self._gen.integers(low, high)
 
 
 class Node:
@@ -673,13 +673,14 @@ def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
     _im2col_blocks): k GEMMs with K = C_in*k, the first written into the
     output and the others added to it. Each kernel matrix is Fortran
     ordered: with that operand order BLAS sums each output in the same
-    order for every block width, so a blocked result is bit-exact to a
+    order for every block width, so a blocked `out` is bit-exact to a
     single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
     kernels, and summation order, with the block width.
 
     With `pair`, a [C_p,H,W] array, it returns (out, acc): acc[u] is the
     [C_in*k, C_p] sum over blocks of kernel row u's im2col @ pair's
-    matching rows, one GEMM per kernel row with K = (r1-r0)*W.
+    matching rows, one GEMM per kernel row with K = (r1-r0)*W; a sum over
+    blocks, acc matches a single-block one only to rounding.
     """
     c_in, h, w = x.shape
     c_out, ck, k = kernel.shape[:3]
@@ -721,8 +722,9 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     Every pass lowers its input to the row-shift im2col of _im2col_blocks,
     k shifted copies of the input rather than k*k, and reads kernel row u's
-    im2col as a strided view of it. Blocked results are bit-exact to
-    single-block ones (see _corr2d).
+    im2col as a strided view of it. Blocked outputs and input and bias
+    gradients are bit-exact to single-block ones, kernel gradients (sums
+    over blocks) only to rounding; see _corr2d.
 
     The kernel gradient is always computed (every kernel is a Parameter).
     The input gradient correlates g with the flipped kernel, also
@@ -772,9 +774,6 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 def _interp_matrix(n_out: int, n_in: int) -> Array:
     """Row-stochastic 1-D linear interpolation matrix (half-pixel centers)."""
     m = np.zeros((n_out, n_in))
-    if n_in == 1:
-        m[:, 0] = 1.0
-        return m
     pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     pos = np.clip(pos, 0.0, n_in - 1.0)
     lo = np.floor(pos).astype(int)
@@ -802,7 +801,5 @@ def bilinear_resize(t: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def bilinear_resize_array(x: Array, out_h: int, out_w: int) -> Array:
-    """Non-graph variant of bilinear_resize for plain arrays."""
-    rmat = _interp_matrix(out_h, x.shape[1])
-    cmat = _interp_matrix(out_w, x.shape[2])
-    return np.matmul(np.matmul(rmat, x), cmat.T)
+    """bilinear_resize of a plain [C,H,W] array, as an array."""
+    return bilinear_resize(Tensor(x), out_h, out_w).data

@@ -18,6 +18,7 @@ training sample, and `forward` takes only that result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .hsi import (HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter
                   vector_array)
 from .rgan import RganModel, rgan_forward
 
-CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres", "custom")
+CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres")
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +62,12 @@ class NoiseSchedule:
 
 def make_schedule(timesteps: int = 1000, beta_start: float = 1e-4,
                   beta_end: float = 2e-2) -> NoiseSchedule:
-    """Linear beta schedule; alpha_t = 1 - beta_t, alpha_bar by product."""
+    """Linear beta schedule; alpha_t = 1 - beta_t, alpha_bar by product.
+    The betas are finite reals, 0 < beta_start <= beta_end < 1 (ValueError)."""
     timesteps = check_int(timesteps, "timesteps")
+    for name, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
+        if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not np.isfinite(beta):
+            raise ValueError(f"{name} must be a finite real number, got {beta!r}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(f"invalid beta range [{beta_start}, {beta_end}]")
     beta = np.linspace(beta_start, beta_end, timesteps)
@@ -91,13 +96,11 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, t: int, t_prev: int,
 
 
 def timestep_subsequence(timesteps: int, steps: int) -> np.ndarray:
-    """Evenly spaced t values from T down to 0, inclusive (steps+1 points)."""
+    """Evenly spaced t values from T down to 0, inclusive (steps+1 points);
+    steps <= T keeps them 1 apart or more, so they round strictly decreasing."""
     if check_int(steps, "steps") > check_int(timesteps, "timesteps"):
         raise ValueError(f"steps {steps} outside [1, {timesteps}]")
-    ts = np.rint(np.linspace(timesteps, 0, steps + 1)).astype(int)
-    if np.any(np.diff(ts) >= 0):
-        raise ValueError("subsequence is not strictly decreasing")
-    return ts
+    return np.rint(np.linspace(timesteps, 0, steps + 1)).astype(int)
 
 
 def _chw_shape(shape, name: str) -> tuple[int, int, int]:
@@ -447,17 +450,15 @@ class ConditionalDenoiser(nn.Module):
         """Fixed slot layout; absent tags become zero maps, maps of other
         extents are bilinearly resized to h x w.
 
-        None for a stack without spatial maps. A non-empty stack that fills
-        none of the slots raises ValueError.
+        None for a stack without spatial maps. A stack with a tag that is not
+        a slot raises ValueError, so no map is dropped unseen.
         """
         if not stack.spatial:
             return None
         slots = [tag for tag, _ in self.config.cond_slots]
-        if not any(tag in stack.spatial for tag in slots):
-            raise ValueError(
-                f"condition stack tags {sorted(stack.spatial)} match none of the "
-                f"denoiser's slots {slots}"
-            )
+        if unslotted := sorted(set(stack.spatial) - set(slots)):
+            raise ValueError(f"condition stack tags {unslotted} match none of the "
+                             f"denoiser's slots {slots}")
         parts = []
         for tag, ch in self.config.cond_slots:
             cmap = stack.spatial.get(tag)
@@ -512,7 +513,7 @@ class ConditionalDenoiser(nn.Module):
         that is not 3-D, or whose extents the levels cannot halve, raises
         ValueError.
         """
-        z_t = z_t if isinstance(z_t, Tensor) else Tensor(z_t)
+        z_t = ad.as_tensor(z_t)
         _, h, w = _chw_shape(z_t.shape, "latent")
         div = 2 ** (self.config.levels - 1)
         if h % div or w % div:
@@ -642,15 +643,18 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
 
     Returns (patches, manifest_rows); each row records provenance: source
     cube index, patch origin in the upscaled cube, and the scale. A scale
-    other than the RGAN's, an item of cubes that is not an HsiCube or does
-    not cover the RGB bands, or a patch_size larger than an upscaled cube
-    raises before any sampling.
+    other than the RGAN's, cubes that is not a list, an item of it that is
+    not an HsiCube or does not cover the RGB bands, or a patch_size larger
+    than an upscaled cube raises before any sampling.
     """
     if scale != rgan_model.config.scale:
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     check_int(patch_size, "patch_size")
     stride = check_int(stride, "stride") if stride is not None else patch_size // 2
-    cubes = list(cubes)
+    try:
+        cubes = list(cubes)
+    except TypeError:
+        raise DataError(f"cubes must be a list of HsiCube, got {type(cubes).__name__}") from None
     rgbs = []
     for ci, cube in enumerate(cubes):
         if not isinstance(cube, HsiCube):

@@ -137,7 +137,6 @@ class RgbBands:
 
     values: np.ndarray
     band_indices: tuple[int, int, int]
-    wavelengths: tuple[float, float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def align_wavelengths(cube: HsiCube, target: np.ndarray | None = None) -> HsiCub
             f"target grid [{target[0]}, {target[-1]}] outside source range "
             f"[{src[0]}, {src[-1]}] (no extrapolation)"
         )
-    if len(target) > 1 and not np.all(np.diff(target) > 0):
+    if not np.all(np.diff(target) > 0):
         raise DataError("target grid must be strictly increasing")
     if cube.bands == 1:  # the checks above leave target equal to its one band
         return HsiCube(cube.values.copy(), target)
@@ -430,7 +429,7 @@ def extract_rgb(cube: HsiCube) -> RgbBands:
         )
     idx = tuple(nearest_band(cube.wavelengths, t) for t in RGB_TARGETS_NM)
     values = cube.values[list(idx)].copy()
-    return RgbBands(values, idx, tuple(float(cube.wavelengths[i]) for i in idx))
+    return RgbBands(values, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,8 @@ class AttentionConfig:
                 raise ValueError(f"{name} must be a pair of integers, got {window!r}")
             for extent in window:
                 check_int(extent, f"{name} extent")
-        if self.channels % 2:
-            raise ValueError("channels must be even (spectral split into halves)")
         if self.channels % (2 * self.heads):
-            raise ValueError("channels must be divisible by 2*heads")
+            raise ValueError("channels must be divisible by 2*heads (two spectral halves)")
         if self.window_h[1] < self.window_h[0]:
             raise ValueError(f"horizontal window must be wide, got {self.window_h}")
         if self.window_v[0] < self.window_v[1]:

@@ -18,8 +18,8 @@ def _smooth_field(rng: RandomSource, height: int, width: int) -> np.ndarray:
     # Sum of four cosine modes. Mode frequencies scale with extent so
     # feature size (~6 px) is resolution independent.
     ys, xs = np.mgrid[0:height, 0:width]
-    ys = ys / max(height, 1)
-    xs = xs / max(width, 1)
+    ys = ys / height
+    xs = xs / width
     out = np.zeros((height, width))
     for _ in range(4):
         u = rng.uniform((), -1.0, 1.0) * max(height / 6.0, 1.0)

@@ -1,4 +1,5 @@
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -817,6 +818,23 @@ def test_bilinear_resize_identity_and_constant():
     np.testing.assert_allclose(same, x, atol=1e-12)
     const = ad.bilinear_resize(Tensor(np.full((1, 4, 4), 0.25)), 8, 8).data
     np.testing.assert_allclose(const, 0.25, atol=1e-12)
+
+
+def test_bilinear_resize_of_a_single_pixel_is_constant():
+    for n in range(1, 40):
+        np.testing.assert_array_equal(ad._interp_matrix(n, 1), np.ones((n, 1)))
+    x = np.array([0.3, -1.7]).reshape(2, 1, 1)
+    got = ad.bilinear_resize(Tensor(x), 5, 7).data
+    np.testing.assert_array_equal(got, np.broadcast_to(x, (2, 5, 7)))
+
+
+def test_bilinear_resize_array_is_bilinear_resize_of_the_array():
+    x = rand(RandomSource(14), 3, 5, 7)
+    for h, w in ((5, 7), (10, 14), (3, 2), (1, 1)):
+        np.testing.assert_array_equal(ad.bilinear_resize_array(x, h, w),
+                                      ad.bilinear_resize(Tensor(x), h, w).data)
+    with pytest.raises(ValueError, match=re.escape("bilinear_resize expects a [C,H,W] tensor")):
+        ad.bilinear_resize_array(x[0], 10, 14)
 
 
 def test_bilinear_resize_doubling_is_linear_exact():

@@ -295,6 +295,13 @@ STRAY = [
     ("DenoiserConfig(levels=2.0)", lambda: DenoiserConfig(3, levels=2.0), "levels"),
     ("TinyAutoencoder(3, 0)", lambda: df.TinyAutoencoder(3, 0), "latent_channels"),
     ("make_schedule(2.5)", lambda: df.make_schedule(2.5), "timesteps"),
+    ("make_schedule(10, None)", lambda: df.make_schedule(10, None), "beta_start"),
+    ("make_schedule(10, True)", lambda: df.make_schedule(10, True), "beta_start"),
+    ("make_schedule(10, nan)", lambda: df.make_schedule(10, math.nan), "beta_start"),
+    ("make_schedule(10, beta_end='0.1')", lambda: df.make_schedule(10, beta_end="0.1"),
+     "beta_end"),
+    ("make_schedule(10, beta_end=inf)", lambda: df.make_schedule(10, beta_end=math.inf),
+     "beta_end"),
     ("timestep_subsequence(10, 2.5)", lambda: df.timestep_subsequence(10, 2.5), "steps"),
     ("train_rgan(steps=1.5)",
      lambda: rgan.train_rgan([(LR_CUBE, GUIDE, CUBE)], RGAN, steps=1.5), "steps"),

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectragen import autodiff as ad
@@ -180,6 +180,17 @@ def test_timestep_subsequence():
     assert np.all(np.diff(ts) < 0)
 
 
+@given(st.integers(1, 1000).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, t))))
+@example((1000, 1000))
+@example((1000, 999))
+@example((999, 500))
+def test_timestep_subsequence_strictly_decreases_from_t_to_zero(timesteps_and_steps):
+    timesteps, steps = timesteps_and_steps
+    ts = timestep_subsequence(timesteps, steps)
+    assert len(ts) == steps + 1 and ts[0] == timesteps and ts[-1] == 0
+    assert np.all(np.diff(ts) < 0)
+
+
 # ---------------------------------------------------------------------------
 # codecs
 
@@ -234,14 +245,15 @@ def test_tiny_autoencoder_rejects_an_empty_image_set():
 
 @pytest.mark.parametrize("spatial, match", [
     ({"bogus": np.zeros((1, 4, 4))}, "bogus"),
+    ({"custom": np.zeros((1, 4, 4))}, "unknown condition tag 'custom'"),
     ({"hed": np.zeros((1, 4, 4)), "seg": np.zeros((1, 8, 8))}, "extents"),
     ({"hed": [[0.0, 1.0], [1.0, 0.0]]}, "hed"),
     ([("hed", np.zeros((1, 4, 4)))], "spatial"),
     ({"hed": np.zeros((1, 0, 8))}, "hed"),
     ({"hed": [[[0.0, 1.0], [1.0]]]}, "condition hed is not a numeric array"),
     ({"seg": np.array([[["a", "b"]]])}, "condition seg is not a numeric array"),
-], ids=["unknown-tag", "mixed-extents", "nested-list-2d", "not-a-dict", "empty-extent",
-        "ragged", "strings"])
+], ids=["unknown-tag", "custom-tag", "mixed-extents", "nested-list-2d", "not-a-dict",
+        "empty-extent", "ragged", "strings"])
 def test_condition_stack_validation(spatial, match):
     with pytest.raises(ValueError, match=match):
         ConditionStack(spatial)
@@ -353,6 +365,20 @@ def test_condition_stack_matching_no_slot_rejected():
         predict(hed_only, z, 1, stack)
     with pytest.raises(ValueError, match="match none"):
         predict(ConditionalDenoiser(tiny_config(), seed=16), z, 1, stack)
+
+
+def test_condition_stack_with_a_tag_beyond_the_slots_rejected():
+    # A `hed` map on a `lowres`-only denoiser would otherwise be dropped.
+    model = ConditionalDenoiser(tiny_config(cond_slots=(("lowres", 3),)), seed=16)
+    stack = ConditionStack({"lowres": np.ones((3, 8, 8)), "hed": np.ones((1, 8, 8))})
+    with pytest.raises(ValueError, match=re.escape(
+            "condition stack tags ['hed'] match none of the denoiser's slots ['lowres']")):
+        predict(model, np.zeros((2, 8, 8)), 1, stack)
+
+
+def test_denoiser_config_rejects_an_unknown_slot_tag():
+    with pytest.raises(ValueError, match="unknown condition tag 'custom'"):
+        tiny_config(cond_slots=(("custom", 1),))
 
 
 @pytest.mark.parametrize("cond_slots", [(), (("hed", 1),)])
@@ -745,7 +771,8 @@ def test_augment_two_stage_rejects_a_scale_the_rgan_lacks(monkeypatch):
     (pipeline_cubes() + [synthetic_cube(76, bands=6, height=8, width=8,
                                         wavelengths=np.linspace(700.0, 950.0, 6))], 8,
      "cubes[2]: cube range [700.0, 950.0] nm does not cover the 450-650 nm RGB targets"),
-], ids=["not-a-cube", "patch-too-large", "rgb-uncovered"])
+    (pipeline_cubes()[0], 8, "cubes must be a list of HsiCube, got HsiCube"),
+], ids=["not-a-cube", "patch-too-large", "rgb-uncovered", "single-cube"])
 def test_augment_two_stage_checks_every_cube_before_sampling(monkeypatch, cubes, patch_size,
                                                             message):
     real, calls = df.dsrnet_super_resolve, []
@@ -803,6 +830,43 @@ def test_augment_two_stage_is_its_stages_composed():
     for p, q, w in zip(patches, again, want):
         np.testing.assert_array_equal(p.values, w)
         np.testing.assert_array_equal(q.values, w)
+
+
+def test_generator_chain_at_toy_scale():
+    # The paper's generator end to end: augmented patches train a 48-band
+    # codec and a denoiser conditioned on each patch's HED and segmentation
+    # proxies (maps at patch extents, which the denoiser resizes to the
+    # latent's); the denoiser then samples under a held-out patch's maps.
+    cubes = [synthetic_cube(80 + i, bands=48, height=16, width=16) for i in range(2)]
+    att = AttentionConfig(channels=8, heads=1, window_h=(2, 4), window_v=(4, 2), layers=1)
+    rgan_model = RganModel(RganConfig(bands=48, scale=2, attention=att), seed=82)
+    randomize(rgan_model.parameters(), 83, scale=0.1)
+    s = make_schedule(20)
+
+    def run(seed):
+        patches, _ = df.augment_two_stage(cubes, pipeline_denoiser(), s, rgan_model, scale=2,
+                                          patch_size=16, steps=2, seed=seed)
+        images = [p.values for p in patches]
+        stacks = []
+        for p in patches:
+            rgb = extract_rgb(p).values
+            stacks.append(ConditionStack({"hed": df.edge_proxy(rgb),
+                                          "seg": df.segmentation_proxy(rgb)}))
+        codec = TinyAutoencoder(48, 4, seed=seed)
+        codec_trace = codec.train(images[:-1], steps=5, seed=seed)
+        model = ConditionalDenoiser(
+            tiny_config(latent_channels=4, cond_slots=(("hed", 1), ("seg", 1))), seed=seed)
+        trace = df.train_diffusion([codec.encode(x) for x in images[:-1]], model, s, steps=3,
+                                   batch_size=2, seed=seed, conditions=stacks[:-1])
+        out = df.sample(model, s, 4, stacks[-1], codec, seed, (48, 16, 16))
+        return codec_trace + trace, out
+
+    trace, out = run(7)
+    assert out.shape == (48, 16, 16)
+    assert np.all(np.isfinite(trace)) and np.all(np.isfinite(out))
+    trace_again, out_again = run(7)
+    assert trace_again == trace
+    np.testing.assert_array_equal(out_again, out)
 
 
 def test_inference_entry_points_record_no_graph(monkeypatch):

@@ -571,6 +571,12 @@ def test_attention_config_validation():
         AttentionConfig(channels=8, window_v=(2, 4))
 
 
+@pytest.mark.parametrize("channels, heads", [(7, 1), (9, 1), (12, 4)])
+def test_attention_config_channels_must_split_into_halves_of_heads(channels, heads):
+    with pytest.raises(ValueError, match=r"channels must be divisible by 2\*heads"):
+        AttentionConfig(channels, heads=heads)
+
+
 @pytest.mark.parametrize("field, value", [
     ("heads", 0), ("heads", -1), ("channels", 0), ("channels", -2),
     ("window_h", (0, 0)), ("window_h", (0, 8)), ("window_v", (2, 0)), ("window_v", (-8, -2)),
