@@ -26,8 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import DataError, RandomSource, Tensor
-from .hsi import (HsiCube, check_int, chw_array, crop_patches, extract_rgb, iter_patches,
-                  vector_array)
+from .hsi import (HsiCube, as_list, check_int, chw_array, crop_patches, extract_rgb,
+                  iter_patches, vector_array)
 from .rgan import RganModel, rgan_forward
 
 CONDITION_TAGS = ("hed", "seg", "sketch", "mlsd", "lowres")
@@ -211,6 +211,7 @@ class TinyAutoencoder(nn.Module):
     def train(self, images, steps: int = 200, lr: float = 1e-2, seed: int = 0) -> list[float]:
         """Fit the channel maps to reconstruct `images` (mean squared error) at a
         constant learning rate; returns the per-step loss trace."""
+        images = as_list(images, "images", "[C,H,W] arrays")
         if len(images) == 0:
             raise ValueError("empty training image set")
         for i, img in enumerate(images):
@@ -307,30 +308,36 @@ def sketch_proxy(image: np.ndarray) -> np.ndarray:
 
 
 def segmentation_proxy(image: np.ndarray, levels: int = 4) -> np.ndarray:
-    """Label map from intensity quantization + 4-connected components."""
+    """Label map from intensity quantization + connected components.
+
+    Components are 4-connected regions of equal quantized level, numbered
+    0..n-1 in raster order of their first pixel and divided by max(n - 1, 1).
+    Roots hook onto the smaller label and pointers jump until no equal-level
+    edge joins two roots (Shiloach-Vishkin), so each root ends as its
+    component's smallest raster index."""
     levels = check_int(levels, "levels")
     gray = _gray(image)
     lo, hi = gray.min(), gray.max()
     quant = np.zeros_like(gray, dtype=int) if hi == lo else \
         np.minimum((levels * (gray - lo) / (hi - lo)).astype(int), levels - 1)
     h, w = quant.shape
-    labels = np.full((h, w), -1, dtype=int)
-    current = 0
-    for si in range(h):
-        for sj in range(w):
-            if labels[si, sj] >= 0:
-                continue
-            stack = [(si, sj)]
-            labels[si, sj] = current
-            while stack:
-                i, j = stack.pop()
-                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                    if 0 <= ni < h and 0 <= nj < w and labels[ni, nj] < 0 \
-                            and quant[ni, nj] == quant[i, j]:
-                        labels[ni, nj] = current
-                        stack.append((ni, nj))
-            current += 1
-    return (labels / max(current - 1, 1))[None]
+    idx = np.arange(h * w).reshape(h, w)
+    same_h = quant[:, 1:] == quant[:, :-1]
+    same_v = quant[1:] == quant[:-1]
+    a = np.concatenate([idx[:, :-1][same_h], idx[:-1][same_v]])
+    b = np.concatenate([idx[:, 1:][same_h], idx[1:][same_v]])
+    lab = np.arange(h * w)
+    while True:
+        ra, rb = lab[a], lab[b]
+        live = ra != rb
+        if not live.any():
+            break
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(lab, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+    roots, labels = np.unique(lab, return_inverse=True)
+    return (labels.reshape(h, w) / max(len(roots) - 1, 1))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +576,15 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
     raises NumericalFailure on a non-finite loss; returns the per-step batch
     loss trace.
     """
+    latents = as_list(latents, "latents", "[C,H,W] arrays")
     if len(latents) == 0:
         raise ValueError("empty training set")
     check_int(batch_size, "batch_size")
-    if conditions is not None and len(conditions) != len(latents):
-        raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} latents; "
-                         "need one per latent")
+    if conditions is not None:
+        conditions = as_list(conditions, "conditions", "ConditionStack")
+        if len(conditions) != len(latents):
+            raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} "
+                             "latents; need one per latent")
     rng = RandomSource(seed)
     t_max = schedule.timesteps
 
@@ -651,10 +661,7 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     check_int(patch_size, "patch_size")
     stride = check_int(stride, "stride") if stride is not None else patch_size // 2
-    try:
-        cubes = list(cubes)
-    except TypeError:
-        raise DataError(f"cubes must be a list of HsiCube, got {type(cubes).__name__}") from None
+    cubes = as_list(cubes, "cubes", "HsiCube")
     rgbs = []
     for ci, cube in enumerate(cubes):
         if not isinstance(cube, HsiCube):

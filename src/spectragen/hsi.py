@@ -56,6 +56,14 @@ def vector_array(value, name: str) -> np.ndarray:
     return _finite_array(value, name, 1, "a non-empty 1-D vector")
 
 
+def as_list(value, name: str, what: str) -> list:
+    """value as a list; DataError naming `name` when it is not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise DataError(f"{name} must be a list of {what}, got {type(value).__name__}") from None
+
+
 def _finite_array(value, name: str, ndim: int, what: str) -> np.ndarray:
     try:
         array = np.asarray(value, dtype=np.float64)

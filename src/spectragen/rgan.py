@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, RandomSource, Tensor
-from .hsi import HsiCube, check_int, chw_array
+from .hsi import HsiCube, as_list, check_int, chw_array
 
 
 @dataclass(frozen=True)
@@ -444,6 +444,7 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     Deterministic under a fixed seed; raises NumericalFailure on NaN loss.
     Returns the per-step loss trace.
     """
+    pairs = as_list(pairs, "pairs", "(lr_cube, hr_rgb, target) tuples")
     if not pairs:
         raise ValueError("empty training pair set")
     rng = RandomSource(seed)

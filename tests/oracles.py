@@ -242,6 +242,33 @@ def full_gal_stack(model, lr, rgb):
     return ad.add(model.head(hsi_feat), upsampled)
 
 
+def segmentation_proxy_loops(image, levels: int = 4) -> np.ndarray:
+    """segmentation_proxy by a per-pixel flood fill: components are labelled
+    in the raster order of their first pixel."""
+    gray = np.asarray(image, dtype=np.float64).mean(axis=0)
+    lo, hi = gray.min(), gray.max()
+    quant = np.zeros_like(gray, dtype=int) if hi == lo else \
+        np.minimum((levels * (gray - lo) / (hi - lo)).astype(int), levels - 1)
+    h, w = quant.shape
+    labels = np.full((h, w), -1, dtype=int)
+    current = 0
+    for si in range(h):
+        for sj in range(w):
+            if labels[si, sj] >= 0:
+                continue
+            stack = [(si, sj)]
+            labels[si, sj] = current
+            while stack:
+                i, j = stack.pop()
+                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    if 0 <= ni < h and 0 <= nj < w and labels[ni, nj] < 0 \
+                            and quant[ni, nj] == quant[i, j]:
+                        labels[ni, nj] = current
+                        stack.append((ni, nj))
+            current += 1
+    return (labels / max(current - 1, 1))[None]
+
+
 def train_diffusion_one_graph(latents, model, schedule, steps: int, batch_size: int,
                               lr: float = 2e-3, seed: int = 0, conditions=None) -> list[float]:
     """train_diffusion with each step's batch in one graph: the per-sample

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from spectragen import diffusion as df
 from spectragen import hsi, nn, rgan, synth
-from spectragen.autodiff import Parameter, RandomSource
+from spectragen.autodiff import DataError, Parameter, RandomSource
 from spectragen.diffusion import ConditionalDenoiser, ConditionStack, DenoiserConfig
 from spectragen.rgan import AttentionConfig, RganConfig, RganModel
 
@@ -367,4 +367,20 @@ STRAY = [
 @pytest.mark.parametrize("call, name", [c[1:] for c in STRAY], ids=[c[0] for c in STRAY])
 def test_values_that_used_to_escape_as_stray_exceptions(call, name):
     with pytest.raises(ValueError, match=name):
+        call()
+
+
+NOT_ITERABLE = [
+    ("train_diffusion(5)", lambda: df.train_diffusion(5, DENOISER, SCHEDULE, 1), "latents"),
+    ("train_diffusion(conditions=5)",
+     lambda: df.train_diffusion([LATENT], DENOISER, SCHEDULE, 1, conditions=5), "conditions"),
+    ("TinyAutoencoder.train(5)", lambda: df.TinyAutoencoder(3, 4).train(5, steps=1), "images"),
+    ("train_rgan(5)", lambda: rgan.train_rgan(5, RGAN, steps=1), "pairs"),
+]
+
+
+@pytest.mark.parametrize("call, name", [c[1:] for c in NOT_ITERABLE],
+                         ids=[c[0] for c in NOT_ITERABLE])
+def test_a_collection_that_is_not_iterable_raises_data_error_naming_it(call, name):
+    with pytest.raises(DataError, match=f"{name} must be a list of .*, got int"):
         call()

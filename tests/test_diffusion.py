@@ -301,6 +301,70 @@ def test_segmentation_proxy_labels_connected_regions():
     assert seg[0, 0, 0] != seg[0, 0, 3]
 
 
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), levels=st.integers(1, 6),
+       spread=st.integers(0, 4), seed=st.integers(0, 2**16))
+@example(h=1, w=12, levels=3, spread=4, seed=0)
+@example(h=12, w=1, levels=3, spread=4, seed=0)
+@example(h=5, w=7, levels=4, spread=0, seed=0)
+def test_segmentation_proxy_matches_the_flood_fill(h, w, levels, spread, seed):
+    """Small integer values leave many equal neighbours; spread 0 gives a
+    constant image (hi == lo)."""
+    img = np.random.default_rng(seed).integers(0, spread + 1, (3, h, w)).astype(float)
+    _assert_same_bytes(df.segmentation_proxy(img, levels),
+                       oracles.segmentation_proxy_loops(img, levels))
+
+
+def _checkerboard(n):
+    return np.indices((n, n)).sum(axis=0) % 2
+
+
+def _serpentine(n):
+    """Every other row full, joined at alternate ends: one winding path of
+    ones whose raster-first pixel is its start."""
+    grid = np.zeros((n, n))
+    grid[::2] = 1
+    grid[1::4, -1] = 1
+    grid[3::4, 0] = 1
+    return grid
+
+
+def _comb(n):
+    """Teeth down every other column, joined only by the bottom row."""
+    grid = np.zeros((n, n))
+    grid[:, ::2] = 1
+    grid[-1] = 1
+    return grid
+
+
+@pytest.mark.parametrize("image, levels", [
+    (np.repeat(_checkerboard(64)[None], 3, axis=0).astype(float), 2),
+    (np.repeat(_serpentine(64)[None], 3, axis=0), 2),
+    (np.repeat(_comb(64)[None], 3, axis=0), 2),
+    (synthetic_rgb(3, 256, 256), 4),
+], ids=["checkerboard", "serpentine", "comb", "synthetic_rgb-256"])
+def test_segmentation_proxy_matches_the_flood_fill_on_hard_cases(image, levels):
+    _assert_same_bytes(df.segmentation_proxy(image, levels),
+                       oracles.segmentation_proxy_loops(image, levels))
+
+
+def test_segmentation_proxy_numbers_components_in_raster_order_of_first_pixel():
+    img = np.array([[0, 1, 0, 0],
+                    [0, 1, 0, 1],
+                    [0, 0, 0, 1],
+                    [1, 1, 0, 1]], dtype=float)
+    want = np.array([[0, 1, 0, 0],
+                     [0, 1, 0, 2],
+                     [0, 0, 0, 2],
+                     [3, 3, 0, 2]]) / 3
+    np.testing.assert_array_equal(df.segmentation_proxy(np.stack([img] * 3), levels=2)[0], want)
+
+
 @pytest.mark.parametrize("proxy", [df.edge_proxy, df.sketch_proxy, df.segmentation_proxy])
 @pytest.mark.parametrize("shape", [(8, 8), (3, 0, 8)])
 def test_condition_proxies_reject_an_image_that_is_not_a_cube(proxy, shape):
