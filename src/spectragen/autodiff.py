@@ -39,9 +39,13 @@ import numpy as np
 
 Array = np.ndarray
 
-# Block size (in float64 elements, halo rows aside) for the row-shift im2col
-# buffers used by conv2d.
-_CONV_BLOCK_ELEMS = 4_000_000
+# Budget, in float64 elements with the k-1 halo rows aside, of the one
+# row-shift im2col block that conv2d holds at a time: 768 KiB, within a
+# 2 MiB per-core L2 cache. A conv's working set beyond its results is then
+# one block, whatever the image size. Forward outputs and input and bias
+# gradients are the same bit for bit under any budget; kernel gradients,
+# sums over blocks, move by rounding only.
+_CONV_BLOCK_ELEMS = 98_304
 
 
 class DataError(ValueError):
@@ -641,7 +645,9 @@ def _im2col_blocks(x: Array, k: int):
     the k*k of a full im2col. Each shift is copied straight from the
     unpadded input, and only the padding strips around it are zeroed.
     Blocks hold at most _CONV_BLOCK_ELEMS elements plus the k-1 halo rows,
-    or one output row.
+    or one output row. One block is alive at a time: the generator drops its
+    reference after each yield, and a caller that deletes its own before
+    asking for the next leaves block i freed before block i+1 is built.
     """
     c_in, h, w = x.shape
     p = (k - 1) // 2
@@ -662,6 +668,7 @@ def _im2col_blocks(x: Array, k: int):
             buf[:, v, a:b, j1:] = 0.0
             buf[:, v, a:b, j0:j1] = x[:, a + r0 - p : b + r0 - p, j0 + v - p : j1 + v - p]
         yield r0, r1, buf.reshape(c_in * k, rows * w)
+        del buf
 
 
 def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
@@ -681,6 +688,12 @@ def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
     [C_in*k, C_p] sum over blocks of kernel row u's im2col @ pair's
     matching rows, one GEMM per kernel row with K = (r1-r0)*W; a sum over
     blocks, acc matches a single-block one only to rounding.
+
+    Beside out and acc it holds one block, freed before the next is built,
+    the kernel matrices and one GEMM product at a time. Adding a product
+    into out's strided block view makes numpy buffer both operands (up to
+    8192 elements each); a single block's view is contiguous and adds in
+    place.
     """
     c_in, h, w = x.shape
     c_out, ck, k = kernel.shape[:3]
@@ -700,6 +713,7 @@ def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
             rows = pair[:, r0:r1].reshape(pair.shape[0], -1).T
             for u in range(k):
                 acc[u] += buf[:, u * w : u * w + n] @ rows
+        del buf
     return out if pair is None else (out, acc)
 
 
@@ -713,6 +727,7 @@ def _corr2d_kernel_grad(x: Array, g: Array, k: int) -> Array:
         g2 = g[:, r0:r1].reshape(c_out, -1)
         for u in range(k):
             dk[u] += g2 @ buf[:, u * w : u * w + n].T
+        del buf
     return dk.reshape(k, c_out, c_in, k).transpose(1, 2, 0, 3)
 
 
@@ -722,9 +737,13 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     Every pass lowers its input to the row-shift im2col of _im2col_blocks,
     k shifted copies of the input rather than k*k, and reads kernel row u's
-    im2col as a strided view of it. Blocked outputs and input and bias
+    im2col as a strided view of it. A pass holds one block of that im2col
+    at a time, at most _CONV_BLOCK_ELEMS elements plus the k-1 halo rows
+    (or one output row), so its working set beyond its inputs and results
+    does not grow with the image. Blocked outputs and input and bias
     gradients are bit-exact to single-block ones, kernel gradients (sums
-    over blocks) only to rounding; see _corr2d.
+    over blocks) only to rounding, within about 1e-15 of their largest
+    entry at the benchmark's shapes; see _corr2d.
 
     The kernel gradient is always computed (every kernel is a Parameter).
     The input gradient correlates g with the flipped kernel, also

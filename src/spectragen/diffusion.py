@@ -542,8 +542,10 @@ class ConditionalDenoiser(nn.Module):
                 skips.append(feat)
                 feat = ad.bilinear_resize(feat, feat.shape[1] // 2, feat.shape[2] // 2)
         for block, skip in zip(self.dec, reversed(skips)):
-            feat = ad.bilinear_resize(feat, skip.shape[1], skip.shape[2])
-            feat = block(ad.concat([feat, skip], axis=0))
+            # No local holds the upsampled map, and no vjp reads it, so it
+            # is freed once concatenated, before the block's convs run.
+            feat = block(ad.concat([ad.bilinear_resize(feat, skip.shape[1], skip.shape[2]),
+                                    skip], axis=0))
         if top_feat is not None:
             feat = ad.add(feat, top_feat)
         return self.head(feat)
@@ -569,22 +571,30 @@ def train_diffusion(latents, model: ConditionalDenoiser, schedule: NoiseSchedule
     """Train the noise predictor on a fixed set of latents.
 
     Schedule: 2% warmup, flat plateau, cosine tail to zero over the last 30%.
-    conditions, when given, is one ConditionStack per latent (ValueError
-    otherwise). Each sample's loss is back-propagated before the next
-    sample's forward runs, so one sample's graph is alive at a time and
-    memory does not grow with batch_size. Deterministic under a fixed seed;
-    raises NumericalFailure on a non-finite loss; returns the per-step batch
-    loss trace.
+    latents is a list of [C,H,W] numpy arrays and conditions, when given,
+    one ConditionStack per latent (ValueError otherwise; DataError naming
+    `latents[i]` or `conditions[i]` for an item of the wrong type). Each
+    sample's loss is back-propagated before the next sample's forward runs,
+    so one sample's graph is alive at a time and memory does not grow with
+    batch_size. Deterministic under a fixed seed; raises NumericalFailure
+    on a non-finite loss; returns the per-step batch loss trace.
     """
     latents = as_list(latents, "latents", "[C,H,W] arrays")
     if len(latents) == 0:
         raise ValueError("empty training set")
+    for i, z in enumerate(latents):
+        if not isinstance(z, np.ndarray):
+            raise DataError(f"latents[{i}] must be a [C,H,W] array, got {type(z).__name__}")
     check_int(batch_size, "batch_size")
     if conditions is not None:
         conditions = as_list(conditions, "conditions", "ConditionStack")
         if len(conditions) != len(latents):
             raise ValueError(f"{len(conditions)} condition stacks for {len(latents)} "
                              "latents; need one per latent")
+        for i, stack in enumerate(conditions):
+            if not isinstance(stack, ConditionStack):
+                raise DataError(f"conditions[{i}] must be a ConditionStack, "
+                                f"got {type(stack).__name__}")
     rng = RandomSource(seed)
     t_max = schedule.timesteps
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Parameter, RandomSource, Tensor
+from .autodiff import DataError, Parameter, RandomSource, Tensor
 from .hsi import HsiCube, as_list, check_int, chw_array
 
 
@@ -441,6 +441,8 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     35%. Position embeddings get a 30x learning rate: they start at zero and
     gate all spatial detail transfer, so they are the slow path at a
     200-step budget.
+    Each pair is an (HsiCube, [C,H,W] array, HsiCube) tuple or list;
+    DataError names `pairs[i]` of another form.
     Deterministic under a fixed seed; raises NumericalFailure on NaN loss.
     Returns the per-step loss trace.
     """
@@ -451,10 +453,18 @@ def train_rgan(pairs, model: RganModel, steps: int, lr: float = 5e-3,
     params = model.parameters()
     mults = [30.0 if ".pos_" in p.name else 1.0 for p in params]
     opt = nn.Adam(params, lr=lr, betas=(0.9, 0.99), lr_mults=mults)
-    tensors = [
-        (Tensor(p[0].values), Tensor(chw_array(p[1], "hr_rgb")), Tensor(p[2].values))
-        for p in pairs
-    ]
+    tensors = []
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, (tuple, list)) or len(pair) != 3:
+            raise DataError(f"pairs[{i}] must be an (lr_cube, hr_rgb, target) tuple, "
+                            f"got {type(pair).__name__}")
+        lr_cube, hr_rgb, target = pair
+        for name, cube in (("lr_cube", lr_cube), ("target", target)):
+            if not isinstance(cube, HsiCube):
+                raise DataError(f"pairs[{i}] {name} must be an HsiCube, "
+                                f"got {type(cube).__name__}")
+        tensors.append((Tensor(lr_cube.values), Tensor(chw_array(hr_rgb, f"pairs[{i}] hr_rgb")),
+                        Tensor(target.values)))
 
     # The previous prediction stays alive until the next forward has made its
     # own. It sits near the top of the heap, so glibc does not trim the

@@ -167,6 +167,7 @@ def _record_im2col_blocks(monkeypatch):
         for r0, r1, buf in real(x, k):
             blocks.append((r1 - r0, buf.shape))
             yield r0, r1, buf
+            del buf  # so that one block is alive at a time, as without the wrapper
 
     monkeypatch.setattr(ad, "_im2col_blocks", recording)
     return calls
@@ -222,6 +223,14 @@ def test_conv2d_forward_and_backward_build_two_im2cols(monkeypatch, make_input):
     assert len(calls) == 2
 
 
+def _one_block_bytes(results, c_im, k, w, rows, temporaries):
+    """Bytes a blocked conv may hold at once, from float64 element counts:
+    its results, one im2col block of `rows` output rows over c_im channels
+    with its k-1 halo rows, the temporaries of one block's GEMMs, and 4 KiB
+    for Python objects."""
+    return 8 * (results + c_im * k * (rows + k - 1) * w + temporaries) + 4096
+
+
 # The benchmark's largest denoiser conv, 48 -> 16 channels at 64x64: its
 # full [C_in*k*k, H*W] im2col would take 14.2 MB.
 def test_conv2d_peak_memory_is_under_half_the_full_im2col(monkeypatch):
@@ -234,17 +243,84 @@ def test_conv2d_peak_memory_is_under_half_the_full_im2col(monkeypatch):
             return ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
 
     _, peak = traced_bytes(conv)
-    assert peak <= c_in * k * k * h * w * x.itemsize / 2
+    # The default budget gives 10-row blocks, one alive at a time: 1.7 MB,
+    # an eighth of the full im2col. Beside the block, the kernel's per-row
+    # copies and one [C_out, n] product are alive, and the product's
+    # in-place add into a strided view of the output copies both operands.
+    rows = ad._CONV_BLOCK_ELEMS // (c_in * k * w)
+    assert rows == 10
+    assert peak <= _one_block_bytes(c_out * h * w, c_in, k, w, rows,
+                                    kernel.size + 3 * c_out * rows * w)
     # Each block buffer holds at most _CONV_BLOCK_ELEMS elements plus the
-    # k-1 halo rows, here and when the rows split into blocks.
-    limits = [ad._CONV_BLOCK_ELEMS, 10 * c_in * k * w + 1]
+    # k-1 halo rows, here and with the rows split into smaller blocks.
+    limits = [ad._CONV_BLOCK_ELEMS, 4 * c_in * k * w + 1]
     monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", limits[1])
     ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
-    assert [len(blocks) for blocks in calls] == [1, 7]
+    assert [len(blocks) for blocks in calls] == [7, 16]
     halo = c_in * k * (k - 1) * w
     for limit, blocks in zip(limits, calls):
         for _, shape in blocks:
             assert shape[0] * shape[1] <= limit + halo
+
+
+# Each block's im2col is freed before the next is built, on every path that
+# builds one: the forward, the input gradient with its kernel gradient
+# (`pair`), and the kernel gradient from the im2col of x. The im2col is over
+# 32 channels and the product over 4, so a second block alive (147 KB)
+# would exceed the bound by more than 100 KB.
+@pytest.mark.parametrize("path", ["forward", "pair", "kernel_grad"])
+def test_conv2d_holds_one_im2col_block_at_a_time(monkeypatch, path):
+    rng = RandomSource(23)
+    wide, narrow, h, w, k, rows = 32, 4, 32, 32, 3, 4
+    # The pair path's im2col is of g, so its conv maps narrow to wide.
+    c_in, c_out = (narrow, wide) if path == "pair" else (wide, narrow)
+    x, kernel, g = rand(rng, c_in, h, w), rand(rng, c_out, c_in, k, k), rand(rng, c_out, h, w)
+    flipped = np.flip(kernel, axis=(2, 3)).transpose(1, 0, 2, 3)
+    # An output block's [narrow, n] product and the two copies its in-place
+    # add into a strided view of the output makes; the kernel's per-row
+    # copies; a [C_out*k, C_in] or [C_out, C_in*k] kernel gradient product.
+    out_product, kernel_grad_product = 3 * narrow * rows * w, kernel.size // k
+    call, results, temporaries = {
+        "forward": (lambda: ad._corr2d(x, kernel), c_out * h * w, out_product + kernel.size),
+        "pair": (lambda: ad._corr2d(g, flipped, pair=x), c_in * h * w + kernel.size,
+                 out_product + kernel.size + kernel_grad_product),
+        "kernel_grad": (lambda: ad._corr2d_kernel_grad(x, g, k), kernel.size,
+                        kernel_grad_product),
+    }[path]
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows * wide * k * w)
+    assert len(list(ad._im2col_blocks(g if path == "pair" else x, k))) == h // rows
+    _, peak = traced_bytes(call)
+    assert peak <= _one_block_bytes(results, wide, k, w, rows, temporaries)
+
+
+# The benchmark's widest convs: the denoiser's dec0.conv1 and dec1.conv1 and
+# the RGAN head. At the default budget the im2col of each input splits into
+# blocks; the forward pass and the input gradient equal a single-block run
+# bit for bit, and the kernel gradient moves by rounding only (at most
+# 9.1e-16 of its largest entry, measured on these inputs).
+@pytest.mark.parametrize("c_in, c_out, size", [(48, 16, 64), (96, 32, 32), (32, 48, 64)])
+@pytest.mark.parametrize("make_input", [lambda x: Parameter(x, "x"), Tensor],
+                         ids=["parameter", "tensor"])
+def test_conv2d_at_the_benchmark_shapes_matches_one_block(monkeypatch, c_in, c_out, size,
+                                                          make_input):
+    rng = RandomSource(24)
+    x, kernel = rand(rng, c_in, size, size), rand(rng, c_out, c_in, 3, 3)
+    bias, g = rand(rng, c_out), rand(rng, c_out, size, size)
+
+    def run():
+        xt, kt = make_input(x), Parameter(kernel, "kernel")
+        y = ad.conv2d(xt, kt, Tensor(bias))
+        ad.backward(ad.tsum(ad.mul(y, g)))
+        return y.data, getattr(xt, "grad", None), kt.grad
+
+    assert ad._CONV_BLOCK_ELEMS // (c_in * 3 * size) < size
+    y, gx, gk = run()
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", max(c_in, c_out) * 3 * size * size)
+    y1, gx1, gk1 = run()
+    np.testing.assert_array_equal(y, y1)
+    if gx1 is not None:
+        np.testing.assert_array_equal(gx, gx1)
+    assert np.max(np.abs(gk - gk1)) <= 1e-14 * np.max(np.abs(gk1))
 
 
 # The bias was once a separate broadcast add of the reshaped bias; the

@@ -384,3 +384,28 @@ NOT_ITERABLE = [
 def test_a_collection_that_is_not_iterable_raises_data_error_naming_it(call, name):
     with pytest.raises(DataError, match=f"{name} must be a list of .*, got int"):
         call()
+
+
+# An item of the right collection but of the wrong type escaped as
+# AttributeError or TypeError from inside the training loop.
+WRONG_ITEM = [
+    ("train_diffusion([5])", lambda: df.train_diffusion([5], DENOISER, SCHEDULE, 1),
+     r"latents\[0\] must be a \[C,H,W\] array, got int"),
+    ("train_diffusion(conditions=[5])",
+     lambda: df.train_diffusion([LATENT], DENOISER, SCHEDULE, 1, conditions=[5]),
+     r"conditions\[0\] must be a ConditionStack, got int"),
+    ("train_rgan([5])", lambda: rgan.train_rgan([5], RGAN, steps=1),
+     r"pairs\[0\] must be an \(lr_cube, hr_rgb, target\) tuple, got int"),
+    ("train_rgan([(1, 2)])", lambda: rgan.train_rgan([(1, 2)], RGAN, steps=1),
+     r"pairs\[0\] must be an \(lr_cube, hr_rgb, target\) tuple, got tuple"),
+    ("train_rgan([(1, hr_rgb, target)])",
+     lambda: rgan.train_rgan([(1, GUIDE, CUBE)], RGAN, steps=1),
+     r"pairs\[0\] lr_cube must be an HsiCube, got int"),
+]
+
+
+@pytest.mark.parametrize("call, match", [c[1:] for c in WRONG_ITEM],
+                         ids=[c[0] for c in WRONG_ITEM])
+def test_an_item_of_the_wrong_type_raises_data_error_naming_it(call, match):
+    with pytest.raises(DataError, match=match):
+        call()

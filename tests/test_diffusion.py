@@ -591,6 +591,38 @@ def test_train_diffusion_peak_memory_does_not_grow_with_the_batch():
     assert peak(4) <= 1.1 * peak(1)
 
 
+# The benchmark's DSRNet at a 64x64 latent. Its peak is in the decoder conv
+# over the concat of the upsampled map and the skip. With conv2d's im2col
+# held one cache-sized block at a time and the upsampled map freed before
+# that conv runs, a no-grad forward peaks at 6.9 MB and a training sample's
+# loss and backward at 12.9 MB; with a whole image per im2col block they
+# peaked at 10.8 and 16.9 MB.
+def dsrnet_at_64():
+    model = ConditionalDenoiser(DenoiserConfig(latent_channels=3, base_channels=16, levels=3,
+                                               cond_slots=(("lowres", 3),)), seed=88)
+    rng = RandomSource(89)
+    return model, rng.normal((3, 64, 64)), ConditionStack({"lowres": rng.uniform((3, 64, 64))})
+
+
+def test_dsrnet_no_grad_forward_peak_memory():
+    model, z, stack = dsrnet_at_64()
+
+    def forward():
+        with ad.no_grad():
+            return predict(model, z, 50, stack)
+
+    assert traced_bytes(forward)[1] <= 8.5e6
+
+
+def test_dsrnet_training_sample_peak_memory():
+    model, z, stack = dsrnet_at_64()
+    eps = RandomSource(90).normal(z.shape)
+    schedule = make_schedule(100)
+    _, peak = traced_bytes(
+        lambda: ad.backward(df.diffusion_loss(model, schedule, z, 50, eps, stack)))
+    assert peak <= 14.5e6
+
+
 def test_train_diffusion_moves_the_zero_convolutions():
     latents, stacks = conditioned_training_set(2, 73)
     model = ConditionalDenoiser(tiny_config(cond_slots=(("hed", 1),)), seed=74)
