@@ -42,9 +42,11 @@ Array = np.ndarray
 # Budget, in float64 elements with the k-1 halo rows aside, of the one
 # row-shift im2col block that conv2d holds at a time: 768 KiB, within a
 # 2 MiB per-core L2 cache. A conv's working set beyond its results is then
-# one block, whatever the image size. Forward outputs and input and bias
-# gradients are the same bit for bit under any budget; kernel gradients,
-# sums over blocks, move by rounding only.
+# one block, the kernel matrices and one GEMM product (the forward's is
+# [C_out, n], over the block's n output pixels), whatever the image size;
+# the product is not bounded by the budget. Forward outputs and input and
+# bias gradients are the same bit for bit under any budget; kernel
+# gradients, sums over blocks, move by rounding only.
 _CONV_BLOCK_ELEMS = 98_304
 
 
@@ -447,28 +449,25 @@ def pad_reflect2d(t: Tensor, pad_h: tuple[int, int], pad_w: tuple[int, int]) -> 
 
 
 def tsum(t: Tensor, axis=None) -> Tensor:
+    """Sum over `axis`, an int or a tuple of them; None sums every axis."""
     t = as_tensor(t)
     shape = t.shape
+    if axis is None:
+        axes = tuple(range(len(shape)))
+    else:
+        axes = tuple(a % len(shape) for a in ((axis,) if isinstance(axis, int) else axis))
     data = t.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        ge = np.expand_dims(g, tuple(a % len(shape) for a in axes))
-        return (np.broadcast_to(ge, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),)
 
     return _node(data, (t,), vjp)
 
 
 def mean(t: Tensor, axis=None) -> Tensor:
     t = as_tensor(t)
-    if axis is None:
-        count = t.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([t.shape[a % t.ndim] for a in axes]))
-    return mul(tsum(t, axis=axis), 1.0 / count)
+    total = tsum(t, axis=axis)
+    return mul(total, total.size / t.size)
 
 
 # ---------------------------------------------------------------------------
@@ -671,23 +670,25 @@ def _im2col_blocks(x: Array, k: int):
         del buf
 
 
-def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
-    """Blocked row-shift im2col same-padded cross-correlation of [C_in,H,W]
-    with [C_out,C_in,k,k], giving [C_out,H,W].
+def _corr2d(x: Array, k: int, kernel: Array | None = None, pair: Array | None = None):
+    """One blocked pass over the row-shift im2col of a [C_in,H,W] input x
+    under a k x k kernel (see _im2col_blocks); returns (out, acc), each
+    None unless asked for.
 
-    Each block's output is the sum over kernel rows u, in order, of kernel
-    row u's [C_out, C_in*k] matrix times its im2col view of buf (see
-    _im2col_blocks): k GEMMs with K = C_in*k, the first written into the
-    output and the others added to it. Each kernel matrix is Fortran
+    With `kernel`, [C_out,C_in,k,k], out is the same-padded correlation
+    [C_out,H,W]. Each block's output is the sum over kernel rows u, in
+    order, of kernel row u's [C_out, C_in*k] matrix times its im2col view
+    of buf: k GEMMs with K = C_in*k, the first written into the output and
+    the others added to it. Each kernel matrix is Fortran
     ordered: with that operand order BLAS sums each output in the same
     order for every block width, so a blocked `out` is bit-exact to a
     single-block one; a C-ordered kernel matrix lets OpenBLAS switch GEMM
     kernels, and summation order, with the block width.
 
-    With `pair`, a [C_p,H,W] array, it returns (out, acc): acc[u] is the
-    [C_in*k, C_p] sum over blocks of kernel row u's im2col @ pair's
-    matching rows, one GEMM per kernel row with K = (r1-r0)*W; a sum over
-    blocks, acc matches a single-block one only to rounding.
+    With `pair`, a [C_p,H,W] array, acc[u] is the [C_in*k, C_p] sum over
+    blocks of kernel row u's im2col @ pair's matching rows, one GEMM per
+    kernel row with K = (r1-r0)*W; a sum over blocks, acc matches a
+    single-block one only to rounding.
 
     Beside out and acc it holds one block, freed before the next is built,
     the kernel matrices and one GEMM product at a time. Adding a product
@@ -696,54 +697,42 @@ def _corr2d(x: Array, kernel: Array, pair: Array | None = None):
     place.
     """
     c_in, h, w = x.shape
-    c_out, ck, k = kernel.shape[:3]
-    if ck != c_in:
-        raise ValueError(f"conv2d: kernel expects {ck} input channels, got {c_in}")
-    kms = [np.asfortranarray(kernel[:, :, u].reshape(c_out, -1)) for u in range(k)]
-    out = np.empty((c_out, h, w))
-    flat = out.reshape(c_out, -1)
-    acc = None if pair is None else np.zeros((k, c_in * k, pair.shape[0]))
+    out = acc = None
+    if kernel is not None:
+        c_out = kernel.shape[0]
+        kms = [np.asfortranarray(kernel[:, :, u].reshape(c_out, -1)) for u in range(k)]
+        out = np.empty((c_out, h, w))
+        flat = out.reshape(c_out, -1)
+    if pair is not None:
+        acc = np.zeros((k, c_in * k, pair.shape[0]))
     for r0, r1, buf in _im2col_blocks(x, k):
         n = (r1 - r0) * w
-        o = flat[:, r0 * w : r1 * w]
-        np.matmul(kms[0], buf[:, :n], out=o)
-        for u in range(1, k):
-            o += kms[u] @ buf[:, u * w : u * w + n]
+        if kernel is not None:
+            o = flat[:, r0 * w : r1 * w]
+            np.matmul(kms[0], buf[:, :n], out=o)
+            for u in range(1, k):
+                o += kms[u] @ buf[:, u * w : u * w + n]
         if pair is not None:
             rows = pair[:, r0:r1].reshape(pair.shape[0], -1).T
             for u in range(k):
                 acc[u] += buf[:, u * w : u * w + n] @ rows
         del buf
-    return out if pair is None else (out, acc)
-
-
-def _corr2d_kernel_grad(x: Array, g: Array, k: int) -> Array:
-    """Kernel gradient [C_out,C_in,k,k] of the correlation of x with g, from
-    the im2col of x: one GEMM per kernel row and block."""
-    (c_in, _, w), c_out = x.shape, g.shape[0]
-    dk = np.zeros((k, c_out, c_in * k))
-    for r0, r1, buf in _im2col_blocks(x, k):
-        n = (r1 - r0) * w
-        g2 = g[:, r0:r1].reshape(c_out, -1)
-        for u in range(k):
-            dk[u] += g2 @ buf[:, u * w : u * w + n].T
-        del buf
-    return dk.reshape(k, c_out, c_in, k).transpose(1, 2, 0, 3)
+    return out, acc
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """2-D cross-correlation of [C_in,H,W] with a [C_out,C_in,k,k] kernel,
     k odd and zero-padded by (k-1)//2, plus a [C_out] bias: y is [C_out,H,W].
 
-    Every pass lowers its input to the row-shift im2col of _im2col_blocks,
-    k shifted copies of the input rather than k*k, and reads kernel row u's
-    im2col as a strided view of it. A pass holds one block of that im2col
-    at a time, at most _CONV_BLOCK_ELEMS elements plus the k-1 halo rows
-    (or one output row), so its working set beyond its inputs and results
-    does not grow with the image. Blocked outputs and input and bias
-    gradients are bit-exact to single-block ones, kernel gradients (sums
-    over blocks) only to rounding, within about 1e-15 of their largest
-    entry at the benchmark's shapes; see _corr2d.
+    Every pass is one _corr2d over the blocked row-shift im2col of its
+    input, k shifted copies of it rather than k*k, which serves whichever
+    of the forward product and a kernel gradient the pass asks for. A pass
+    holds one block at a time, at most _CONV_BLOCK_ELEMS elements plus the
+    k-1 halo rows (or one output row), so its working set beyond its inputs
+    and results does not grow with the image. Blocked outputs and input and
+    bias gradients are bit-exact to single-block ones, kernel gradients
+    (sums over blocks) only to rounding, within about 1e-15 of their
+    largest entry at the benchmark's shapes.
 
     The kernel gradient is always computed (every kernel is a Parameter).
     The input gradient correlates g with the flipped kernel, also
@@ -755,11 +744,14 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     with. A backward pass then builds one im2col instead of two. When only
     the kernel needs a gradient, which the forward knows from the input
     having no graph (a first layer over data: the denoiser's
-    conv_in and cond_in, RGAN's embed_hsi and embed_rgb), it comes from the
-    im2col of x, which has C_in*k rows against C_out*k for g (9 against 96
-    for the 3-band embed_rgb). Building the im2col of g there too made the
-    benchmark's train_diffusion about 5% slower. The bias gradient sums g
-    over rows, then columns, as a broadcast add's vjp does.
+    conv_in and cond_in, RGAN's embed_hsi and embed_rgb), the pass pairs
+    the im2col of x with g instead: it has C_in*k rows against C_out*k for
+    g (9 against 96 for the 3-band embed_rgb). Pairing the im2col of g
+    with x there made the vjps of conv_in, cond_in and embed_rgb 1.3-1.7x
+    slower (0.16 -> 0.26 ms for conv_in; min of 60 calls, one BLAS
+    thread), and only that of embed_hsi, 48 channels in against 32 out,
+    about 6% faster. The bias gradient sums g over rows, then columns, as
+    a broadcast add's vjp does.
     """
     t, kernel, bias = as_tensor(t), as_tensor(kernel), as_tensor(bias)
     if t.ndim != 3 or 0 in t.shape[1:] or kernel.ndim != 4:
@@ -769,17 +761,20 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError("conv2d kernel must be square with odd extent")
     if bias.shape != (c_out,):
         raise ValueError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
+    if t.shape[0] != c_in:
+        raise ValueError(f"conv2d: kernel expects {c_in} input channels, got {t.shape[0]}")
     x, w = t.data, kernel.data
     x_needs_grad = t.node is not None
-    data = _corr2d(x, w)
+    data, _ = _corr2d(x, k, w)
     data += bias.data[:, None, None]
 
     def vjp(g):
         gb = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True).reshape(c_out)
         if not x_needs_grad:
-            return None, _corr2d_kernel_grad(x, g, k), gb
+            _, acc = _corr2d(x, k, pair=g)
+            return None, acc.reshape(k, c_in, k, c_out).transpose(3, 1, 0, 2), gb
         flipped = np.flip(w, axis=(2, 3)).transpose(1, 0, 2, 3)
-        gx, acc = _corr2d(g, flipped, pair=x)
+        gx, acc = _corr2d(g, k, flipped, pair=x)
         gk = acc.reshape(k, c_out, k, c_in)[::-1, :, ::-1].transpose(1, 3, 0, 2)
         return gx, gk, gb
 

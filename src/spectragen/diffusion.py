@@ -187,10 +187,10 @@ class TinyAutoencoder(nn.Module):
                  factor: int = 2, seed: int = 0):
         self.image_channels = check_int(image_channels, "image_channels")
         self.latent_channels = check_int(latent_channels, "latent_channels")
-        self.factor = factor
         self._s2d = SpaceToDepthCodec(factor)
+        self.factor = self._s2d.factor
         rng = RandomSource(seed)
-        packed = image_channels * factor * factor
+        packed = self.image_channels * self.factor**2
         self.enc = nn.Linear(packed, latent_channels, rng.child(0), "codec.enc")
         self.dec = nn.Linear(latent_channels, packed, rng.child(1), "codec.dec")
 
@@ -354,14 +354,18 @@ class DenoiserConfig:
     global_dim: int = 0
 
     def __post_init__(self):
+        # Fields keep the Python ints check_int returns, so that a numpy
+        # integer argument still fits a checkpoint's JSON config.
         for name in ("latent_channels", "base_channels", "levels"):
-            check_int(getattr(self, name), name)
-        check_int(self.global_dim, "global_dim", low=0)
-        _check_time_dim(self.time_dim)
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        object.__setattr__(self, "global_dim", check_int(self.global_dim, "global_dim", low=0))
+        object.__setattr__(self, "time_dim", _check_time_dim(self.time_dim))
+        slots = []
         for tag, ch in self.cond_slots:
             if tag not in CONDITION_TAGS:
                 raise ValueError(f"unknown condition tag {tag!r}")
-            check_int(ch, f"condition slot {tag} channels")
+            slots.append((tag, check_int(ch, f"condition slot {tag} channels")))
+        object.__setattr__(self, "cond_slots", tuple(slots))
         tags = [t for t, _ in self.cond_slots]
         if len(tags) != len(set(tags)):
             raise ValueError("duplicate condition tags")
@@ -371,10 +375,12 @@ class DenoiserConfig:
         return tuple(self.base_channels * 2**i for i in range(self.levels))
 
 
-def _check_time_dim(dim) -> None:
+def _check_time_dim(dim) -> int:
     # The embedding is a sin half and a cos half.
-    if check_int(dim, "time_dim", low=2) % 2:
+    dim = check_int(dim, "time_dim", low=2)
+    if dim % 2:
         raise ValueError(f"time_dim must be even, got {dim!r}")
+    return dim
 
 
 def sinusoidal_embedding(t: int, dim: int) -> np.ndarray:
@@ -643,7 +649,7 @@ def dsrnet_super_resolve(lr_rgb: np.ndarray, model: ConditionalDenoiser,
                          scale: int, codec=None) -> np.ndarray:
     """RGB super-resolution: bilinear-upsampled input enters as `lowres`
     condition and sampling runs at the high-resolution extents."""
-    if scale not in (2, 4):
+    if check_int(scale, "scale") not in (2, 4):
         raise ValueError("scale must be 2 or 4")
     codec = codec if codec is not None else IdentityCodec()
     lr_rgb = chw_array(lr_rgb, "lr_rgb")
@@ -667,6 +673,7 @@ def augment_two_stage(cubes, dsrnet: ConditionalDenoiser, schedule: NoiseSchedul
     not an HsiCube or does not cover the RGB bands, or a patch_size larger
     than an upscaled cube raises before any sampling.
     """
+    scale = check_int(scale, "scale")
     if scale != rgan_model.config.scale:
         raise ValueError(f"scale {scale} != rgan_model.config.scale {rgan_model.config.scale}")
     check_int(patch_size, "patch_size")

@@ -132,7 +132,8 @@ class DegradationSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian_noise", "downsample"):
             raise DataError(f"unknown degradation kind {self.kind!r}")
-        if not (isinstance(self.sigma, numbers.Real) and 0 <= self.sigma < math.inf):
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real)
+                or not 0 <= self.sigma < math.inf):
             raise DataError(f"sigma must be a finite nonnegative number, got {self.sigma!r}")
         if self.kind == "downsample" and check_int(self.factor, "factor") not in (2, 4):
             raise DataError("downsample factor must be 2 or 4")

@@ -36,14 +36,15 @@ class AttentionConfig:
     layers: int = 2
 
     def __post_init__(self):
+        # Fields keep the Python ints check_int returns, so that a numpy
+        # integer argument still fits a checkpoint's JSON config.
         for name in ("channels", "heads", "layers"):
-            check_int(getattr(self, name), name)
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         for name in ("window_h", "window_v"):
             window = getattr(self, name)
             if not (isinstance(window, tuple) and len(window) == 2):
                 raise ValueError(f"{name} must be a pair of integers, got {window!r}")
-            for extent in window:
-                check_int(extent, f"{name} extent")
+            object.__setattr__(self, name, tuple(check_int(e, f"{name} extent") for e in window))
         if self.channels % (2 * self.heads):
             raise ValueError("channels must be divisible by 2*heads (two spectral halves)")
         if self.window_h[1] < self.window_h[0]:
@@ -67,7 +68,8 @@ class RganConfig:
     attention: AttentionConfig = field(default_factory=lambda: AttentionConfig(16))
 
     def __post_init__(self):
-        check_int(self.bands, "bands")
+        object.__setattr__(self, "bands", check_int(self.bands, "bands"))
+        object.__setattr__(self, "scale", check_int(self.scale, "scale"))
         if self.scale not in (2, 4):
             raise ValueError("scale must be 2 or 4")
 

@@ -278,14 +278,13 @@ def test_conv2d_holds_one_im2col_block_at_a_time(monkeypatch, path):
     flipped = np.flip(kernel, axis=(2, 3)).transpose(1, 0, 2, 3)
     # An output block's [narrow, n] product and the two copies its in-place
     # add into a strided view of the output makes; the kernel's per-row
-    # copies; a [C_out*k, C_in] or [C_out, C_in*k] kernel gradient product.
+    # copies; a [C_out*k, C_in] or [C_in*k, C_out] kernel gradient product.
     out_product, kernel_grad_product = 3 * narrow * rows * w, kernel.size // k
     call, results, temporaries = {
-        "forward": (lambda: ad._corr2d(x, kernel), c_out * h * w, out_product + kernel.size),
-        "pair": (lambda: ad._corr2d(g, flipped, pair=x), c_in * h * w + kernel.size,
+        "forward": (lambda: ad._corr2d(x, k, kernel), c_out * h * w, out_product + kernel.size),
+        "pair": (lambda: ad._corr2d(g, k, flipped, pair=x), c_in * h * w + kernel.size,
                  out_product + kernel.size + kernel_grad_product),
-        "kernel_grad": (lambda: ad._corr2d_kernel_grad(x, g, k), kernel.size,
-                        kernel_grad_product),
+        "kernel_grad": (lambda: ad._corr2d(x, k, pair=g), kernel.size, kernel_grad_product),
     }[path]
     monkeypatch.setattr(ad, "_CONV_BLOCK_ELEMS", rows * wide * k * w)
     assert len(list(ad._im2col_blocks(g if path == "pair" else x, k))) == h // rows
@@ -355,6 +354,12 @@ def test_conv2d_rejects_bad_shapes():
         ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 1))), bias)
     with pytest.raises(ValueError, match="non-empty"):
         ad.conv2d(Tensor(np.zeros((2, 0, 4))), Tensor(np.zeros((1, 2, 3, 3))), bias)
+
+
+def test_conv2d_rejects_a_kernel_of_other_input_channels():
+    bias = Tensor(np.zeros(3))
+    with pytest.raises(ValueError, match="kernel expects 4 input channels, got 2"):
+        ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 4, 3, 3))), bias)
 
 
 def test_conv2d_rejects_a_wrong_bias_shape():

@@ -293,6 +293,12 @@ STRAY = [
     ("ConditionalDenoiser(base_channels=0)",
      lambda: ConditionalDenoiser(DenoiserConfig(3, base_channels=0)), "base_channels"),
     ("DenoiserConfig(levels=2.0)", lambda: DenoiserConfig(3, levels=2.0), "levels"),
+    ("RganConfig(scale=2.0)", lambda: RganConfig(bands=4, scale=2.0), "scale"),
+    ("dsrnet_super_resolve(scale=2.0)",
+     lambda: df.dsrnet_super_resolve(GUIDE, DENOISER, SCHEDULE, 2, 0, scale=2.0), "scale"),
+    ("augment_two_stage(scale=2.0)", lambda: augment(scale=2.0), "scale"),
+    ("DegradationSpec(sigma=True)", lambda: hsi.DegradationSpec("gaussian_noise", sigma=True),
+     "sigma"),
     ("TinyAutoencoder(3, 0)", lambda: df.TinyAutoencoder(3, 0), "latent_channels"),
     ("make_schedule(2.5)", lambda: df.make_schedule(2.5), "timesteps"),
     ("make_schedule(10, None)", lambda: df.make_schedule(10, None), "beta_start"),

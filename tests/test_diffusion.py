@@ -1052,6 +1052,21 @@ def test_diffusion_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(predict(back, z, 3), a)
 
 
+def test_diffusion_checkpoint_round_trip_with_numpy_integer_fields(tmp_path):
+    # check_int accepts numpy integers; the configs must hold Python ints,
+    # which the JSON config of a checkpoint can store
+    i = np.int64
+    cfg = tiny_config(latent_channels=i(2), base_channels=i(4), levels=i(2), time_dim=i(8),
+                      cond_slots=(("lowres", i(3)),), global_dim=i(0))
+    assert cfg == tiny_config(cond_slots=(("lowres", 3),))
+    path = tmp_path / "diff.ckpt"
+    codec = TinyAutoencoder(i(3), i(2), factor=i(2), seed=30)
+    df.save_diffusion(path, ConditionalDenoiser(cfg, seed=28), make_schedule(i(16)), codec)
+    back, schedule, back_codec = df.load_diffusion(path)
+    assert back.config == cfg and schedule.timesteps == 16
+    assert type(codec.factor) is int and back_codec.factor == 2
+
+
 def test_diffusion_checkpoint_reproduces_a_trained_model(tmp_path):
     # every weight live (zero-convs would hide the condition branch), a
     # trained codec's parameters too, and values that float32 cannot hold

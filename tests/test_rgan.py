@@ -863,6 +863,20 @@ def test_rgan_checkpoint_reproduces_a_trained_model(tmp_path):
                                   rgan.rgan_forward(cube, rgb, back).values)
 
 
+def test_rgan_checkpoint_round_trip_with_numpy_integer_fields(tmp_path):
+    # check_int accepts numpy integers; the config must hold Python ints,
+    # which the JSON config of a checkpoint can store
+    i = np.int64
+    attention = AttentionConfig(channels=i(8), heads=i(1), window_h=(i(2), i(4)),
+                                window_v=(i(4), i(2)), layers=i(1))
+    config = RganConfig(bands=i(3), scale=i(2), attention=attention)
+    path = tmp_path / "model.ckpt"
+    rgan.save_rgan(RganModel(config, seed=39), path)
+    back = rgan.load_rgan(path).config
+    assert back == config == RganConfig(bands=3, scale=2, attention=small_cfg())
+    assert all(type(v) is int for v in (back.bands, back.scale, *config.attention.window_h))
+
+
 def _with(section, **fields):
     return lambda c: {**c, section: {**c[section], **fields}}
 
